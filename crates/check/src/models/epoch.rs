@@ -29,26 +29,26 @@ pub struct EpochModel {
     pub early_free: bool,
 }
 
-const POISON: u64 = u64::MAX;
+pub(super) const POISON: u64 = u64::MAX;
 const SLOTS: usize = 4;
 const READER_PINS: usize = 2;
 const UPDATES: usize = 2;
 
-struct Domain {
+pub(super) struct Domain {
     /// Global epoch counter.
-    global: AtomicU64,
+    pub(super) global: AtomicU64,
     /// Per-participant advertisement: 0 = unpinned, else `epoch + 1`.
     locals: [AtomicU64; 2],
     /// Currently published slot index.
     published: AtomicUsize,
     /// Slot payloads; freeing writes [`POISON`].
-    arena: Vec<RaceCell<u64>>,
+    pub(super) arena: Vec<RaceCell<u64>>,
     /// Retired `(slot, epoch)` pairs in retirement order.
-    retired: Mutex<Vec<(usize, u64)>>,
+    pub(super) retired: Mutex<Vec<(usize, u64)>>,
 }
 
 impl Domain {
-    fn new() -> Self {
+    pub(super) fn new() -> Self {
         let arena: Vec<RaceCell<u64>> = (0..SLOTS).map(|i| RaceCell::new(i as u64)).collect();
         Domain {
             global: AtomicU64::new(0),
@@ -62,7 +62,7 @@ impl Domain {
     /// Pin participant `me`: advertise the epoch, then re-check the
     /// global until the advertisement is current (bounded, as the epoch
     /// can only advance once past a stale advertisement).
-    fn pin(&self, me: usize) {
+    pub(super) fn pin(&self, me: usize) {
         // ordering: SeqCst on the advertisement store and the global
         // re-read — the pin/advance pair is the Dekker-style core of
         // epoch reclamation (advertise then check vs. check then
@@ -79,7 +79,7 @@ impl Domain {
         }
     }
 
-    fn unpin(&self, me: usize) {
+    pub(super) fn unpin(&self, me: usize) {
         // ordering: Release publishes this pin's reads to the
         // collector's advancement check.
         self.locals[me].store(0, Ordering::Release);
@@ -87,7 +87,7 @@ impl Domain {
 
     /// Advance the global epoch if every pinned participant has caught
     /// up, then free the drainable prefix of the retirement list.
-    fn collect(&self, early_free: bool) {
+    pub(super) fn collect(&self, early_free: bool) {
         // ordering: SeqCst pairs with `pin` (see above).
         let e = self.global.load(Ordering::SeqCst);
         let mut can_advance = true;

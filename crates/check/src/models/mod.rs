@@ -19,6 +19,11 @@
 //!   snapshot-timestamp registry's SC-fence handshake, and prefix-drain
 //!   pruning, with the retention rule configurable so the mutation
 //!   self-test can prune early and assert the checker catches it.
+//! * [`reclaim`] — deferred `TVarCore` reclamation (`tvar.rs`): a read-set
+//!   entry borrows the attempt's epoch pin instead of a handle, so the
+//!   last handle must *retire* the core, not free it. The mutation frees
+//!   immediately and the checker must catch the transaction validating
+//!   against reclaimed state.
 //! * [`btree`] — the per-node B-tree's split/merge discipline from
 //!   `rubic-workloads` (`btree/mod.rs`): a structural change rewrites
 //!   parent routing and both children in *one* commit, and a TL2-style
@@ -34,4 +39,5 @@
 pub mod btree;
 pub mod epoch;
 pub mod mvcc;
+pub mod reclaim;
 pub mod vlock;

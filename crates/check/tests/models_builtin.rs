@@ -3,7 +3,7 @@
 //! protocols and must catch deliberately weakened variants within a
 //! bounded, seeded budget — deterministically enough to replay.
 
-use rubic_check::models::{btree, epoch, mvcc, vlock};
+use rubic_check::models::{btree, epoch, mvcc, reclaim, vlock};
 use rubic_check::sync::atomic::Ordering;
 use rubic_check::{check, Config, FailureKind};
 
@@ -209,4 +209,49 @@ fn epoch_early_free_is_caught() {
         epoch::model(epoch::EpochModel { early_free: true }),
     );
     assert_eq!(replayed.expect_failure().kind, failure.kind);
+}
+
+/// Deferred `TVarCore` reclamation: with the last handle *retiring* the
+/// core through the epoch, a transaction that recorded the lock word
+/// under its pin validates, extends and commits without ever observing
+/// reclaimed state, whichever thread drops last.
+#[test]
+fn reclaim_deferred_core_passes() {
+    let report = check(
+        Config::pct(0x7C0, rubic_check::env_iters(256)),
+        reclaim::model(reclaim::ReclaimModel::default()),
+    );
+    report.assert_ok();
+}
+
+/// Mutation self-test: freeing the core when the last handle drops —
+/// what a plain `Arc` would do — lets the pinned transaction re-sample
+/// a freed lock word. The checker must find it, and the failure must
+/// replay from its trace and from its `(seed, iteration, est_len)`.
+#[test]
+fn reclaim_free_immediately_is_caught_and_replays() {
+    let mutated = reclaim::ReclaimModel {
+        free_immediately: true,
+    };
+    let report = check(Config::pct(0x7C0, 256), reclaim::model(mutated));
+    let failure = report.expect_failure().clone();
+    assert!(
+        matches!(failure.kind, FailureKind::Panic | FailureKind::Race),
+        "immediate free must surface as a poisoned sample or a race, got {:?}",
+        failure.kind
+    );
+
+    let replayed = check(
+        Config::replay_trace(&failure.trace),
+        reclaim::model(mutated),
+    );
+    assert_eq!(replayed.expect_failure().kind, failure.kind);
+
+    let again = check(
+        Config::pct_at_len(failure.seed, failure.iteration, failure.est_len),
+        reclaim::model(mutated),
+    );
+    let af = again.expect_failure();
+    assert_eq!(af.kind, failure.kind);
+    assert_eq!(af.trace, failure.trace);
 }

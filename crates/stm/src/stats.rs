@@ -1,43 +1,72 @@
 //! Commit/abort accounting.
 //!
-//! Each [`crate::Stm`] instance owns one [`StmStats`]: cache-padded
-//! atomic totals updated once per transaction attempt with `Relaxed`
-//! ordering. That is deliberately *not* the paper's throughput path —
-//! §3.1's thread-local task counters live in `rubic-runtime`, and this
-//! module only provides the commit-rate diagnostics the evaluation
-//! reports (and the abort-rate visibility useful when tuning contention
-//! managers).
+//! Each [`crate::Stm`] instance owns one [`StmStats`]: a fixed array of
+//! cache-padded *stripes*, one counter block per stripe. A thread
+//! records into the stripe picked by its process-wide ordinal, so a
+//! committing transaction only ever writes a line its own thread owns
+//! (threads beyond the 64 stripes share one; the counters are atomic,
+//! so sharing costs coherence traffic, never exactness). Readers —
+//! the monitor, `stmbench`, the benchmark — sum the stripes on demand.
+//! This mirrors the paper's §3.1 discipline for task counters
+//! (thread-local, read at interval boundaries) for the commit-rate
+//! diagnostics the evaluation reports and the abort-rate visibility
+//! useful when tuning contention managers.
 
-use rubic_sync::atomic::{AtomicU64, Ordering};
+use rubic_sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use crossbeam_utils::CachePadded;
 
 use crate::abort::AbortReason;
 
-/// Cumulative transaction statistics for one [`crate::Stm`] instance.
+/// Number of counter stripes per [`StmStats`]: the paper's 64-context
+/// machine gets one line per hardware thread.
+const STRIPES: usize = 64;
+
+/// Hands out process-wide thread ordinals for stripe selection.
+static NEXT_ORDINAL: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    /// This thread's stripe index in every [`StmStats`].
+    // ordering: Relaxed — the ordinal only spreads threads over
+    // stripes; nothing is published through it.
+    static STRIPE: usize = NEXT_ORDINAL.fetch_add(1, Ordering::Relaxed) % STRIPES;
+}
+
+/// One stripe's counters. The commit-path fields lead so a committing
+/// thread touches a single line of its own stripe.
 #[derive(Debug, Default)]
-pub struct StmStats {
-    commits: CachePadded<AtomicU64>,
-    aborts: CachePadded<AtomicU64>,
-    reads: CachePadded<AtomicU64>,
-    writes: CachePadded<AtomicU64>,
-    /// Aborts broken down by [`AbortReason`], indexed by reason code.
-    /// One shared cache line: reason counters are bumped on the abort
-    /// path only, where a miss is already amortised by the backoff.
-    by_reason: [AtomicU64; AbortReason::COUNT],
+struct Stripe {
+    commits: AtomicU64,
+    reads: AtomicU64,
+    writes: AtomicU64,
     /// Commits by [`crate::Stm::read_only`] transactions (a subset of
     /// `commits`). Unconditional — a plain counter is cheaper than a
     /// cfg'd hole in the snapshot type, and the mvcc abort-freedom claim
     /// (`ro_aborts == 0` under snapshot mode) is benchmarked off it.
-    ro_commits: CachePadded<AtomicU64>,
+    ro_commits: AtomicU64,
+    aborts: AtomicU64,
     /// Aborted attempts inside `read_only` (a subset of `aborts`).
-    ro_aborts: CachePadded<AtomicU64>,
+    ro_aborts: AtomicU64,
     /// Snapshot transactions demoted to the classic validated protocol
     /// (registry exhaustion, repeated chain-overflow staleness, or a
-    /// body that wrote). Unconditional for the same reason as
-    /// `ro_commits`: a plain counter beats a cfg'd hole in the
-    /// snapshot type, and it stays 0 in non-mvcc builds.
-    snap_demotions: CachePadded<AtomicU64>,
+    /// body that wrote); stays 0 in non-mvcc builds.
+    snap_demotions: AtomicU64,
+    /// Aborts broken down by [`AbortReason`], indexed by reason code.
+    by_reason: [AtomicU64; AbortReason::COUNT],
+}
+
+/// Cumulative transaction statistics for one [`crate::Stm`] instance.
+#[derive(Debug)]
+pub struct StmStats {
+    stripes: [CachePadded<Stripe>; STRIPES],
+}
+
+impl Default for StmStats {
+    fn default() -> Self {
+        StmStats {
+            stripes: std::array::from_fn(|_| CachePadded::default()),
+        }
+    }
 }
 
 impl StmStats {
@@ -47,32 +76,43 @@ impl StmStats {
         StmStats::default()
     }
 
+    /// The calling thread's stripe.
+    #[inline]
+    fn mine(&self) -> &Stripe {
+        &self.stripes[STRIPE.with(|s| *s)]
+    }
+
+    /// Sums one counter over every stripe.
+    fn sum(&self, counter: impl Fn(&Stripe) -> &AtomicU64) -> u64 {
+        self.stripes
+            .iter()
+            // ordering: Relaxed — monitoring read of monotonic counters.
+            .map(|s| counter(s).load(Ordering::Relaxed))
+            .sum()
+    }
+
     // ordering: pure monotonic counters — no reader derives ownership
     // or publication from them, so Relaxed increments suffice.
     #[inline]
-    pub(crate) fn record_commit(&self, reads: u64, writes: u64) {
-        self.commits.fetch_add(1, Ordering::Relaxed);
-        self.reads.fetch_add(reads, Ordering::Relaxed);
-        self.writes.fetch_add(writes, Ordering::Relaxed);
+    pub(crate) fn record_commit(&self, reads: u64, writes: u64, read_only: bool) {
+        let s = self.mine();
+        s.commits.fetch_add(1, Ordering::Relaxed);
+        s.reads.fetch_add(reads, Ordering::Relaxed);
+        s.writes.fetch_add(writes, Ordering::Relaxed);
+        if read_only {
+            s.ro_commits.fetch_add(1, Ordering::Relaxed);
+        }
     }
 
     // ordering: same counter discipline as `record_commit`.
     #[inline]
-    pub(crate) fn record_abort(&self, reason: AbortReason) {
-        self.aborts.fetch_add(1, Ordering::Relaxed);
-        self.by_reason[reason.code() as usize].fetch_add(1, Ordering::Relaxed);
-    }
-
-    // ordering: same counter discipline as `record_commit`.
-    #[inline]
-    pub(crate) fn record_ro_commit(&self) {
-        self.ro_commits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    // ordering: same counter discipline as `record_commit`.
-    #[inline]
-    pub(crate) fn record_ro_abort(&self) {
-        self.ro_aborts.fetch_add(1, Ordering::Relaxed);
+    pub(crate) fn record_abort(&self, reason: AbortReason, read_only: bool) {
+        let s = self.mine();
+        s.aborts.fetch_add(1, Ordering::Relaxed);
+        s.by_reason[reason.code() as usize].fetch_add(1, Ordering::Relaxed);
+        if read_only {
+            s.ro_aborts.fetch_add(1, Ordering::Relaxed);
+        }
     }
 
     // ordering: same counter discipline as `record_commit`. Only called
@@ -80,26 +120,25 @@ impl StmStats {
     #[inline]
     #[allow(dead_code)]
     pub(crate) fn record_snap_demotion(&self) {
-        self.snap_demotions.fetch_add(1, Ordering::Relaxed);
+        self.mine().snap_demotions.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Total committed transactions.
     #[must_use]
     pub fn commits(&self) -> u64 {
-        self.commits.load(Ordering::Relaxed) // ordering: monitoring read of a counter
+        self.sum(|s| &s.commits)
     }
 
     /// Total aborted attempts.
     #[must_use]
     pub fn aborts(&self) -> u64 {
-        self.aborts.load(Ordering::Relaxed) // ordering: monitoring read of a counter
+        self.sum(|s| &s.aborts)
     }
 
     /// Aborts attributed to one [`AbortReason`].
     #[must_use]
     pub fn aborts_for(&self, reason: AbortReason) -> u64 {
-        // ordering: monitoring read of a counter
-        self.by_reason[reason.code() as usize].load(Ordering::Relaxed)
+        self.sum(|s| &s.by_reason[reason.code() as usize])
     }
 
     /// The full abort breakdown, indexed by reason code. The entries sum
@@ -107,30 +146,26 @@ impl StmStats {
     /// threads are mid-abort).
     #[must_use]
     pub fn aborts_by_reason(&self) -> [u64; AbortReason::COUNT] {
-        let mut out = [0; AbortReason::COUNT];
-        for (slot, counter) in out.iter_mut().zip(&self.by_reason) {
-            *slot = counter.load(Ordering::Relaxed); // ordering: monitoring read
-        }
-        out
+        std::array::from_fn(|code| self.sum(|s| &s.by_reason[code]))
     }
 
     /// Total transactional reads performed by committed transactions.
     #[must_use]
     pub fn reads(&self) -> u64 {
-        self.reads.load(Ordering::Relaxed) // ordering: monitoring read of a counter
+        self.sum(|s| &s.reads)
     }
 
     /// Total transactional writes performed by committed transactions.
     #[must_use]
     pub fn writes(&self) -> u64 {
-        self.writes.load(Ordering::Relaxed) // ordering: monitoring read of a counter
+        self.sum(|s| &s.writes)
     }
 
     /// Commits by [`crate::Stm::read_only`] transactions (a subset of
     /// [`commits`](Self::commits)).
     #[must_use]
     pub fn ro_commits(&self) -> u64 {
-        self.ro_commits.load(Ordering::Relaxed) // ordering: monitoring read of a counter
+        self.sum(|s| &s.ro_commits)
     }
 
     /// Aborted attempts inside [`crate::Stm::read_only`] (a subset of
@@ -138,14 +173,14 @@ impl StmStats {
     /// transaction ran in mvcc snapshot mode.
     #[must_use]
     pub fn ro_aborts(&self) -> u64 {
-        self.ro_aborts.load(Ordering::Relaxed) // ordering: monitoring read of a counter
+        self.sum(|s| &s.ro_aborts)
     }
 
     /// Snapshot transactions that fell back to the classic validated
     /// protocol (mvcc mode only; always `0` otherwise).
     #[must_use]
     pub fn snap_demotions(&self) -> u64 {
-        self.snap_demotions.load(Ordering::Relaxed) // ordering: monitoring read of a counter
+        self.sum(|s| &s.snap_demotions)
     }
 
     /// Fraction of attempts that aborted: `aborts / (commits + aborts)`.
@@ -255,10 +290,11 @@ mod tests {
     #[test]
     fn records_accumulate() {
         let s = StmStats::new();
-        s.record_commit(3, 1);
-        s.record_commit(2, 0);
-        s.record_abort(AbortReason::LockBusy);
+        s.record_commit(3, 1, false);
+        s.record_commit(2, 0, true);
+        s.record_abort(AbortReason::LockBusy, false);
         assert_eq!(s.commits(), 2);
+        assert_eq!(s.ro_commits(), 1);
         assert_eq!(s.aborts(), 1);
         assert_eq!(s.reads(), 5);
         assert_eq!(s.writes(), 1);
@@ -268,20 +304,20 @@ mod tests {
     fn abort_rate() {
         let s = StmStats::new();
         assert_eq!(s.abort_rate(), 0.0);
-        s.record_commit(0, 0);
-        s.record_abort(AbortReason::ReadValidation);
-        s.record_abort(AbortReason::LockBusy);
-        s.record_commit(0, 0);
+        s.record_commit(0, 0, false);
+        s.record_abort(AbortReason::ReadValidation, false);
+        s.record_abort(AbortReason::LockBusy, false);
+        s.record_commit(0, 0, false);
         assert!((s.abort_rate() - 0.5).abs() < 1e-12);
     }
 
     #[test]
     fn snapshot_delta() {
         let s = StmStats::new();
-        s.record_commit(1, 1);
+        s.record_commit(1, 1, false);
         let a = s.snapshot();
-        s.record_commit(1, 1);
-        s.record_abort(AbortReason::Chaos);
+        s.record_commit(1, 1, false);
+        s.record_abort(AbortReason::Chaos, false);
         let b = s.snapshot();
         let d = b.delta_since(&a);
         assert_eq!(d.commits, 1);
@@ -293,11 +329,12 @@ mod tests {
     #[test]
     fn breakdown_sums_to_total() {
         let s = StmStats::new();
-        s.record_abort(AbortReason::ReadValidation);
-        s.record_abort(AbortReason::ReadValidation);
-        s.record_abort(AbortReason::LockBusy);
-        s.record_abort(AbortReason::Explicit);
+        s.record_abort(AbortReason::ReadValidation, false);
+        s.record_abort(AbortReason::ReadValidation, true);
+        s.record_abort(AbortReason::LockBusy, false);
+        s.record_abort(AbortReason::Explicit, false);
         assert_eq!(s.aborts(), 4);
+        assert_eq!(s.ro_aborts(), 1);
         let by = s.aborts_by_reason();
         assert_eq!(by.iter().sum::<u64>(), s.aborts());
         assert_eq!(s.aborts_for(AbortReason::ReadValidation), 2);
@@ -306,24 +343,58 @@ mod tests {
         assert_eq!(s.aborts_for(AbortReason::Explicit), 1);
     }
 
-    #[test]
-    fn concurrent_updates_sum() {
-        use std::sync::Arc;
-        let s = Arc::new(StmStats::new());
-        let handles: Vec<_> = (0..4)
-            .map(|_| {
-                let s = Arc::clone(&s);
-                std::thread::spawn(move || {
-                    for _ in 0..1000 {
-                        s.record_commit(1, 0);
+    /// `threads` threads each record a fixed mix; the summed snapshot
+    /// must be exact whether every thread owns a stripe or several
+    /// share one.
+    fn striped_totals_are_exact(threads: u64) {
+        const ROUNDS: u64 = 200;
+        let s = StmStats::new();
+        let before = s.snapshot();
+        std::thread::scope(|scope| {
+            for t in 0..threads {
+                let s = &s;
+                scope.spawn(move || {
+                    for _ in 0..ROUNDS {
+                        s.record_commit(3, 0, true); // read-only
+                        s.record_commit(2, 1, false); // writer
+                        s.record_abort(AbortReason::ALL[(t % 2) as usize], t % 3 == 0);
                     }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(s.commits(), 4000);
-        assert_eq!(s.reads(), 4000);
+                });
+            }
+        });
+        let after = s.snapshot();
+        let ro_threads = threads.div_ceil(3);
+        let expected = StatsSnapshot {
+            commits: threads * ROUNDS * 2,
+            aborts: threads * ROUNDS,
+            reads: threads * ROUNDS * 5,
+            writes: threads * ROUNDS,
+            abort_reasons: {
+                let mut by = [0; AbortReason::COUNT];
+                by[0] = threads.div_ceil(2) * ROUNDS;
+                by[1] = (threads / 2) * ROUNDS;
+                by
+            },
+            ro_commits: threads * ROUNDS,
+            ro_aborts: ro_threads * ROUNDS,
+            snap_demotions: 0,
+        };
+        assert_eq!(after, expected);
+        assert_eq!(after.abort_reasons.iter().sum::<u64>(), after.aborts);
+        assert_eq!(after.delta_since(&before), expected);
+        // A later delta subtracts the striped sums field by field.
+        s.record_commit(7, 2, false);
+        let d = s.snapshot().delta_since(&after);
+        assert_eq!((d.commits, d.reads, d.writes, d.aborts), (1, 7, 2, 0));
+    }
+
+    #[test]
+    fn fewer_threads_than_stripes_sum_exactly() {
+        striped_totals_are_exact(4);
+    }
+
+    #[test]
+    fn more_threads_than_stripes_share_and_sum_exactly() {
+        striped_totals_are_exact(STRIPES as u64 + 9);
     }
 }

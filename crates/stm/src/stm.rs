@@ -88,20 +88,14 @@ impl Stm {
             match outcome.and_then(|r| tx.commit().map(|()| r)) {
                 Ok(r) => {
                     let (reads, writes) = tx.op_counts();
-                    self.stats.record_commit(reads, writes);
-                    if read_only {
-                        self.stats.record_ro_commit();
-                    }
+                    self.stats.record_commit(reads, writes, read_only);
                     trace.on_commit(reads, writes, attempt + 1);
                     return r;
                 }
                 Err(_) => {
                     let reason = tx.conflict_reason();
                     tx.abort();
-                    self.stats.record_abort(reason);
-                    if read_only {
-                        self.stats.record_ro_abort();
-                    }
+                    self.stats.record_abort(reason, read_only);
                     crate::stats::note_thread_abort();
                     attempt += 1;
                     trace.on_abort(reason, attempt, tx.conflict_addr());
@@ -165,8 +159,7 @@ impl Stm {
             match outcome.and_then(|r| tx.commit().map(|()| r)) {
                 Ok(r) => {
                     let (reads, writes) = tx.op_counts();
-                    self.stats.record_commit(reads, writes);
-                    self.stats.record_ro_commit();
+                    self.stats.record_commit(reads, writes, true);
                     trace.on_commit(reads, writes, attempt + 1);
                     return r;
                 }
@@ -174,21 +167,20 @@ impl Stm {
                     let reason = tx.conflict_reason();
                     let demoted = tx.snapshot_demoted();
                     tx.abort();
-                    self.stats.record_abort(reason);
+                    // A demotion (the body wrote — not read-only after
+                    // all) is not charged as a read-only abort: it is a
+                    // mode switch, not a data conflict.
+                    self.stats.record_abort(reason, !demoted);
                     crate::stats::note_thread_abort();
                     attempt += 1;
                     trace.on_abort(reason, attempt, tx.conflict_addr());
                     if demoted {
-                        // The body wrote — not read-only after all. Not
-                        // charged as a read-only abort: demotion is a
-                        // mode switch, not a data conflict.
                         demoted_write = true;
                         break;
                     }
                     // Transient `SnapshotStale` (a chain hit its hard
                     // cap and dropped the version this snapshot
                     // needed): re-pin at a fresh timestamp and retry.
-                    self.stats.record_ro_abort();
                 }
             }
         }

@@ -11,10 +11,18 @@
 //!   the versioned lock protocol only has to establish *which* snapshot
 //!   was read, not protect its bytes.
 //!
+//! The variable's shared state (`TVarCore`) is epoch-managed too: it
+//! counts its [`TVar`] handles, and dropping the last one *retires* the
+//! core instead of freeing it. A transaction that recorded the core's
+//! lock word in its read set therefore needs no handle of its own — the
+//! attempt's pin keeps the word alive — and a first read costs no
+//! reference-count write (`PinnedReads`).
+//!
 //! This module is the only home of `unsafe` in the crate; each use is a
-//! guard-protected epoch dereference or the uniquely-owned drop.
+//! guard-protected dereference, the handle-count protocol, or the
+//! uniquely-owned drop.
 
-use std::sync::Arc;
+use std::ptr::NonNull;
 
 // crossbeam-epoch's pointer API takes `std` orderings directly; the
 // reclamation protocol itself is modeled by `rubic-check`'s epoch model
@@ -22,6 +30,7 @@ use std::sync::Arc;
 use std::sync::atomic::Ordering as EpochOrdering; // lint: allow-std-sync — epoch API
 
 use crossbeam_epoch::{self as epoch, Atomic, Guard, Owned, Shared};
+use rubic_sync::atomic::{fence, AtomicUsize, Ordering};
 
 use crate::vlock::VLock;
 use crate::TxValue;
@@ -184,8 +193,8 @@ impl<T> Drop for History<T> {
         for ptr in ptrs {
             // SAFETY: the chain owns its boxes, and `Drop` runs with
             // `&mut self` through `TVarCore`'s drop — the last handle is
-            // going away, so no guard-holding reader can reference a
-            // chained (never-current) version anymore.
+            // gone and every reader pinned at that moment has unpinned,
+            // so nobody can reference a chained version anymore.
             unsafe { drop(Box::from_raw(ptr.cast_mut())) };
         }
     }
@@ -194,6 +203,9 @@ impl<T> Drop for History<T> {
 /// Internal state shared by all handles to one transactional variable.
 pub(crate) struct TVarCore<T> {
     vlock: VLock,
+    /// Live [`TVar`] handles; the drop that takes it to zero retires
+    /// the core through the epoch.
+    handles: AtomicUsize,
     data: Atomic<T>,
     /// Displaced-version chain (mvcc mode). The mutex excludes chain
     /// mutation against slow-path snapshot reads; writers already
@@ -211,6 +223,7 @@ impl<T: TxValue> TVarCore<T> {
             // published for this variable, so it validates against any
             // read version.
             vlock: VLock::new(0),
+            handles: AtomicUsize::new(1),
             data: Atomic::new(value),
             #[cfg(feature = "mvcc")]
             history: rubic_sync::Mutex::new(History::new()),
@@ -421,7 +434,8 @@ impl<T: TxValue> TVarCore<T> {
 impl<T> Drop for TVarCore<T> {
     fn drop(&mut self) {
         // SAFETY: having `&mut self` proves no other handle or reader
-        // exists (the last `Arc` is being dropped), so the current
+        // exists (the core was retired by its last handle and the epoch
+        // has passed every reader pinned back then), so the current
         // pointer is uniquely owned and can be reclaimed immediately.
         let ptr = std::mem::replace(&mut self.data, Atomic::null());
         unsafe {
@@ -433,9 +447,10 @@ impl<T> Drop for TVarCore<T> {
 
 /// A shared transactional variable holding a `T`.
 ///
-/// `TVar` is a cheap clonable handle (an `Arc` internally); clones refer
-/// to the same underlying cell. Values must implement [`TxValue`]
-/// (`Clone + Send + Sync + 'static`).
+/// `TVar` is a cheap clonable handle (reference-counted internally);
+/// clones refer to the same underlying cell, which is reclaimed through
+/// the epoch after the last handle drops. Values must implement
+/// [`TxValue`] (`Clone + Send + Sync + 'static`).
 ///
 /// ```
 /// use rubic_stm::{Stm, TVar};
@@ -449,15 +464,29 @@ impl<T> Drop for TVarCore<T> {
 /// assert_eq!(v.snapshot(), vec![1, 2, 3, 4]);
 /// ```
 pub struct TVar<T: TxValue> {
-    core: Arc<TVarCore<T>>,
+    /// Points at a live boxed core: this handle is counted in
+    /// `handles`, and the core is only retired when that count reaches
+    /// zero.
+    core: NonNull<TVarCore<T>>,
 }
+
+// SAFETY: a handle shares the core exactly like `Arc<TVarCore<T>>`
+// would — `&T` is handed to many threads and `T` is dropped by whichever
+// thread reclaims — which `T: Send + Sync` allows. The other core fields
+// (`VLock`, the handle count, the mvcc history mutex) are thread-safe on
+// their own. The bound spells `TxValue` out because a recursive value
+// type (a node holding `TVar`s of nodes) can only close the `Send` cycle
+// through auto traits, not through the `TxValue` blanket impl.
+unsafe impl<T: Clone + Send + Sync + 'static> Send for TVar<T> {}
+// SAFETY: same argument; `&TVar<T>` exposes nothing `TVar<T>` does not.
+unsafe impl<T: Clone + Send + Sync + 'static> Sync for TVar<T> {}
 
 impl<T: TxValue> TVar<T> {
     /// Creates a new transactional variable holding `value`.
     #[must_use]
     pub fn new(value: T) -> Self {
         TVar {
-            core: Arc::new(TVarCore::new(value)),
+            core: NonNull::from(Box::leak(Box::new(TVarCore::new(value)))),
         }
     }
 
@@ -477,8 +506,20 @@ impl<T: TxValue> TVar<T> {
     }
 
     #[inline]
-    pub(crate) fn core(&self) -> &Arc<TVarCore<T>> {
-        &self.core
+    pub(crate) fn core(&self) -> &TVarCore<T> {
+        // SAFETY: `self` is a counted handle, so the count is at least
+        // one and the core has not been retired, let alone freed.
+        unsafe { self.core.as_ref() }
+    }
+
+    /// Number of live handles to this variable. Diagnostic: reading a
+    /// variable transactionally must never change it (the read set
+    /// borrows the epoch pin, not a handle); a buffered write holds one.
+    #[must_use]
+    pub fn handle_count(&self) -> usize {
+        // ordering: Relaxed — a diagnostic sample, stale by the time
+        // the caller looks at it.
+        self.core().handles.load(Ordering::Relaxed)
     }
 
     /// Returns a consistent copy of the current committed value without
@@ -493,13 +534,13 @@ impl<T: TxValue> TVar<T> {
     pub fn snapshot(&self) -> T {
         let guard = epoch::pin();
         loop {
-            let w1 = self.core.vlock.sample();
+            let w1 = self.core().vlock.sample();
             if w1.is_locked() {
                 std::hint::spin_loop();
                 continue;
             }
-            let value = self.core.load_clone(&guard);
-            if self.core.vlock.sample() == w1 {
+            let value = self.core().load_clone(&guard);
+            if self.core().vlock.sample() == w1 {
                 return value;
             }
         }
@@ -509,7 +550,7 @@ impl<T: TxValue> TVar<T> {
     /// never-written variable). Diagnostic.
     #[must_use]
     pub fn version(&self) -> u64 {
-        self.core.vlock.sample().version()
+        self.core().vlock.sample().version()
     }
 
     /// True while a transaction holds this variable's write lock.
@@ -521,7 +562,7 @@ impl<T: TxValue> TVar<T> {
     /// lock-leak oracle turns into a test failure.
     #[must_use]
     pub fn is_locked(&self) -> bool {
-        self.core.vlock.sample().is_locked()
+        self.core().vlock.sample().is_locked()
     }
 
     /// Stable address of this variable's versioned lock — the same
@@ -530,21 +571,134 @@ impl<T: TxValue> TVar<T> {
     /// the hold-time events of the transactions that touched it.
     #[must_use]
     pub fn lock_addr(&self) -> usize {
-        self.core.vlock.addr()
+        self.core().vlock.addr()
     }
 
     /// True if `self` and `other` are handles to the same variable.
     #[must_use]
     pub fn ptr_eq(&self, other: &TVar<T>) -> bool {
-        Arc::ptr_eq(&self.core, &other.core)
+        self.core == other.core
     }
 }
 
 impl<T: TxValue> Clone for TVar<T> {
     fn clone(&self) -> Self {
-        TVar {
-            core: Arc::clone(&self.core),
+        // ordering: Relaxed — a new handle is derived from a live one,
+        // so the count cannot concurrently reach zero, and the handle
+        // itself is what gets published to other threads (the `Arc`
+        // protocol).
+        let old = self.core().handles.fetch_add(1, Ordering::Relaxed);
+        // Leaked handles could otherwise wrap the count and free a core
+        // that is still referenced.
+        assert!(old < usize::MAX / 2, "TVar handle count overflow");
+        TVar { core: self.core }
+    }
+}
+
+impl<T: TxValue> Drop for TVar<T> {
+    fn drop(&mut self) {
+        // ordering: Release, so every use of the core through this
+        // handle happens-before the retirement below, whichever thread
+        // performs it.
+        if self.core().handles.fetch_sub(1, Ordering::Release) != 1 {
+            return;
         }
+        // ordering: Acquire pairs with the Release decrements of all
+        // other handles (the `Arc` protocol).
+        fence(Ordering::Acquire);
+        let guard = epoch::pin();
+        // SAFETY: the pointer came from `Box::leak` in `new`. The count
+        // reached zero, so no handle is left to hand out new references
+        // and nobody retires the core twice. Transactions that recorded
+        // its lock word did so through a live handle while pinned, i.e.
+        // before this retirement, so the epoch keeps the box alive until
+        // they unpin. `T: Send + Sync` makes it droppable on any thread.
+        unsafe { guard.defer_destroy(Shared::from(self.core.as_ptr().cast_const())) };
+    }
+}
+
+/// One transaction attempt's epoch pin together with the read set
+/// recorded under it.
+///
+/// A read-set entry is a bare pointer to the variable's lock word — no
+/// handle, no reference-count write. What keeps the word alive is the
+/// pin: the entry was recorded through a live [`TVar`] handle while this
+/// guard was pinned, so even if every handle drops afterwards the core
+/// is only *retired*, and the epoch cannot free it before this guard
+/// unpins. Owning the guard and the entries in one type makes that
+/// invariant local: every operation that unpins clears the entries
+/// first.
+pub(crate) struct PinnedReads {
+    guard: Guard,
+    entries: Vec<ReadEntry>,
+}
+
+struct ReadEntry {
+    lock: NonNull<VLock>,
+    version: u64,
+}
+
+impl PinnedReads {
+    /// Pins the epoch with an empty read set.
+    pub(crate) fn pin() -> Self {
+        PinnedReads {
+            guard: epoch::pin(),
+            entries: Vec::new(),
+        }
+    }
+
+    #[inline]
+    pub(crate) fn guard(&self) -> &Guard {
+        &self.guard
+    }
+
+    #[inline]
+    pub(crate) fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    pub(crate) fn capacity(&self) -> usize {
+        self.entries.capacity()
+    }
+
+    /// Records that `var` was read at `version` under the current pin.
+    #[inline]
+    pub(crate) fn record<T: TxValue>(&mut self, var: &TVar<T>, version: u64) {
+        self.entries.push(ReadEntry {
+            lock: NonNull::from(var.core().vlock()),
+            version,
+        });
+    }
+
+    /// The recorded `(lock word, version)` pairs, in read order.
+    #[inline]
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (&VLock, u64)> {
+        self.entries.iter().map(|e| {
+            // SAFETY: the entry was recorded through a live handle under
+            // this pin and the guard has stayed pinned since (`clear`,
+            // `repin` and `unpinned` take `&mut self` and empty the set
+            // before unpinning), so the core holding the lock word can
+            // have been retired but not freed.
+            (unsafe { e.lock.as_ref() }, e.version)
+        })
+    }
+
+    /// Forgets every entry, keeping the allocation.
+    pub(crate) fn clear(&mut self) {
+        self.entries.clear();
+    }
+
+    /// Forgets every entry, then momentarily unpins so the epoch can
+    /// pass this thread.
+    pub(crate) fn repin(&mut self) {
+        self.entries.clear();
+        self.guard.repin();
+    }
+
+    /// Forgets every entry, then runs `f` with the epoch unpinned.
+    pub(crate) fn unpinned<R>(&mut self, f: impl FnOnce() -> R) -> R {
+        self.entries.clear();
+        self.guard.repin_after(f)
     }
 }
 
@@ -566,6 +720,19 @@ impl<T: TxValue + Default> Default for TVar<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
+
+    /// Pumps the epoch until `done` holds. Reclamation needs two
+    /// advances past the retirement, and an advance waits for every
+    /// pinned thread — including other tests' transactions — so this
+    /// polls against a deadline instead of counting flushes.
+    fn flush_epoch_until(done: impl Fn() -> bool) {
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
+        while !done() && std::time::Instant::now() < deadline {
+            epoch::pin().flush();
+            std::thread::yield_now();
+        }
+    }
 
     #[test]
     fn new_snapshot_roundtrip() {
@@ -587,10 +754,10 @@ mod tests {
     fn publish_swaps_value() {
         let v = TVar::new(1);
         let guard = epoch::pin();
-        let w = v.core.vlock().sample();
-        assert!(v.core.vlock().try_lock(w));
-        v.core.publish(2, &guard);
-        v.core.vlock().release_commit(7);
+        let w = v.core().vlock().sample();
+        assert!(v.core().vlock().try_lock(w));
+        v.core().publish(2, &guard);
+        v.core().vlock().release_commit(7);
         drop(guard);
         assert_eq!(v.snapshot(), 2);
         assert_eq!(v.version(), 7);
@@ -598,13 +765,62 @@ mod tests {
 
     #[test]
     fn drop_reclaims_value() {
-        // Drop a TVar holding an Arc and check the refcount falls — i.e.
-        // the inner allocation was actually freed, not leaked.
+        // Drop a TVar holding an Arc and check the refcount falls once
+        // the epoch has passed — i.e. the core and its value were
+        // actually freed, not leaked.
         let tracker = Arc::new(());
         let v = TVar::new(Arc::clone(&tracker));
         assert_eq!(Arc::strong_count(&tracker), 2);
         drop(v);
+        flush_epoch_until(|| Arc::strong_count(&tracker) == 1);
         assert_eq!(Arc::strong_count(&tracker), 1);
+    }
+
+    #[test]
+    fn only_the_last_handle_retires_the_core() {
+        let tracker = Arc::new(());
+        let a = TVar::new(Arc::clone(&tracker));
+        let b = a.clone();
+        assert_eq!((a.handle_count(), b.handle_count()), (2, 2));
+        drop(a);
+        assert_eq!(b.handle_count(), 1);
+        epoch::pin().flush();
+        epoch::pin().flush();
+        assert_eq!(Arc::strong_count(&tracker), 2, "a live handle remains");
+        assert_eq!(Arc::strong_count(&b.snapshot()), 3);
+        drop(b);
+        flush_epoch_until(|| Arc::strong_count(&tracker) == 1);
+        assert_eq!(Arc::strong_count(&tracker), 1);
+    }
+
+    /// The deferred-reclamation contract on the real types: a lock word
+    /// recorded under a pin stays readable after another thread dropped
+    /// the variable's last handle and pumped the collector, and the core
+    /// is freed once the pin is gone.
+    #[test]
+    fn recorded_lock_word_outlives_the_last_handle_while_pinned() {
+        let tracker = Arc::new(());
+        let var = TVar::new(Arc::clone(&tracker));
+        let mut reads = PinnedReads::pin();
+        reads.record(&var, var.version());
+        std::thread::spawn(move || {
+            drop(var);
+            let guard = epoch::pin();
+            for _ in 0..256 {
+                guard.flush();
+            }
+        })
+        .join()
+        .unwrap();
+        assert_eq!(Arc::strong_count(&tracker), 2, "freed under a pin");
+        for (lock, version) in reads.iter() {
+            let w = lock.sample();
+            assert!(!w.is_locked());
+            assert_eq!(w.version(), version);
+        }
+        drop(reads);
+        flush_epoch_until(|| Arc::strong_count(&tracker) == 1);
+        assert_eq!(Arc::strong_count(&tracker), 1, "retired core never freed");
     }
 
     #[test]
@@ -617,15 +833,15 @@ mod tests {
         let locked2 = Arc::clone(&locked);
         let release2 = Arc::clone(&release);
         let h = std::thread::spawn(move || {
-            let w = v2.core.vlock().sample();
-            assert!(v2.core.vlock().try_lock(w));
+            let w = v2.core().vlock().sample();
+            assert!(v2.core().vlock().try_lock(w));
             locked2.store(true, Ordering::Release);
             while !release2.load(Ordering::Acquire) {
                 std::hint::spin_loop();
             }
             let guard = epoch::pin();
-            v2.core.publish(20, &guard);
-            v2.core.vlock().release_commit(3);
+            v2.core().publish(20, &guard);
+            v2.core().vlock().release_commit(3);
         });
         while !locked.load(Ordering::Acquire) {
             std::hint::spin_loop();

@@ -43,35 +43,39 @@
 //! once per access:
 //!
 //! * The epoch is pinned **once per attempt** — [`Transaction`] owns the
-//!   [`Guard`] (created at `begin`, repinned at `restart`) instead of
-//!   pinning inside every `read`/`read_with`/`commit`.
+//!   pin (created at `begin`, repinned at `restart`) instead of pinning
+//!   inside every `read`/`read_with`/`commit`.
+//! * Reads are invisible in the strict sense: a read-set entry is the
+//!   variable's lock-word pointer plus the observed version, kept alive
+//!   by the attempt's pin (`PinnedReads`) rather than by a counted
+//!   handle, so a read-only transaction performs no read-modify-write
+//!   on memory another thread can reach.
 //! * The read/write-set indices are [`crate::index::VarIndex`]: a dense
 //!   linear-scanned vector for counter-sized footprints, spilling into
 //!   an FxHash map for larger ones. No SipHash on the hot path.
-//! * Aborted attempts recycle their allocations: write slots (the boxed
-//!   [`WriteSlot`]s *and* the `Arc` they hold) and read-set handles move
-//!   to per-transaction spare lists and are reclaimed by the retry,
-//!   which touches the same variables in the same order in the common
-//!   case. A retry therefore allocates nothing and performs no
-//!   refcount RMWs for previously seen variables — exactly when
-//!   contention is highest.
+//! * Aborted attempts recycle their allocations: the read-set vector
+//!   keeps its capacity, and write slots (the boxed [`WriteSlot`]s *and*
+//!   the variable handle they hold) move to a per-transaction spare
+//!   list and are reclaimed by the retry, which touches the same
+//!   variables in the same order in the common case. A retry therefore
+//!   allocates nothing and performs no handle-count RMWs for previously
+//!   written variables — exactly when contention is highest.
 
 use std::any::Any;
-use std::sync::Arc;
 
-use crossbeam_epoch::{self as epoch, Guard};
+use crossbeam_epoch::Guard;
 
 use crate::abort::AbortReason;
 use crate::chaos::{self, ChaosPoint};
 use crate::clock;
 use crate::index::VarIndex;
 use crate::trc;
-use crate::tvar::{TVar, TVarCore};
+use crate::tvar::{PinnedReads, TVar};
 use crate::vlock::{LockWord, VLock};
 use crate::TxValue;
 
-/// Spare-list size cap: recycled read handles / write slots beyond this
-/// are dropped at abort. Bounds memory for pathological transactions
+/// Spare-list size cap: recycled write slots beyond this are dropped at
+/// abort. Bounds memory for pathological transactions
 /// that touch a different variable set on every attempt; ordinary
 /// retries (same footprint each attempt) never hit it.
 const SPARE_CAP: usize = 128;
@@ -97,25 +101,6 @@ impl std::error::Error for StmError {}
 /// Result alias for transactional operations.
 pub type TxResult<T> = Result<T, StmError>;
 
-/// Object-safe view of a `TVarCore<T>` for the read set.
-trait ReadHandle: Send + Sync {
-    fn vlock(&self) -> &VLock;
-}
-
-impl<T: TxValue> ReadHandle for TVarCore<T> {
-    fn vlock(&self) -> &VLock {
-        TVarCore::vlock(self)
-    }
-}
-
-struct ReadEntry {
-    handle: Arc<dyn ReadHandle>,
-    /// The handle's lock address, cached at record time so validation
-    /// and recycling never re-derive it through the vtable.
-    addr: usize,
-    version: u64,
-}
-
 /// Object-safe view of a buffered write.
 trait WriteSlot: Send {
     fn vlock(&self) -> &VLock;
@@ -131,15 +116,15 @@ trait WriteSlot: Send {
     /// Releases the lock restoring the pre-lock version.
     fn release_abort(&self);
     /// Drops the buffered value (if any) so a slot parked on the spare
-    /// list doesn't keep user data alive; the core `Arc` is kept for
-    /// reuse by the retry.
+    /// list doesn't keep user data alive; the variable handle is kept
+    /// for reuse by the retry.
     fn recycle(&mut self);
     fn as_any(&self) -> &dyn Any;
     fn as_any_mut(&mut self) -> &mut dyn Any;
 }
 
 struct TypedSlot<T: TxValue> {
-    core: Arc<TVarCore<T>>,
+    var: TVar<T>,
     pending: Option<T>,
     prev: LockWord,
     /// When this slot's lock was acquired (trace timestamp; 0 when no
@@ -150,11 +135,11 @@ struct TypedSlot<T: TxValue> {
 
 impl<T: TxValue> WriteSlot for TypedSlot<T> {
     fn vlock(&self) -> &VLock {
-        self.core.vlock()
+        self.var.core().vlock()
     }
 
     fn addr(&self) -> usize {
-        self.core.vlock().addr()
+        self.var.core().vlock().addr()
     }
 
     fn publish(&mut self, wv: u64, guard: &Guard, #[cfg(feature = "mvcc")] retain: Option<u64>) {
@@ -162,27 +147,29 @@ impl<T: TxValue> WriteSlot for TypedSlot<T> {
             .pending
             .take()
             .expect("write slot published twice or never filled");
+        let core = self.var.core();
         #[cfg(feature = "mvcc")]
         match retain {
             Some(min_active) => {
-                let dropped = self.core.publish_versioned(value, wv, min_active, guard);
+                let dropped = core.publish_versioned(value, wv, min_active, guard);
                 if dropped > 0 {
-                    trc::version_prune(self.core.vlock().addr(), dropped as u64, min_active);
+                    trc::version_prune(core.vlock().addr(), dropped as u64, min_active);
                 }
             }
-            None => self.core.publish(value, guard),
+            None => core.publish(value, guard),
         }
         #[cfg(not(feature = "mvcc"))]
-        self.core.publish(value, guard);
-        self.core.vlock().release_commit(wv);
+        core.publish(value, guard);
+        core.vlock().release_commit(wv);
         #[cfg(feature = "trace")]
-        trc::lock_hold(self.locked_at, self.core.vlock().addr(), false);
+        trc::lock_hold(self.locked_at, core.vlock().addr(), false);
     }
 
     fn release_abort(&self) {
-        self.core.vlock().release_abort(self.prev);
+        let lock = self.var.core().vlock();
+        lock.release_abort(self.prev);
         #[cfg(feature = "trace")]
-        trc::lock_hold(self.locked_at, self.core.vlock().addr(), true);
+        trc::lock_hold(self.locked_at, lock.addr(), true);
     }
 
     fn recycle(&mut self) {
@@ -212,8 +199,6 @@ pub struct TxFootprint {
     pub read_index_capacity: usize,
     /// Capacity of the write index's dense entry vector.
     pub write_index_capacity: usize,
-    /// Recycled read-set handles parked for the next attempt.
-    pub spare_read_handles: usize,
     /// Recycled write slots parked for the next attempt.
     pub spare_write_slots: usize,
     /// True while the read index uses its hashed (spilled)
@@ -230,21 +215,17 @@ pub struct TxFootprint {
 /// unwinds promptly and retries.
 pub struct Transaction {
     rv: u64,
-    /// Epoch guard pinned once per attempt (repinned at `restart`), so
+    /// The epoch pin taken once per attempt (repinned at `restart`), so
     /// individual reads and the commit's publish loop never pay the
-    /// pin/unpin protocol.
-    guard: Guard,
+    /// pin/unpin protocol, together with the read set it keeps alive.
+    pinned: PinnedReads,
     read_index: VarIndex<u64>,
-    reads: Vec<ReadEntry>,
     write_index: VarIndex<usize>,
     writes: Vec<Box<dyn WriteSlot>>,
     /// Write slots recycled from aborted attempts, most recently
     /// released last. A retry that re-locks the same variables in the
-    /// same order pops its slot (allocation *and* `Arc`) off the top.
+    /// same order pops its slot (allocation *and* handle) off the top.
     spare_writes: Vec<Box<dyn WriteSlot>>,
-    /// Read-set entries recycled from aborted attempts; reusing one
-    /// skips the `Arc<dyn ReadHandle>` refcount RMW on re-read.
-    spare_reads: Vec<ReadEntry>,
     /// Operation counters for diagnostics (reported through `StmStats`).
     n_reads: u64,
     n_writes: u64,
@@ -282,13 +263,11 @@ impl Transaction {
     pub(crate) fn begin() -> Self {
         Transaction {
             rv: clock::now(),
-            guard: epoch::pin(),
+            pinned: PinnedReads::pin(),
             read_index: VarIndex::new(),
-            reads: Vec::new(),
             write_index: VarIndex::new(),
             writes: Vec::new(),
             spare_writes: Vec::new(),
-            spare_reads: Vec::new(),
             n_reads: 0,
             n_writes: 0,
             last_conflict: AbortReason::Explicit,
@@ -360,27 +339,24 @@ impl Transaction {
         // Momentarily unpin so the epoch (and hence reclamation) can
         // pass this thread between attempts, then re-sample the clock
         // under the fresh pin.
-        self.guard.repin();
+        self.pinned.repin();
         self.rv = clock::now();
     }
 
-    /// Moves the read-set entries and (already released) write slots to
-    /// the spare lists, dropping buffered values but keeping every
-    /// allocation and `Arc` for the next attempt. Drained in reverse so
-    /// a retry touching the same variables in the same order finds its
-    /// entry on top of the stack.
+    /// Empties the read set and moves the (already released) write
+    /// slots to the spare list, dropping buffered values but keeping
+    /// every allocation and handle for the next attempt. Drained in
+    /// reverse so a retry touching the same variables in the same order
+    /// finds its slot on top of the stack.
     fn park_access_sets(&mut self) {
+        self.pinned.clear();
         for mut slot in self.writes.drain(..).rev() {
             slot.recycle();
             self.spare_writes.push(slot);
         }
-        for entry in self.reads.drain(..).rev() {
-            self.spare_reads.push(entry);
-        }
         // Pathological transactions that touch a fresh variable set on
         // every attempt would otherwise grow the spares without bound.
         self.spare_writes.truncate(SPARE_CAP);
-        self.spare_reads.truncate(SPARE_CAP);
     }
 
     /// Tags this attempt with `reason` and returns the public error.
@@ -431,7 +407,7 @@ impl Transaction {
     /// Number of distinct variables read so far.
     #[must_use]
     pub fn read_set_len(&self) -> usize {
-        self.reads.len()
+        self.pinned.len()
     }
 
     /// Number of distinct variables written so far.
@@ -440,20 +416,19 @@ impl Transaction {
         self.writes.len()
     }
 
-    /// Allocation diagnostics: current capacities and spare-list sizes.
+    /// Allocation diagnostics: current capacities and spare-list size.
     ///
     /// The no-allocation-on-retry guarantee is expressed through this:
     /// after an abort + restart that replays the same accesses, the
-    /// capacities are unchanged and the spare lists have been drained
-    /// back into the live sets.
+    /// capacities are unchanged and the spare write slots have been
+    /// drained back into the live set.
     #[must_use]
     pub fn footprint(&self) -> TxFootprint {
         TxFootprint {
-            reads_capacity: self.reads.capacity(),
+            reads_capacity: self.pinned.capacity(),
             writes_capacity: self.writes.capacity(),
             read_index_capacity: self.read_index.capacity(),
             write_index_capacity: self.write_index.capacity(),
-            spare_read_handles: self.spare_reads.len(),
             spare_write_slots: self.spare_writes.len(),
             read_index_spilled: self.read_index.spilled(),
         }
@@ -465,39 +440,19 @@ impl Transaction {
 
     /// Runs `f` (e.g. contention-manager backoff) with the epoch
     /// momentarily unpinned, so a sleeping transaction does not hold
-    /// reclamation back for the whole wait. Only sound between attempts:
-    /// the access sets hold `Arc`s and cloned values, never
-    /// epoch-protected pointers.
+    /// reclamation back for the whole wait. Only called between
+    /// attempts, after `abort` emptied the read set — the only
+    /// epoch-protected state a transaction holds.
     pub(crate) fn unpinned<R>(&mut self, f: impl FnOnce() -> R) -> R {
-        self.guard.repin_after(f)
+        debug_assert!(self.read_index.is_empty(), "unpinned mid-attempt");
+        self.pinned.unpinned(f)
     }
 
-    /// Records a first read of `core`, preferring a recycled entry from
-    /// an earlier attempt (same address ⇒ same handle; no refcount RMW).
+    /// Records a first read of `var`.
     #[inline]
-    fn record_read<T: TxValue>(&mut self, core: &Arc<TVarCore<T>>, addr: usize, version: u64) {
+    fn record_read<T: TxValue>(&mut self, var: &TVar<T>, addr: usize, version: u64) {
         self.read_index.insert(addr, version);
-        // Retries replay reads in order and the spares are stacked in
-        // reverse, so the matching entry sits on top; an O(1) top check
-        // is the whole reuse policy — a divergent retry falls through to
-        // a fresh `Arc` clone rather than scanning the spare stack (the
-        // entry itself lives inline in the `Vec`, so only the refcount
-        // RMW is at stake, never an allocation).
-        let recycled = match self.spare_reads.last() {
-            Some(top) if top.addr == addr => self.spare_reads.pop(),
-            _ => None,
-        };
-        match recycled {
-            Some(mut entry) => {
-                entry.version = version;
-                self.reads.push(entry);
-            }
-            None => self.reads.push(ReadEntry {
-                handle: Arc::clone(core) as Arc<dyn ReadHandle>,
-                addr,
-                version,
-            }),
-        }
+        self.pinned.record(var, version);
     }
 
     /// Transactionally reads `var`, returning a clone of the value this
@@ -540,7 +495,7 @@ impl Transaction {
                 // the retry (SwissTM would consult the CM here too).
                 return Err(self.fail_at(AbortReason::LockBusy, addr));
             }
-            let value = core.load_clone(&self.guard);
+            let value = core.load_clone(self.pinned.guard());
             if core.vlock().sample() != w1 {
                 // A commit raced between our two samples; re-read.
                 continue;
@@ -562,7 +517,7 @@ impl Transaction {
                         return Err(self.fail_at(AbortReason::ReadValidation, addr));
                     }
                 }
-                None => self.record_read(core, addr, w1.version()),
+                None => self.record_read(var, addr, w1.version()),
             }
             return Ok(value);
         }
@@ -612,7 +567,7 @@ impl Transaction {
             if w1.is_locked() {
                 return Err(self.fail_at(AbortReason::LockBusy, addr));
             }
-            let result = core.with_value(&self.guard, &mut f);
+            let result = core.with_value(self.pinned.guard(), &mut f);
             if core.vlock().sample() != w1 {
                 continue;
             }
@@ -628,7 +583,7 @@ impl Transaction {
                         return Err(self.fail_at(AbortReason::ReadValidation, addr));
                     }
                 }
-                None => self.record_read(core, addr, w1.version()),
+                None => self.record_read(var, addr, w1.version()),
             }
             return Ok(result);
         }
@@ -665,7 +620,7 @@ impl Transaction {
         let extendable = self.n_reads == 1;
         let mut extends_left: u8 = 3;
         loop {
-            match var.core().read_at_with(self.rv, &self.guard, f) {
+            match var.core().read_at_with(self.rv, self.pinned.guard(), f) {
                 Ok((value, via_chain)) => {
                     if let Some(stamp) = via_chain {
                         trc::snapshot_read(self.rv, stamp);
@@ -691,9 +646,9 @@ impl Transaction {
     }
 
     /// Pops a recyclable slot for `addr` off the spare list: the exact
-    /// slot from a previous attempt if present (its `Arc` is already the
-    /// right core), else any slot of the right concrete type (reusing
-    /// the heap allocation).
+    /// slot from a previous attempt if present (its handle is already the
+    /// right variable), else any slot of the right concrete type
+    /// (reusing the heap allocation).
     fn take_spare_slot<T: TxValue>(&mut self, addr: usize) -> Option<Box<dyn WriteSlot>> {
         if self.spare_writes.is_empty() {
             return None;
@@ -773,8 +728,8 @@ impl Transaction {
                     .as_any_mut()
                     .downcast_mut::<TypedSlot<T>>()
                     .expect("spare slot type confusion");
-                if !Arc::ptr_eq(&slot.core, core) {
-                    slot.core = Arc::clone(core);
+                if !slot.var.ptr_eq(var) {
+                    slot.var = var.clone();
                 }
                 slot.pending = Some(value);
                 slot.prev = w;
@@ -785,7 +740,7 @@ impl Transaction {
                 boxed
             }
             None => Box::new(TypedSlot {
-                core: Arc::clone(core),
+                var: var.clone(),
                 pending: Some(value),
                 prev: w,
                 #[cfg(feature = "trace")]
@@ -820,15 +775,13 @@ impl Transaction {
         // Hoisted once: read-only validation must never probe the write
         // index — a locked entry cannot be ours if we wrote nothing.
         let may_own_locks = !self.write_index.is_empty();
-        for entry in &self.reads {
-            let w = entry.handle.vlock().sample();
-            if w.version() != entry.version {
-                return Err((AbortReason::ReadValidation, entry.addr));
+        for (lock, version) in self.pinned.iter() {
+            let w = lock.sample();
+            if w.version() != version {
+                return Err((AbortReason::ReadValidation, lock.addr()));
             }
-            // `entry.addr` was cached at record time; no vtable call to
-            // re-derive the identity we already sampled.
-            if w.is_locked() && !(may_own_locks && self.write_index.contains(entry.addr)) {
-                return Err((AbortReason::LockBusy, entry.addr));
+            if w.is_locked() && !(may_own_locks && self.write_index.contains(lock.addr())) {
+                return Err((AbortReason::LockBusy, lock.addr()));
             }
         }
         Ok(())
@@ -895,9 +848,9 @@ impl Transaction {
         for slot in &mut self.writes {
             chaos::hit(ChaosPoint::PrePublish);
             #[cfg(feature = "mvcc")]
-            slot.publish(wv, &self.guard, retain);
+            slot.publish(wv, self.pinned.guard(), retain);
             #[cfg(not(feature = "mvcc"))]
-            slot.publish(wv, &self.guard);
+            slot.publish(wv, self.pinned.guard());
         }
         // Slots are spent; park them (prevents a double publish if the
         // transaction object is reused, keeps the allocations around).
@@ -969,7 +922,7 @@ impl std::fmt::Debug for Transaction {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Transaction")
             .field("rv", &self.rv)
-            .field("reads", &self.reads.len())
+            .field("reads", &self.pinned.len())
             .field("writes", &self.writes.len())
             .finish()
     }
@@ -1246,16 +1199,17 @@ mod tests {
         t.abort();
         let parked = t.footprint();
         assert_eq!(parked.spare_write_slots, 8, "abort must park, not drop");
-        assert_eq!(parked.spare_read_handles, 8);
+        assert_eq!(t.read_set_len(), 0, "abort must empty the read set");
+        assert!(
+            parked.reads_capacity >= 8,
+            "abort must keep the read vector"
+        );
 
         t.restart();
         body(&mut t);
         let reused = t.footprint();
         assert_eq!(reused.spare_write_slots, 0, "retry must reuse every slot");
-        assert_eq!(
-            reused.spare_read_handles, 0,
-            "retry must reuse every handle"
-        );
+        assert_eq!(t.read_set_len(), 8);
         assert_eq!(reused.reads_capacity, parked.reads_capacity);
         assert_eq!(reused.writes_capacity, parked.writes_capacity);
         assert_eq!(reused.read_index_capacity, parked.read_index_capacity);
@@ -1264,6 +1218,57 @@ mod tests {
         for v in &vars {
             assert_eq!(v.snapshot(), 1);
         }
+    }
+
+    /// Invisible reads, pinned: a read-only transaction over K distinct
+    /// variables never touches a handle count — not at the first read,
+    /// not at a repeated one, not at validation, extension, commit,
+    /// abort or restart. A buffered write is what holds a handle.
+    #[test]
+    fn reads_leave_every_handle_count_unchanged() {
+        const K: usize = 12; // spills the read index on the way
+        let vars: Vec<TVar<u64>> = (0..K as u64).map(TVar::new).collect();
+        let untouched = |step: &str| {
+            for (i, v) in vars.iter().enumerate() {
+                assert_eq!(v.handle_count(), 1, "var {i} after {step}");
+            }
+        };
+        let mut t = Transaction::begin();
+        for v in &vars {
+            t.read(v).unwrap();
+            untouched("read");
+            t.read_with(v, |x| *x).unwrap();
+            untouched("repeated read_with");
+        }
+        assert_eq!(t.read_set_len(), K);
+        t.validate().unwrap();
+        untouched("validate");
+        // Bump one variable past `rv` so the next read extends.
+        let fresh = TVar::new(0u64);
+        let mut w = Transaction::begin();
+        w.write(&fresh, 1).unwrap();
+        assert_eq!(fresh.handle_count(), 2, "a write slot holds a handle");
+        w.commit().unwrap();
+        drop(w);
+        assert_eq!(fresh.handle_count(), 1);
+        let rv = t.read_version();
+        t.read(&fresh).unwrap();
+        assert!(t.read_version() > rv, "the read must have extended");
+        assert_eq!(fresh.handle_count(), 1);
+        untouched("extend");
+        t.commit().unwrap();
+        untouched("commit");
+        // The abort + retry path is just as invisible.
+        t.restart();
+        for v in &vars {
+            t.read(v).unwrap();
+        }
+        t.abort();
+        untouched("abort");
+        t.restart();
+        untouched("restart");
+        drop(t);
+        untouched("drop");
     }
 
     /// Same-type slot allocations are reused even when the retry touches

@@ -107,8 +107,14 @@ fn superseded_snapshots_are_reclaimed() {
         );
         drop(v);
     }
-    for _ in 0..2048 {
+    // Dropping the last handle only retires the variable; its current
+    // value is freed once the epoch has passed every thread pinned at
+    // that moment (other tests' transactions included), so poll rather
+    // than count flushes.
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
+    while Arc::strong_count(&tracker) > 1 && std::time::Instant::now() < deadline {
         crossbeam_epoch::pin().flush();
+        std::thread::yield_now();
     }
     // Everything except our handle is gone (allow a small epoch lag).
     assert!(

@@ -20,7 +20,7 @@
 //! checker's own primitives are always functional; the cfg only decides
 //! what the `rubic-sync` facade re-exports.
 
-use rubic_check::models::{epoch, vlock};
+use rubic_check::models::{epoch, reclaim, vlock};
 use rubic_check::sync::atomic::{AtomicU64, Ordering};
 use rubic_check::sync::{thread, RaceCell};
 use rubic_check::{check, Config, FailureKind};
@@ -66,6 +66,28 @@ fn pinned_epoch_early_free_replay() {
 
     let replayed = check(Config::replay_trace(&failure.trace), epoch::model(model));
     assert_eq!(replayed.expect_failure().kind, failure.kind);
+}
+
+/// The free-immediately mutation of deferred `TVarCore` reclamation is
+/// caught at this pinned coordinate — a transaction re-sampling a lock
+/// word whose core the last handle freed on the spot — and its trace
+/// replays to the identical failure.
+#[test]
+fn pinned_reclaim_free_immediately_replay() {
+    let mutated = reclaim::ReclaimModel {
+        free_immediately: true,
+    };
+    let report = check(Config::pct_at(0x7C0, 0), reclaim::model(mutated));
+    let failure = report.expect_failure().clone();
+    assert_eq!(failure.kind, FailureKind::Race);
+
+    let replayed = check(
+        Config::replay_trace(&failure.trace),
+        reclaim::model(mutated),
+    );
+    let rf = replayed.expect_failure();
+    assert_eq!(rf.kind, failure.kind);
+    assert_eq!(rf.trace, failure.trace, "trace replay must be exact");
 }
 
 /// DFS determinism regression (the baton-handoff fix): enumerating the

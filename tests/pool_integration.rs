@@ -98,15 +98,36 @@ fn colocation_three_tenants_with_arrivals() {
 #[test]
 fn sequential_baseline_lower_than_tuned_speedup_bound() {
     // On any machine, speed-up of a 1-thread fixed run vs its own
-    // baseline is ~1; sanity for the measurement plumbing.
-    let seq = measure_sequential(Spin, Duration::from_millis(80));
-    assert!(seq > 0.0);
-    let spec = TenantSpec::new("one", 1, Policy::Fixed(1));
-    let rep = run_tenant(Tenant::new(spec, Spin), Duration::from_millis(80));
-    let s = rep.speedup(seq);
+    // baseline is ~1; sanity for the measurement plumbing. Two long
+    // independent windows made this a coin toss on a small host: the
+    // tests running in parallel load one window and not the other.
+    // Each ratio here pairs two *adjacent* short windows (alternating
+    // which side goes first), so outside load hits both sides of a pair
+    // alike, and the median drops the pairs a load change did split.
+    const PAIRS: usize = 9;
+    let window = Duration::from_millis(15);
+    let tuned = || {
+        let spec = TenantSpec::new("one", 1, Policy::Fixed(1));
+        run_tenant(Tenant::new(spec, Spin), window)
+    };
+    let mut ratios: Vec<f64> = (0..PAIRS)
+        .map(|pair| {
+            let (seq, rep) = if pair % 2 == 0 {
+                let seq = measure_sequential(Spin, window);
+                (seq, tuned())
+            } else {
+                let rep = tuned();
+                (measure_sequential(Spin, window), rep)
+            };
+            assert!(seq > 0.0);
+            rep.speedup(seq)
+        })
+        .collect();
+    ratios.sort_by(f64::total_cmp);
+    let s = ratios[PAIRS / 2];
     assert!(
         (0.3..=3.0).contains(&s),
-        "1-thread speedup should be near 1, got {s}"
+        "1-thread speedup should be near 1, got median {s} of {ratios:?}"
     );
 }
 

@@ -207,8 +207,9 @@ proptest! {
     }
 
     /// A retry that replays the same footprint allocates nothing: the
-    /// abort parks every slot and handle on the spare lists, and the
-    /// replay drains them back without growing any capacity.
+    /// abort empties the read set in place and parks every write slot
+    /// on the spare list, and the replay refills both without growing
+    /// any capacity or touching a handle count.
     #[test]
     fn retry_replay_allocates_nothing(
         n_vars in 1usize..40,
@@ -224,14 +225,21 @@ proptest! {
         let live_writes = tx.write_set_len();
         tx.abort_unmanaged();
         let parked = tx.footprint();
-        prop_assert_eq!(parked.spare_read_handles, live_reads);
+        prop_assert_eq!(tx.read_set_len(), 0, "abort must empty the read set");
+        prop_assert!(parked.reads_capacity >= live_reads);
         prop_assert_eq!(parked.spare_write_slots, live_writes);
+        let handles: Vec<usize> = vars.iter().map(TVar::handle_count).collect();
 
         tx.restart_unmanaged();
         apply_ops(&mut tx, &vars, &ops);
         let replayed = tx.footprint();
-        prop_assert_eq!(replayed.spare_read_handles, 0, "handles must be reused");
+        prop_assert_eq!(tx.read_set_len(), live_reads);
         prop_assert_eq!(replayed.spare_write_slots, 0, "slots must be reused");
+        prop_assert_eq!(
+            vars.iter().map(TVar::handle_count).collect::<Vec<_>>(),
+            handles,
+            "parked slots keep their handles; reads never take one"
+        );
         prop_assert_eq!(replayed.reads_capacity, parked.reads_capacity);
         prop_assert_eq!(replayed.writes_capacity, parked.writes_capacity);
         prop_assert_eq!(replayed.read_index_capacity, parked.read_index_capacity);

@@ -586,8 +586,15 @@ mod tests {
     use super::*;
     use crate::event::codes;
 
+    /// Every test here owns or observes the process-global session.
+    /// `TraceSession::start` makes the owners take turns but does not
+    /// keep one of them from running beside a test that asserts "no
+    /// session", so each test holds this lock for its whole body.
+    static GLOBAL_SESSION: Mutex<()> = Mutex::new(());
+
     #[test]
     fn disabled_emit_is_a_no_op() {
+        let _serial = GLOBAL_SESSION.lock();
         // No session: must not panic, must not register anything.
         emit(EventKind::TxnBegin, 0, 0, 0, 0);
         note_conflict(0xAB, 0);
@@ -597,6 +604,7 @@ mod tests {
 
     #[test]
     fn session_records_and_reports() {
+        let _serial = GLOBAL_SESSION.lock();
         let session = TraceSession::start(TraceConfig::default());
         assert!(is_enabled());
         emit(EventKind::TxnBegin, 0, 0, 0, 0);
@@ -618,6 +626,7 @@ mod tests {
 
     #[test]
     fn sessions_serialise_and_generations_isolate() {
+        let _serial = GLOBAL_SESSION.lock();
         let s1 = TraceSession::start(TraceConfig::default());
         emit(EventKind::TxnCommit, 0, 10, 0, 1);
         let r1 = s1.finish();
@@ -633,6 +642,7 @@ mod tests {
 
     #[test]
     fn multi_thread_emits_are_collected() {
+        let _serial = GLOBAL_SESSION.lock();
         let session = TraceSession::start(TraceConfig::default());
         let handles: Vec<_> = (0..4)
             .map(|_| {
@@ -655,6 +665,7 @@ mod tests {
 
     #[test]
     fn histograms_only_mode_drops_event_log() {
+        let _serial = GLOBAL_SESSION.lock();
         let session = TraceSession::start(TraceConfig {
             keep_events: false,
             ..TraceConfig::default()
@@ -667,6 +678,7 @@ mod tests {
 
     #[test]
     fn conflicts_flow_from_threads_to_contention_table() {
+        let _serial = GLOBAL_SESSION.lock();
         let session = TraceSession::start(TraceConfig::default());
         let handles: Vec<_> = (0..3)
             .map(|_| {
@@ -691,6 +703,7 @@ mod tests {
 
     #[test]
     fn snapshot_on_demand_sees_current_counts() {
+        let _serial = GLOBAL_SESSION.lock();
         let session = TraceSession::start(TraceConfig::default());
         emit(EventKind::TxnCommit, 0, 1_000, 0, 1);
         emit(EventKind::TxnAbort, codes::ABORT_LOCK_BUSY, 100, 0, 0xAB);
@@ -705,6 +718,7 @@ mod tests {
 
     #[test]
     fn requested_postmortem_dumps_once_per_trigger() {
+        let _serial = GLOBAL_SESSION.lock();
         let dir = std::env::temp_dir().join(format!("rubic-rec-pm-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let session = TraceSession::start(TraceConfig {
@@ -737,6 +751,7 @@ mod tests {
 
     #[test]
     fn manual_dump_and_periodic_snapshot_export() {
+        let _serial = GLOBAL_SESSION.lock();
         let base = std::env::temp_dir().join(format!("rubic-rec-snap-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&base);
         std::fs::create_dir_all(&base).unwrap();
@@ -763,6 +778,7 @@ mod tests {
 
     #[test]
     fn p99_breach_watchdog_fires_anomaly() {
+        let _serial = GLOBAL_SESSION.lock();
         let dir = std::env::temp_dir().join(format!("rubic-rec-p99-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let session = TraceSession::start(TraceConfig {

@@ -22,6 +22,8 @@
 //! (same fragmentation/shuffle/attack-injection scheme, deterministic
 //! per seed). Everything else follows STAMP.
 
+use std::sync::Arc;
+
 use rubic_sync::atomic::{AtomicU64, Ordering};
 
 use rand::rngs::SmallRng;
@@ -191,7 +193,9 @@ pub fn detect(payload: &[u8]) -> bool {
 /// axis: one snapshot cell vs a per-node B-tree).
 pub struct IntruderWorkloadOn<F: MapFamily> {
     queue: TVar<PQueue<Packet>>,
-    sessions: F::Map<u64, FlowBuffer>,
+    /// Behind an `Arc`: a map update clones the neighbours of the entry
+    /// it touches, and those must not drag their fragments along.
+    sessions: F::Map<u64, Arc<FlowBuffer>>,
     cfg: IntruderConfig,
     stm: Stm,
     attacks_found: AtomicU64,
@@ -271,7 +275,9 @@ impl<F: MapFamily> IntruderWorkloadOn<F> {
     /// fragment completes its flow.
     fn reassemble(&self, packet: &Packet) -> Option<Vec<u8>> {
         self.stm.atomically(|tx| {
-            let mut buf = self.sessions.get(tx, &packet.flow_id)?.unwrap_or_default();
+            let mut shared = self.sessions.get(tx, &packet.flow_id)?.unwrap_or_default();
+            // The map still holds the old buffer, so this copies it once.
+            let buf = Arc::make_mut(&mut shared);
             buf.num_fragments = packet.num_fragments;
             if !buf.received.iter().any(|(id, _)| *id == packet.fragment_id) {
                 buf.received.push((packet.fragment_id, packet.data.clone()));
@@ -280,7 +286,7 @@ impl<F: MapFamily> IntruderWorkloadOn<F> {
                 self.sessions.remove(tx, &packet.flow_id)?;
                 Ok(Some(buf.assemble()))
             } else {
-                self.sessions.insert(tx, packet.flow_id, buf)?;
+                self.sessions.insert(tx, packet.flow_id, shared)?;
                 Ok(None)
             }
         })

@@ -22,8 +22,10 @@
 //!
 //! Substrates built for these (and reusable on their own):
 //!
-//! * [`pers`] — a persistent red-black tree (Okasaki insert, Kahrs
-//!   delete) with full invariant checking;
+//! * [`pers`] — a persistent B+-tree (wide nodes, one allocation each,
+//!   path-copy insert and delete) with full invariant checking; it is
+//!   what sits under the red-black-tree micro-benchmark, which keeps
+//!   the paper's name;
 //! * [`pqueue`] — a persistent FIFO queue;
 //! * [`tmap`] — the transactional ordered map wrapping [`pers::PMap`]
 //!   in a single snapshot-cell `TVar`;

@@ -1,65 +1,229 @@
-//! A persistent (immutable, structurally shared) red-black tree map.
+//! A persistent (immutable, structurally shared) B+-tree map.
 //!
 //! This is the ordered-map substrate behind the STM workloads: the
-//! red-black-tree microbenchmark and Vacation's four relation tables
-//! store a [`PMap`] inside a single `TVar`. Updates build a new tree
-//! that shares all untouched subtrees with the old one (`Arc` nodes), so
-//! a transactional update is "read snapshot → functional update → write
-//! snapshot" — exactly the snapshot discipline our STM's immutable
-//! published values require (see `rubic-stm`'s crate docs and DESIGN.md
-//! §3).
+//! red-black-tree micro-benchmark (the paper's name for the workload;
+//! this wide-node tree is what sits under it), Vacation's four relation
+//! tables and Intruder's session map store a [`PMap`] inside a single
+//! `TVar`. Updates build a new tree that shares every untouched node
+//! with the old one, so a transactional update is "read snapshot →
+//! functional update → write snapshot" — exactly the snapshot
+//! discipline our STM's immutable published values require (see
+//! `rubic-stm`'s crate docs and DESIGN.md §2b).
 //!
-//! Algorithms: Okasaki's classic balancing insert and Kahrs' deletion
-//! (the standard functional red-black deletion that *preserves both
-//! red-black invariants*), ported from the Haskell reference. The
-//! [`PMap::check_invariants`] method verifies (1) BST ordering, (2) no
-//! red node has a red child, and (3) equal black height on every path —
-//! the property-based tests run it after every operation.
+//! Shape: values live inline in sorted leaves of up to 32 entries
+//! (`LEAF_MAX`); a branch holds up to 16 (`BRANCH_MAX`) `(key, child)`
+//! entries whose key is *exactly the smallest key under that child* —
+//! so merging two branches is concatenation, with no separator to pull
+//! down from the parent, and path copying keeps the keys exact for
+//! free. Every node is one allocation (`Arc<[entry]>`, sized once from
+//! an exact-length iterator). A look-up at 64 K entries is four or five
+//! binary searches over contiguous entries; an update copies the nodes
+//! on that one root-to-leaf path, splitting a full node in two on the
+//! way up (insert) or refilling an underfull one from a sibling —
+//! borrow when the sibling can spare entries, merge when it cannot —
+//! and dropping a root left with a single child (remove).
+//!
+//! **A value's `Clone` is on the copy path of its leaf neighbours.** A
+//! path copy clones every `(K, V)` of the touched leaf, so values kept
+//! in a [`PMap`] must be O(1) to clone: plain data, or an `Arc` around
+//! anything that owns heap memory.
+//!
+//! [`PMap::check_invariants`] verifies sorted order, branch keys,
+//! uniform depth, the occupancy bounds of every non-root node and the
+//! maintained `len`; the property tests run it while they fill and
+//! drain tens of thousands of keys.
 
-use std::cmp::Ordering as Ord_;
+use std::iter;
 use std::sync::Arc;
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Color {
-    Red,
-    Black,
-}
+/// Most entries a leaf holds; a non-root leaf holds at least half.
+/// Widths were chosen by measurement, see DESIGN.md §2b.
+const LEAF_MAX: usize = 32;
+/// Most children a branch holds; a non-root branch holds at least half.
+const BRANCH_MAX: usize = 16;
 
-use Color::{Black, Red};
-
-/// `None` = empty (all leaves are black nil nodes conceptually).
-type Link<K, V> = Option<Arc<Node<K, V>>>;
+/// One node's sorted entries, in one allocation.
+type Entries<K, X> = Arc<[(K, X)]>;
 
 #[derive(Debug)]
-struct Node<K, V> {
-    color: Color,
-    left: Link<K, V>,
-    key: K,
-    value: V,
-    right: Link<K, V>,
+enum Node<K, V> {
+    Leaf(Entries<K, V>),
+    /// `(smallest key under the child, child)`, all children at the
+    /// same depth.
+    Branch(Entries<K, Node<K, V>>),
 }
 
-fn node<K, V>(color: Color, left: Link<K, V>, key: K, value: V, right: Link<K, V>) -> Link<K, V> {
-    Some(Arc::new(Node {
-        color,
-        left,
-        key,
-        value,
-        right,
-    }))
-}
+use Node::{Branch, Leaf};
 
-fn color_of<K, V>(link: &Link<K, V>) -> Color {
-    match link {
-        Some(n) => n.color,
-        None => Black,
+impl<K, V> Clone for Node<K, V> {
+    fn clone(&self) -> Self {
+        match self {
+            Leaf(e) => Leaf(Arc::clone(e)),
+            Branch(e) => Branch(Arc::clone(e)),
+        }
     }
 }
 
-/// A persistent ordered map with red-black balancing.
+impl<K, V> Node<K, V> {
+    fn len(&self) -> usize {
+        match self {
+            Leaf(e) => e.len(),
+            Branch(e) => e.len(),
+        }
+    }
+
+    fn max_len(&self) -> usize {
+        match self {
+            Leaf(_) => LEAF_MAX,
+            Branch(_) => BRANCH_MAX,
+        }
+    }
+
+    /// The smallest key in this (non-empty) subtree.
+    fn min_key(&self) -> &K {
+        match self {
+            Leaf(e) => &e[0].0,
+            Branch(e) => &e[0].0,
+        }
+    }
+}
+
+/// The branch entry for `node`.
+fn keyed<K: Clone, V>(node: Node<K, V>) -> (K, Node<K, V>) {
+    (node.min_key().clone(), node)
+}
+
+/// Index of the child of `branch` that covers `key`, or `None` when
+/// `key` is smaller than every key in the subtree.
+fn child_of<K: Ord, X>(branch: &[(K, X)], key: &K) -> Option<usize> {
+    branch.partition_point(|(k, _)| k <= key).checked_sub(1)
+}
+
+/// `src` with `src[at..at + del]` replaced by `new`. Every part has a
+/// trusted length, so collecting the chain into an `Arc<[T]>` allocates
+/// exactly once.
+fn splice<'a, T: Clone>(
+    src: &'a [T],
+    at: usize,
+    del: usize,
+    new: impl IntoIterator<Item = T> + 'a,
+) -> impl Iterator<Item = T> + 'a {
+    let (head, tail) = (&src[..at], &src[at + del..]);
+    head.iter().cloned().chain(new).chain(tail.iter().cloned())
+}
+
+/// Collects `total` entries into one node when they fit in `max`, into
+/// two halves otherwise.
+fn pack<T>(
+    mut entries: impl Iterator<Item = T>,
+    total: usize,
+    max: usize,
+) -> (Arc<[T]>, Option<Arc<[T]>>) {
+    if total <= max {
+        return (entries.collect(), None);
+    }
+    let left = entries.by_ref().take(total / 2).collect();
+    (left, Some(entries.collect()))
+}
+
+/// Path-copy insert: the rebuilt node, plus its new right sibling when
+/// it had to split.
+fn ins<K: Ord + Clone, V: Clone>(
+    node: &Node<K, V>,
+    key: K,
+    value: V,
+    replaced: &mut Option<V>,
+) -> (Node<K, V>, Option<Node<K, V>>) {
+    match node {
+        Leaf(e) => {
+            let (at, del) = match e.binary_search_by(|(k, _)| k.cmp(&key)) {
+                Ok(i) => {
+                    *replaced = Some(e[i].1.clone());
+                    (i, 1)
+                }
+                Err(i) => (i, 0),
+            };
+            let total = e.len() + 1 - del;
+            let (l, r) = pack(splice(e, at, del, [(key, value)]), total, LEAF_MAX);
+            (Leaf(l), r.map(Leaf))
+        }
+        Branch(e) => {
+            let i = child_of(e, &key).unwrap_or(0);
+            let (child, sibling) = ins(&e[i].1, key, value, replaced);
+            let total = e.len() + usize::from(sibling.is_some());
+            let new = iter::once(keyed(child)).chain(sibling.map(keyed));
+            let (l, r) = pack(splice(e, i, 1, new), total, BRANCH_MAX);
+            (Branch(l), r.map(Branch))
+        }
+    }
+}
+
+/// Refills an underfull node from its sibling (`l` left of `r`): one
+/// merged node when the sibling is at its minimum, otherwise the
+/// entries of both shared evenly between two.
+fn rebalance<K: Clone, V: Clone>(
+    l: &Node<K, V>,
+    r: &Node<K, V>,
+) -> (Node<K, V>, Option<Node<K, V>>) {
+    fn share<T: Clone>(a: &[T], b: &[T], max: usize) -> (Arc<[T]>, Option<Arc<[T]>>) {
+        // An underfull node and a sibling at its minimum hold `max - 1`.
+        let both = a.iter().cloned().chain(b.iter().cloned());
+        pack(both, a.len() + b.len(), max - 1)
+    }
+    match (l, r) {
+        (Leaf(a), Leaf(b)) => {
+            let (l, r) = share(a, b, LEAF_MAX);
+            (Leaf(l), r.map(Leaf))
+        }
+        (Branch(a), Branch(b)) => {
+            let (l, r) = share(a, b, BRANCH_MAX);
+            (Branch(l), r.map(Branch))
+        }
+        _ => unreachable!("siblings sit at the same depth"),
+    }
+}
+
+/// Path-copy removal in one descent: `None` (and nothing allocated)
+/// when `key` is absent, otherwise the rebuilt node — possibly one
+/// entry under its minimum, which the caller repairs — and the value.
+fn del<K: Ord + Clone, V: Clone>(node: &Node<K, V>, key: &K) -> Option<(Node<K, V>, V)> {
+    match node {
+        Leaf(e) => {
+            let i = e.binary_search_by(|(k, _)| k.cmp(key)).ok()?;
+            let rest = splice(e, i, 1, iter::empty()).collect();
+            Some((Leaf(rest), e[i].1.clone()))
+        }
+        Branch(e) => {
+            let i = child_of(e, key)?;
+            let (child, removed) = del(&e[i].1, key)?;
+            let rebuilt = if child.len() >= child.max_len() / 2 {
+                splice(e, i, 1, [keyed(child)]).collect()
+            } else {
+                // Every branch has at least two children.
+                let (at, (l, r)) = if i > 0 {
+                    (i - 1, rebalance(&e[i - 1].1, &child))
+                } else {
+                    (0, rebalance(&child, &e[1].1))
+                };
+                splice(e, at, 2, iter::once(keyed(l)).chain(r.map(keyed))).collect()
+            };
+            Some((Branch(rebuilt), removed))
+        }
+    }
+}
+
+fn for_each<K, V>(node: &Node<K, V>, f: &mut impl FnMut(&K, &V)) {
+    match node {
+        Leaf(e) => e.iter().for_each(|(k, v)| f(k, v)),
+        Branch(e) => e.iter().for_each(|(_, child)| for_each(child, f)),
+    }
+}
+
+/// A persistent ordered map: a B+-tree whose versions share structure.
 ///
 /// Cloning is `O(1)` (shares the whole structure); all updates return
-/// new maps. `len` is maintained incrementally.
+/// new maps and leave every earlier version untouched. `len` is
+/// maintained incrementally.
 ///
 /// ```
 /// use rubic_workloads::pers::PMap;
@@ -72,7 +236,8 @@ fn color_of<K, V>(link: &Link<K, V>) -> Color {
 /// ```
 #[derive(Debug, Clone)]
 pub struct PMap<K, V> {
-    root: Link<K, V>,
+    /// An empty map is an empty root leaf.
+    root: Node<K, V>,
     len: usize,
 }
 
@@ -86,7 +251,10 @@ impl<K, V> PMap<K, V> {
     /// The empty map.
     #[must_use]
     pub fn new() -> Self {
-        PMap { root: None, len: 0 }
+        PMap {
+            root: Leaf(Arc::new([])),
+            len: 0,
+        }
     }
 
     /// Number of entries.
@@ -106,15 +274,16 @@ impl<K: Ord + Clone, V: Clone> PMap<K, V> {
     /// Looks up `key`.
     #[must_use]
     pub fn get(&self, key: &K) -> Option<&V> {
-        let mut cur = &self.root;
-        while let Some(n) = cur {
-            match key.cmp(&n.key) {
-                Ord_::Less => cur = &n.left,
-                Ord_::Greater => cur = &n.right,
-                Ord_::Equal => return Some(&n.value),
+        let mut node = &self.root;
+        loop {
+            match node {
+                Branch(e) => node = &e[child_of(e, key)?].1,
+                Leaf(e) => {
+                    let i = e.binary_search_by(|(k, _)| k.cmp(key)).ok()?;
+                    return Some(&e[i].1);
+                }
             }
         }
-        None
     }
 
     /// Membership test.
@@ -126,21 +295,25 @@ impl<K: Ord + Clone, V: Clone> PMap<K, V> {
     /// The smallest key (with its value), if any.
     #[must_use]
     pub fn min(&self) -> Option<(&K, &V)> {
-        let mut cur = self.root.as_ref()?;
-        while let Some(l) = cur.left.as_ref() {
-            cur = l;
+        let mut node = &self.root;
+        loop {
+            match node {
+                Branch(e) => node = &e.first()?.1,
+                Leaf(e) => return e.first().map(|(k, v)| (k, v)),
+            }
         }
-        Some((&cur.key, &cur.value))
     }
 
     /// The largest key (with its value), if any.
     #[must_use]
     pub fn max(&self) -> Option<(&K, &V)> {
-        let mut cur = self.root.as_ref()?;
-        while let Some(r) = cur.right.as_ref() {
-            cur = r;
+        let mut node = &self.root;
+        loop {
+            match node {
+                Branch(e) => node = &e.last()?.1,
+                Leaf(e) => return e.last().map(|(k, v)| (k, v)),
+            }
         }
-        Some((&cur.key, &cur.value))
     }
 
     /// Inserts `key → value`; returns the new map and the previous
@@ -148,540 +321,103 @@ impl<K: Ord + Clone, V: Clone> PMap<K, V> {
     #[must_use]
     pub fn insert(&self, key: K, value: V) -> (Self, Option<V>) {
         let mut replaced = None;
-        let root = ins(&self.root, key, value, &mut replaced);
-        // Blacken the root.
-        let root = root.map(|n| {
-            if n.color == Red {
-                Arc::new(Node {
-                    color: Black,
-                    left: n.left.clone(),
-                    key: n.key.clone(),
-                    value: n.value.clone(),
-                    right: n.right.clone(),
-                })
-            } else {
-                n
-            }
-        });
-        let len = if replaced.is_some() {
-            self.len
-        } else {
-            self.len + 1
+        let root = match ins(&self.root, key, value, &mut replaced) {
+            (root, None) => root,
+            (l, Some(r)) => Branch(Arc::new([keyed(l), keyed(r)])),
         };
+        let len = self.len + usize::from(replaced.is_none());
         (PMap { root, len }, replaced)
     }
 
-    /// Removes `key`; returns the new map and the removed value, if the
-    /// key was present. Removing an absent key returns a clone of
-    /// `self` untouched.
+    /// Removes `key` in one descent; returns the new map and the
+    /// removed value. When the key is absent the value is `None` and
+    /// the map is `self` again (same root, nothing allocated).
     #[must_use]
     pub fn remove(&self, key: &K) -> (Self, Option<V>) {
-        if !self.contains(key) {
+        let Some((mut root, removed)) = del(&self.root, key) else {
             return (self.clone(), None);
-        }
-        let mut removed = None;
-        let root = del(&self.root, key, &mut removed);
-        debug_assert!(removed.is_some());
-        // Blacken the root.
-        let root = root.map(|n| {
-            if n.color == Red {
-                Arc::new(Node {
-                    color: Black,
-                    left: n.left.clone(),
-                    key: n.key.clone(),
-                    value: n.value.clone(),
-                    right: n.right.clone(),
-                })
-            } else {
-                n
+        };
+        if let Branch(e) = &root {
+            if let [(_, only)] = &e[..] {
+                root = only.clone();
             }
-        });
-        (
-            PMap {
-                root,
-                len: self.len - 1,
-            },
-            removed,
-        )
+        }
+        let len = self.len - 1;
+        (PMap { root, len }, Some(removed))
     }
 
     /// In-order `(key, value)` pairs.
     #[must_use]
     pub fn entries(&self) -> Vec<(K, V)> {
         let mut out = Vec::with_capacity(self.len);
-        fn walk<K: Clone, V: Clone>(link: &Link<K, V>, out: &mut Vec<(K, V)>) {
-            if let Some(n) = link {
-                walk(&n.left, out);
-                out.push((n.key.clone(), n.value.clone()));
-                walk(&n.right, out);
-            }
-        }
-        walk(&self.root, &mut out);
+        for_each(&self.root, &mut |k, v| out.push((k.clone(), v.clone())));
         out
     }
 
     /// In-order keys.
     #[must_use]
     pub fn keys(&self) -> Vec<K> {
-        self.entries().into_iter().map(|(k, _)| k).collect()
+        let mut out = Vec::with_capacity(self.len);
+        for_each(&self.root, &mut |k, _| out.push(k.clone()));
+        out
     }
 
-    /// Verifies the red-black invariants and the BST ordering; returns
-    /// the tree's black height or a description of the violation.
+    /// Verifies the tree: keys strictly ascending across all leaves,
+    /// every branch key equal to the smallest key under its child (so
+    /// it bounds both neighbours), all leaves at one depth, every
+    /// non-root node between half full and full, and `len` equal to the
+    /// number of entries. Returns the depth (1 for a single leaf).
     ///
     /// # Errors
     /// Describes the first violated invariant.
     pub fn check_invariants(&self) -> Result<usize, String> {
-        if color_of(&self.root) == Red {
-            return Err("root is red".into());
-        }
-        fn walk<K: Ord, V>(link: &Link<K, V>) -> Result<usize, String> {
-            match link {
-                None => Ok(1),
-                Some(n) => {
-                    if n.color == Red && (color_of(&n.left) == Red || color_of(&n.right) == Red) {
-                        return Err("red node with red child".into());
-                    }
-                    if let Some(l) = &n.left {
-                        if l.key >= n.key {
-                            return Err("BST order violated (left)".into());
+        fn walk<'a, K: Ord, V>(
+            node: &'a Node<K, V>,
+            is_root: bool,
+            prev: &mut Option<&'a K>,
+            count: &mut usize,
+        ) -> Result<usize, String> {
+            let min = match (is_root, node) {
+                (false, _) => node.max_len() / 2,
+                (true, Leaf(_)) => 0,
+                (true, Branch(_)) => 2,
+            };
+            if node.len() < min || node.len() > node.max_len() {
+                return Err(format!("node holds {} entries", node.len()));
+            }
+            match node {
+                Leaf(e) => {
+                    for (k, _) in e.iter() {
+                        if prev.is_some_and(|p| p >= k) {
+                            return Err("keys out of order".into());
                         }
+                        *prev = Some(k);
                     }
-                    if let Some(r) = &n.right {
-                        if r.key <= n.key {
-                            return Err("BST order violated (right)".into());
+                    *count += e.len();
+                    Ok(1)
+                }
+                Branch(e) => {
+                    let mut depth = None;
+                    for (k, child) in e.iter() {
+                        if k != child.min_key() {
+                            return Err("branch key is not its child's smallest".into());
                         }
+                        let d = walk(child, false, prev, count)?;
+                        if depth.is_some_and(|seen| seen != d) {
+                            return Err("leaves at different depths".into());
+                        }
+                        depth = Some(d);
                     }
-                    let hl = walk(&n.left)?;
-                    let hr = walk(&n.right)?;
-                    if hl != hr {
-                        return Err(format!("black height mismatch: {hl} vs {hr}"));
-                    }
-                    Ok(hl + usize::from(n.color == Black))
+                    Ok(depth.unwrap_or(0) + 1)
                 }
             }
         }
-        let h = walk(&self.root)?;
-        let counted = count(&self.root);
+        let mut counted = 0;
+        let depth = walk(&self.root, true, &mut None, &mut counted)?;
         if counted != self.len {
             return Err(format!("len {} but counted {}", self.len, counted));
         }
-        Ok(h)
-    }
-}
-
-fn count<K, V>(link: &Link<K, V>) -> usize {
-    match link {
-        None => 0,
-        Some(n) => 1 + count(&n.left) + count(&n.right),
-    }
-}
-
-// --- Okasaki insertion ---------------------------------------------------
-
-fn ins<K: Ord + Clone, V: Clone>(
-    link: &Link<K, V>,
-    key: K,
-    value: V,
-    replaced: &mut Option<V>,
-) -> Link<K, V> {
-    match link {
-        None => node(Red, None, key, value, None),
-        Some(n) => match key.cmp(&n.key) {
-            Ord_::Less => balance(
-                n.color,
-                ins(&n.left, key, value, replaced),
-                n.key.clone(),
-                n.value.clone(),
-                n.right.clone(),
-            ),
-            Ord_::Greater => balance(
-                n.color,
-                n.left.clone(),
-                n.key.clone(),
-                n.value.clone(),
-                ins(&n.right, key, value, replaced),
-            ),
-            Ord_::Equal => {
-                *replaced = Some(n.value.clone());
-                node(n.color, n.left.clone(), key, value, n.right.clone())
-            }
-        },
-    }
-}
-
-/// Okasaki's four-case rotation. Only black parents rebalance; red
-/// parents are rebuilt verbatim (the red-red violation, if any, is
-/// resolved one level up).
-fn balance<K: Clone, V: Clone>(
-    color: Color,
-    left: Link<K, V>,
-    key: K,
-    value: V,
-    right: Link<K, V>,
-) -> Link<K, V> {
-    if color == Black {
-        // Case 1: left child red with red left grandchild.
-        if let Some(l) = &left {
-            if l.color == Red {
-                if let Some(ll) = &l.left {
-                    if ll.color == Red {
-                        return node(
-                            Red,
-                            node(
-                                Black,
-                                ll.left.clone(),
-                                ll.key.clone(),
-                                ll.value.clone(),
-                                ll.right.clone(),
-                            ),
-                            l.key.clone(),
-                            l.value.clone(),
-                            node(Black, l.right.clone(), key, value, right),
-                        );
-                    }
-                }
-                // Case 2: left child red with red right grandchild.
-                if let Some(lr) = &l.right {
-                    if lr.color == Red {
-                        return node(
-                            Red,
-                            node(
-                                Black,
-                                l.left.clone(),
-                                l.key.clone(),
-                                l.value.clone(),
-                                lr.left.clone(),
-                            ),
-                            lr.key.clone(),
-                            lr.value.clone(),
-                            node(Black, lr.right.clone(), key, value, right),
-                        );
-                    }
-                }
-            }
-        }
-        if let Some(r) = &right {
-            if r.color == Red {
-                // Case 3: right child red with red left grandchild.
-                if let Some(rl) = &r.left {
-                    if rl.color == Red {
-                        return node(
-                            Red,
-                            node(Black, left, key, value, rl.left.clone()),
-                            rl.key.clone(),
-                            rl.value.clone(),
-                            node(
-                                Black,
-                                rl.right.clone(),
-                                r.key.clone(),
-                                r.value.clone(),
-                                r.right.clone(),
-                            ),
-                        );
-                    }
-                }
-                // Case 4: right child red with red right grandchild.
-                if let Some(rr) = &r.right {
-                    if rr.color == Red {
-                        return node(
-                            Red,
-                            node(Black, left, key, value, r.left.clone()),
-                            r.key.clone(),
-                            r.value.clone(),
-                            node(
-                                Black,
-                                rr.left.clone(),
-                                rr.key.clone(),
-                                rr.value.clone(),
-                                rr.right.clone(),
-                            ),
-                        );
-                    }
-                }
-            }
-        }
-    }
-    node(color, left, key, value, right)
-}
-
-// --- Kahrs deletion -------------------------------------------------------
-
-/// `del` returns a tree that may have a red root (blackened by the
-/// caller) and, when the input subtree root was black, may be "short"
-/// (black height reduced by one) — the `bal_left`/`bal_right` helpers
-/// repair shortness on the way up, exactly as in Kahrs' Haskell.
-fn del<K: Ord + Clone, V: Clone>(
-    link: &Link<K, V>,
-    key: &K,
-    removed: &mut Option<V>,
-) -> Link<K, V> {
-    match link {
-        None => None,
-        Some(n) => match key.cmp(&n.key) {
-            Ord_::Less => del_left(n, key, removed),
-            Ord_::Greater => del_right(n, key, removed),
-            Ord_::Equal => {
-                *removed = Some(n.value.clone());
-                fuse(&n.left, &n.right)
-            }
-        },
-    }
-}
-
-fn del_left<K: Ord + Clone, V: Clone>(
-    n: &Node<K, V>,
-    key: &K,
-    removed: &mut Option<V>,
-) -> Link<K, V> {
-    let new_left = del(&n.left, key, removed);
-    if color_of(&n.left) == Black && n.left.is_some() {
-        bal_left(new_left, n.key.clone(), n.value.clone(), &n.right)
-    } else {
-        node(
-            Red,
-            new_left,
-            n.key.clone(),
-            n.value.clone(),
-            n.right.clone(),
-        )
-    }
-}
-
-fn del_right<K: Ord + Clone, V: Clone>(
-    n: &Node<K, V>,
-    key: &K,
-    removed: &mut Option<V>,
-) -> Link<K, V> {
-    let new_right = del(&n.right, key, removed);
-    if color_of(&n.right) == Black && n.right.is_some() {
-        bal_right(&n.left, n.key.clone(), n.value.clone(), new_right)
-    } else {
-        node(
-            Red,
-            n.left.clone(),
-            n.key.clone(),
-            n.value.clone(),
-            new_right,
-        )
-    }
-}
-
-/// Makes a black node red (Kahrs' `sub1`). Precondition: `link` is a
-/// black non-empty node.
-fn redden<K: Clone, V: Clone>(link: &Link<K, V>) -> Link<K, V> {
-    let n = link.as_ref().expect("redden: empty");
-    debug_assert_eq!(n.color, Black, "redden: node not black");
-    node(
-        Red,
-        n.left.clone(),
-        n.key.clone(),
-        n.value.clone(),
-        n.right.clone(),
-    )
-}
-
-/// `balance` specialised to a black root (Kahrs' standalone `balance`).
-fn balance_b<K: Clone, V: Clone>(
-    left: Link<K, V>,
-    key: K,
-    value: V,
-    right: Link<K, V>,
-) -> Link<K, V> {
-    balance(Black, left, key, value, right)
-}
-
-/// Repairs a left subtree that lost one unit of black height.
-fn bal_left<K: Clone, V: Clone>(
-    left: Link<K, V>,
-    key: K,
-    value: V,
-    right: &Link<K, V>,
-) -> Link<K, V> {
-    // Case 1: short subtree has a red root — paint it black.
-    if color_of(&left) == Red {
-        let l = left.as_ref().unwrap();
-        return node(
-            Red,
-            node(
-                Black,
-                l.left.clone(),
-                l.key.clone(),
-                l.value.clone(),
-                l.right.clone(),
-            ),
-            key,
-            value,
-            right.clone(),
-        );
-    }
-    let r = right
-        .as_ref()
-        .expect("bal_left: right sibling cannot be empty");
-    match r.color {
-        // Case 2: black sibling — merge and rebalance.
-        Black => balance_b(left, key, value, redden(right)),
-        // Case 3: red sibling with black children.
-        Red => {
-            let rl = r
-                .left
-                .as_ref()
-                .expect("bal_left: red sibling must have children");
-            debug_assert_eq!(rl.color, Black);
-            node(
-                Red,
-                node(Black, left, key, value, rl.left.clone()),
-                rl.key.clone(),
-                rl.value.clone(),
-                balance_b(
-                    rl.right.clone(),
-                    r.key.clone(),
-                    r.value.clone(),
-                    redden(&r.right),
-                ),
-            )
-        }
-    }
-}
-
-/// Mirror image of [`bal_left`].
-fn bal_right<K: Clone, V: Clone>(
-    left: &Link<K, V>,
-    key: K,
-    value: V,
-    right: Link<K, V>,
-) -> Link<K, V> {
-    if color_of(&right) == Red {
-        let r = right.as_ref().unwrap();
-        return node(
-            Red,
-            left.clone(),
-            key,
-            value,
-            node(
-                Black,
-                r.left.clone(),
-                r.key.clone(),
-                r.value.clone(),
-                r.right.clone(),
-            ),
-        );
-    }
-    let l = left
-        .as_ref()
-        .expect("bal_right: left sibling cannot be empty");
-    match l.color {
-        Black => balance_b(redden(left), key, value, right),
-        Red => {
-            let lr = l
-                .right
-                .as_ref()
-                .expect("bal_right: red sibling must have children");
-            debug_assert_eq!(lr.color, Black);
-            node(
-                Red,
-                balance_b(
-                    redden(&l.left),
-                    l.key.clone(),
-                    l.value.clone(),
-                    lr.left.clone(),
-                ),
-                lr.key.clone(),
-                lr.value.clone(),
-                node(Black, lr.right.clone(), key, value, right),
-            )
-        }
-    }
-}
-
-/// Joins two subtrees of equal black height whose keys are ordered
-/// (every key in `left` < every key in `right`) — Kahrs' `app`.
-fn fuse<K: Clone, V: Clone>(left: &Link<K, V>, right: &Link<K, V>) -> Link<K, V> {
-    match (left, right) {
-        (None, _) => right.clone(),
-        (_, None) => left.clone(),
-        (Some(l), Some(r)) => match (l.color, r.color) {
-            (Red, Red) => {
-                let mid = fuse(&l.right, &r.left);
-                if color_of(&mid) == Red {
-                    let m = mid.as_ref().unwrap();
-                    node(
-                        Red,
-                        node(
-                            Red,
-                            l.left.clone(),
-                            l.key.clone(),
-                            l.value.clone(),
-                            m.left.clone(),
-                        ),
-                        m.key.clone(),
-                        m.value.clone(),
-                        node(
-                            Red,
-                            m.right.clone(),
-                            r.key.clone(),
-                            r.value.clone(),
-                            r.right.clone(),
-                        ),
-                    )
-                } else {
-                    node(
-                        Red,
-                        l.left.clone(),
-                        l.key.clone(),
-                        l.value.clone(),
-                        node(Red, mid, r.key.clone(), r.value.clone(), r.right.clone()),
-                    )
-                }
-            }
-            (Black, Black) => {
-                let mid = fuse(&l.right, &r.left);
-                if color_of(&mid) == Red {
-                    let m = mid.as_ref().unwrap();
-                    node(
-                        Red,
-                        node(
-                            Black,
-                            l.left.clone(),
-                            l.key.clone(),
-                            l.value.clone(),
-                            m.left.clone(),
-                        ),
-                        m.key.clone(),
-                        m.value.clone(),
-                        node(
-                            Black,
-                            m.right.clone(),
-                            r.key.clone(),
-                            r.value.clone(),
-                            r.right.clone(),
-                        ),
-                    )
-                } else {
-                    bal_left(
-                        l.left.clone(),
-                        l.key.clone(),
-                        l.value.clone(),
-                        &node(Black, mid, r.key.clone(), r.value.clone(), r.right.clone()),
-                    )
-                }
-            }
-            // Exactly one red: absorb it towards the join point.
-            (_, Red) => node(
-                Red,
-                fuse(left, &r.left),
-                r.key.clone(),
-                r.value.clone(),
-                r.right.clone(),
-            ),
-            (Red, _) => node(
-                Red,
-                l.left.clone(),
-                l.key.clone(),
-                l.value.clone(),
-                fuse(&l.right, right),
-            ),
-        },
+        Ok(depth)
     }
 }
 
@@ -689,11 +425,31 @@ fn fuse<K: Clone, V: Clone>(left: &Link<K, V>, right: &Link<K, V>) -> Link<K, V>
 mod tests {
     use super::*;
     use std::collections::BTreeMap;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
-    fn check<K: Ord + Clone + std::fmt::Debug, V: Clone>(m: &PMap<K, V>) {
-        if let Err(e) = m.check_invariants() {
-            panic!("invariant violated: {e}; keys={:?}", m.keys());
+    fn check<K: Ord + Clone + std::fmt::Debug, V: Clone>(m: &PMap<K, V>) -> usize {
+        match m.check_invariants() {
+            Ok(depth) => depth,
+            Err(e) => panic!("invariant violated: {e}; keys={:?}", m.keys()),
         }
+    }
+
+    fn filled(keys: impl IntoIterator<Item = u32>) -> PMap<u32, u32> {
+        keys.into_iter()
+            .fold(PMap::new(), |m, k| m.insert(k, k * 10).0)
+    }
+
+    /// Entry counts of the leaves, left to right.
+    fn leaf_sizes<K, V>(m: &PMap<K, V>) -> Vec<usize> {
+        fn walk<K, V>(node: &Node<K, V>, out: &mut Vec<usize>) {
+            match node {
+                Leaf(e) => out.push(e.len()),
+                Branch(e) => e.iter().for_each(|(_, c)| walk(c, out)),
+            }
+        }
+        let mut out = Vec::new();
+        walk(&m.root, &mut out);
+        out
     }
 
     #[test]
@@ -704,7 +460,7 @@ mod tests {
         assert_eq!(m.get(&1), None);
         assert_eq!(m.min(), None);
         assert_eq!(m.max(), None);
-        check(&m);
+        assert_eq!(check(&m), 1);
     }
 
     #[test]
@@ -734,137 +490,195 @@ mod tests {
     }
 
     #[test]
-    fn ascending_and_descending_inserts_stay_balanced() {
-        let mut up = PMap::new();
-        let mut down = PMap::new();
-        for k in 0..512 {
-            up = up.insert(k, ()).0;
-            down = down.insert(511 - k, ()).0;
+    fn depth_stays_logarithmic() {
+        let n = 10_000u32;
+        for m in [filled(0..n), filled((0..n).rev())] {
+            // Worst case is every node half full: 10 000 / 16 leaves
+            // under branches of 8 is four levels.
+            assert!(check(&m) <= 4, "depth {}", check(&m));
+            assert_eq!(
+                (m.min(), m.max()),
+                (Some((&0, &0)), Some((&(n - 1), &((n - 1) * 10))))
+            );
         }
-        check(&up);
-        check(&down);
-        // Balanced: black height of a 512-element RB tree is small.
-        let h = up.check_invariants().unwrap();
-        assert!(h <= 10, "black height {h} too large for 512 elements");
     }
 
     #[test]
     fn remove_missing_is_noop() {
-        let m = PMap::new().insert(1, 1).0;
-        let (m2, removed) = m.remove(&99);
-        assert_eq!(removed, None);
-        assert_eq!(m2.len(), 1);
-        check(&m2);
+        let m = filled(0..100).remove(&50).0;
+        for absent in [50, 100, 1000] {
+            let (m2, removed) = m.remove(&absent);
+            assert_eq!(removed, None);
+            assert_eq!(m2.len(), 99);
+            check(&m2);
+        }
+        assert_eq!(PMap::<u32, u32>::new().remove(&1).1, None);
+    }
+
+    /// Each structural case once, on the smallest tree that shows it.
+    #[test]
+    fn split_borrow_merge_and_root_collapse() {
+        // Leaf split: the 33rd entry halves a full root leaf.
+        let m = filled(0..=LEAF_MAX as u32);
+        assert_eq!((check(&m), leaf_sizes(&m)), (2, vec![16, 17]));
+        // Borrow from the right: ascending fill leaves [16, 32]; the
+        // first leaf goes underfull and its sibling can spare entries.
+        let m = filled(0..48);
+        assert_eq!(leaf_sizes(&m), vec![16, 32]);
+        let m = m.remove(&0).0;
+        assert_eq!((check(&m), leaf_sizes(&m)), (2, vec![23, 24]));
+        // Borrow from the left: descending fill leaves [31, 17].
+        let m = filled((0..48).rev());
+        assert_eq!(leaf_sizes(&m), vec![31, 17]);
+        let m = m.remove(&47).0.remove(&46).0;
+        assert_eq!((check(&m), leaf_sizes(&m)), (2, vec![23, 23]));
+        // Merge, and the root branch left with one child collapses.
+        let m = filled(0..=LEAF_MAX as u32).remove(&32).0;
+        assert_eq!(leaf_sizes(&m), vec![16, 16]);
+        let m = m.remove(&0).0;
+        assert_eq!((check(&m), leaf_sizes(&m)), (1, vec![31]));
+        assert_eq!(m.keys(), (1..32).collect::<Vec<u32>>());
     }
 
     #[test]
-    fn remove_all_elements() {
-        let mut m = PMap::new();
-        for k in 0..128 {
-            m = m.insert(k, k).0;
+    fn remove_all_elements_both_ways() {
+        let n = 3000u32;
+        let (mut up, mut down) = (filled(0..n), filled(0..n));
+        assert!(check(&up) >= 3, "branches have to split and merge too");
+        for k in 0..n {
+            let (next, removed) = up.remove(&k);
+            assert_eq!(removed, Some(k * 10), "key {k}");
+            up = next;
+            check(&up);
+            let k = n - 1 - k;
+            let (next, removed) = down.remove(&k);
+            assert_eq!(removed, Some(k * 10), "key {k}");
+            down = next;
+            check(&down);
         }
-        for k in 0..128 {
-            let (next, removed) = m.remove(&k);
-            assert_eq!(removed, Some(k), "key {k}");
-            m = next;
-            check(&m);
-        }
-        assert!(m.is_empty());
-    }
-
-    #[test]
-    fn remove_in_random_order() {
-        let keys: Vec<i64> = (0..200).map(|i| (i * 37) % 200).collect();
-        let mut m = PMap::new();
-        for &k in &keys {
-            m = m.insert(k, k).0;
-            check(&m);
-        }
-        let removal: Vec<i64> = (0..200).map(|i| (i * 73 + 11) % 200).collect();
-        for &k in &removal {
-            let (next, removed) = m.remove(&k);
-            assert_eq!(removed, Some(k));
-            m = next;
-            check(&m);
-        }
-        assert!(m.is_empty());
+        assert!(up.is_empty() && down.is_empty());
+        assert_eq!((check(&up), check(&down)), (1, 1));
     }
 
     #[test]
     fn entries_are_sorted() {
-        let mut m = PMap::new();
-        for k in [3, 1, 4, 1, 5, 9, 2, 6] {
-            m = m.insert(k, ()).0;
-        }
-        let keys = m.keys();
-        let mut sorted = keys.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(keys, sorted);
+        let m = filled((0..500).map(|i| (i * 37) % 500));
+        assert_eq!(m.keys(), (0..500).collect::<Vec<u32>>());
+        assert_eq!(
+            m.entries(),
+            (0..500).map(|k| (k, k * 10)).collect::<Vec<_>>()
+        );
     }
 
     #[test]
-    fn persistence_under_removal() {
+    fn old_versions_survive_later_updates() {
         let mut versions = vec![PMap::new()];
-        for k in 0..50 {
-            let next = versions.last().unwrap().insert(k, k).0;
-            versions.push(next);
+        for k in 0..200u32 {
+            versions.push(versions.last().unwrap().insert(k, k).0);
         }
-        // Each version i contains exactly the keys 0..i.
+        for k in 0..200u32 {
+            versions.push(versions.last().unwrap().remove(&k).0);
+        }
+        // Version i holds 0..i while filling, i-200..200 while draining.
         for (i, v) in versions.iter().enumerate() {
-            assert_eq!(v.len(), i);
-            for k in 0..50 {
-                assert_eq!(v.contains(&k), (k as usize) < i);
-            }
+            let expect: Vec<u32> = if i <= 200 {
+                (0..i as u32).collect()
+            } else {
+                (i as u32 - 200..200).collect()
+            };
+            assert_eq!(v.keys(), expect, "version {i}");
         }
     }
 
     #[test]
     fn matches_btreemap_mixed_ops() {
         // Deterministic pseudo-random op sequence cross-checked against
-        // the standard library ordered map.
+        // the standard library ordered map; 2 000 keys keep the tree
+        // three levels deep under stationary insert/delete churn.
         let mut model = BTreeMap::new();
         let mut m = PMap::new();
         let mut x: u64 = 0x243F_6A88_85A3_08D3;
-        for _ in 0..3000 {
+        for step in 0..40_000 {
             // xorshift
             x ^= x << 13;
             x ^= x >> 7;
             x ^= x << 17;
-            let key = (x % 64) as i64;
-            let op = (x >> 8) % 3;
-            match op {
-                0 | 1 => {
-                    let v = (x >> 16) as i64;
-                    let expected = model.insert(key, v);
-                    let (next, got) = m.insert(key, v);
-                    assert_eq!(got, expected);
-                    m = next;
-                }
-                _ => {
-                    let expected = model.remove(&key);
-                    let (next, got) = m.remove(&key);
-                    assert_eq!(got, expected);
-                    m = next;
-                }
+            let key = (x % 2000) as i64;
+            if x & (1 << 8) == 0 {
+                let v = (x >> 16) as i64;
+                let (next, got) = m.insert(key, v);
+                assert_eq!(got, model.insert(key, v));
+                m = next;
+            } else {
+                let (next, got) = m.remove(&key);
+                assert_eq!(got, model.remove(&key));
+                m = next;
             }
             assert_eq!(m.len(), model.len());
+            if step & 63 == 0 {
+                check(&m);
+            }
         }
-        check(&m);
-        let entries = m.entries();
+        assert_eq!(check(&m), 3);
         let expected: Vec<(i64, i64)> = model.into_iter().collect();
-        assert_eq!(entries, expected);
+        assert_eq!(m.entries(), expected);
     }
 
-    #[test]
-    fn large_tree_black_height_logarithmic() {
-        let mut m = PMap::new();
-        for k in 0..10_000 {
-            m = m.insert(k, ()).0;
+    static CLONES: AtomicUsize = AtomicUsize::new(0);
+
+    /// A value that counts how often it is cloned.
+    #[derive(Debug, PartialEq)]
+    struct Counted(u32);
+
+    impl Clone for Counted {
+        fn clone(&self) -> Self {
+            CLONES.fetch_add(1, Ordering::Relaxed);
+            Counted(self.0)
         }
-        let h = m.check_invariants().unwrap();
-        // 2*log2(10001) ≈ 26.6; black height is at most half the total
-        // height, so ~14 is the loose ceiling.
-        assert!(h <= 15, "black height {h}");
+    }
+
+    /// The clone contract DESIGN.md §2b states: reads and `PMap::clone`
+    /// clone no value; an update clones the one leaf it rewrites (two
+    /// when it has to refill that leaf from a sibling) plus the value
+    /// it hands back. `CLONES` is only touched by this test.
+    #[test]
+    fn clone_count_contract() {
+        let clones_in = |f: &mut dyn FnMut()| {
+            let before = CLONES.load(Ordering::Relaxed);
+            f();
+            CLONES.load(Ordering::Relaxed) - before
+        };
+        let mut m = PMap::new();
+        for k in 0..10_000u32 {
+            m = m.insert((k * 7919) % 10_007, Counted(k)).0;
+        }
+        assert_eq!(clones_in(&mut || drop(m.clone())), 0);
+        assert_eq!(
+            clones_in(&mut || {
+                for k in 0..10_007 {
+                    assert_eq!(m.contains(&k), m.get(&k).is_some());
+                }
+            }),
+            0
+        );
+        let (mut worst_insert, mut worst_remove) = (0, 0);
+        for k in 0..10_007u32 {
+            let key = (k * 31) % 10_007;
+            let n = clones_in(&mut || m = m.insert(key, Counted(k)).0);
+            worst_insert = worst_insert.max(n);
+            let key = (k * 17) % 10_007;
+            let n = clones_in(&mut || m = m.remove(&key).0);
+            worst_remove = worst_remove.max(n);
+        }
+        check(&m);
+        // Insert: the old leaf's entries (the new one is moved in), or
+        // all but the replaced one plus the copy handed back.
+        assert!(worst_insert <= LEAF_MAX, "insert cloned {worst_insert}");
+        // Remove: the leaf minus the removed entry, that entry's copy,
+        // and a sibling of at most LEAF_MAX when the leaf went underfull
+        // (its own LEAF_MAX / 2 - 1 survivors are then cloned twice).
+        assert!(worst_remove <= 2 * LEAF_MAX, "remove cloned {worst_remove}");
+        let miss = clones_in(&mut || drop(m.remove(&20_000)));
+        assert_eq!(miss, 0, "a missing key copies nothing");
     }
 }

@@ -12,12 +12,14 @@
 //! deletes hit present/absent keys roughly evenly and the tree size
 //! stays stationary around its initial value).
 //!
-//! The workload is generic over the map backend
-//! ([`crate::mapapi::MapFamily`]): [`RbTreeWorkload`] is the historical
-//! snapshot-cell red-black tree ([`crate::tmap::TMap`], every update
-//! conflicts with every update), while
-//! `RbTreeWorkloadOn<BTreeFamily>` runs the same mix on the per-node
-//! [`crate::btree::TBTreeMap`] — the stmbench `structure` axis.
+//! "Red-black tree" is the paper's name for the workload, kept here;
+//! the map under it is not one. The workload is generic over the map
+//! backend ([`crate::mapapi::MapFamily`]): [`RbTreeWorkload`] is the
+//! default snapshot cell ([`crate::tmap::TMap`]: one persistent
+//! B+-tree, [`crate::pers::PMap`], behind one `TVar`; every update
+//! conflicts with every update), while `RbTreeWorkloadOn<BTreeFamily>`
+//! runs the same mix on the per-node [`crate::btree::TBTreeMap`] — the
+//! stmbench `structure` axis.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -139,7 +141,7 @@ pub struct RbTreeWorkloadOn<F: MapFamily> {
     stm: Stm,
 }
 
-/// The historical default: the snapshot-cell red-black tree backend.
+/// The default backend: the snapshot cell ([`crate::tmap::TMap`]).
 pub type RbTreeWorkload = RbTreeWorkloadOn<SnapshotFamily>;
 
 impl<F: MapFamily> RbTreeWorkloadOn<F> {

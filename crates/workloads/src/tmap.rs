@@ -1,26 +1,33 @@
 //! `TMap` — a transactional ordered map.
 //!
-//! Couples the persistent red-black tree ([`crate::pers::PMap`]) with a
-//! single `TVar`: a transactional read clones an `Arc` handle to an
-//! immutable snapshot (O(1)), pure tree code does the work, and updates
-//! write the new snapshot back. Structural sharing keeps updates at
-//! O(log n) allocation.
+//! Couples the persistent B+-tree ([`crate::pers::PMap`]) with a single
+//! `TVar`: a transactional look-up is one validated read of that cell
+//! and a pure descent through the immutable snapshot it holds (nothing
+//! is cloned but the value found), and an update path-copies the
+//! snapshot and writes the new one back. Structural sharing keeps an
+//! update at one small allocation per tree level.
 //!
-//! Concurrency profile (documented in DESIGN.md §16): in the default
-//! single-version protocol, lookups *validate* against the root `TVar`
-//! and can therefore abort when any update to the same map commits
-//! concurrently — they are write-free, not conflict-free. Only under
-//! the `mvcc` feature's declared read-only mode ([`rubic_stm::Stm::
-//! read_only`]) do lookups pin a snapshot and become abort-free.
-//! Updates always serialise on the map's single root `TVar` — the
-//! snapshot-map discipline standard for immutable-value STMs (Haskell/
-//! Clojure lineage) — which makes every update conflict with every
-//! other update on the same map, regardless of key. For the opposite
-//! trade-off see [`crate::btree::TBTreeMap`]: one `TVar` per node, so a
-//! transaction's footprint is only the O(log n) path it touched and
-//! updates on disjoint subtrees commute. Both implement
+//! What the single cell buys (DESIGN.md §2b, §16): a look-up's read set
+//! is one entry however deep the tree is, and the whole map can be
+//! captured in O(1) ([`TMap::read_snapshot`]) for bulk reads that must
+//! be consistent with the rest of the transaction. What it costs: in
+//! the default single-version protocol, look-ups *validate* against the
+//! root `TVar` and can therefore abort when any update to the same map
+//! commits concurrently — they are write-free, not conflict-free. Only
+//! under the `mvcc` feature's declared read-only mode
+//! ([`rubic_stm::Stm::read_only`]) do look-ups pin a snapshot and
+//! become abort-free. Updates always serialise on the map's single root
+//! `TVar` — the snapshot-map discipline standard for immutable-value
+//! STMs (Haskell/Clojure lineage) — which makes every update conflict
+//! with every other update on the same map, regardless of key. For the
+//! opposite trade-off see [`crate::btree::TBTreeMap`]: one `TVar` per
+//! node, so a transaction's footprint is only the O(log n) path it
+//! touched and updates on disjoint subtrees commute. Both implement
 //! [`crate::mapapi::TOrdMap`], so workloads generic over
 //! [`crate::mapapi::MapFamily`] can swap them freely.
+//!
+//! Values are cloned whenever their leaf is copied, so keep them O(1)
+//! to clone (see [`crate::pers`]).
 
 use rubic_stm::{TVar, Transaction, TxResult, TxValue};
 
@@ -98,15 +105,13 @@ impl<K: TKey, V: TxValue> TMap<K, V> {
     /// # Errors
     /// Propagates transactional conflicts.
     pub fn remove(&self, tx: &mut Transaction, key: &K) -> TxResult<Option<V>> {
-        let snap = tx.read(&self.cell)?;
-        if !snap.contains(key) {
-            // Avoid a write (and the W/W serialisation it implies) for
-            // no-op removals — a big deal for delete-heavy mixes on
-            // sparse key ranges.
-            return Ok(None);
+        let (next, old) = tx.read(&self.cell)?.remove(key);
+        if old.is_some() {
+            // No write (and none of the W/W serialisation it implies)
+            // for a no-op removal — a big deal for delete-heavy mixes
+            // on sparse key ranges.
+            tx.write(&self.cell, next)?;
         }
-        let (next, old) = snap.remove(key);
-        tx.write(&self.cell, next)?;
         Ok(old)
     }
 
@@ -219,8 +224,8 @@ impl<K: TKey, V: TxValue> TOrdMap<K, V> for TMap<K, V> {
     }
 
     fn check_invariants(&self) -> Result<usize, String> {
-        // `PMap::check_invariants` returns the black height; the trait
-        // contract wants the entry count.
+        // `PMap::check_invariants` returns the depth; the trait contract
+        // wants the entry count.
         let snap = self.snapshot();
         snap.check_invariants()?;
         Ok(snap.len())
@@ -324,7 +329,7 @@ mod tests {
         }
         let snap = m.snapshot();
         assert_eq!(snap.len(), 400);
-        snap.check_invariants().expect("rb invariants");
+        snap.check_invariants().expect("tree invariants");
     }
 
     #[test]

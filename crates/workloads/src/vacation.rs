@@ -23,6 +23,8 @@
 //! `-n4 -q60 -u90`) are provided as presets; the paper's Fig. 6 places
 //! Vacation in the middle of the scalability spectrum.
 
+use std::sync::Arc;
+
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use rubic_runtime::Workload;
@@ -134,7 +136,10 @@ pub struct ManagerOn<F: MapFamily> {
     cars: F::Map<u64, Resource>,
     flights: F::Map<u64, Resource>,
     rooms: F::Map<u64, Resource>,
-    customers: F::Map<u64, Customer>,
+    /// Behind an `Arc`: a map update clones the neighbours of the entry
+    /// it touches, and a booking list must not be deep-copied because a
+    /// stranger in the same node booked.
+    customers: F::Map<u64, Arc<Customer>>,
 }
 
 /// The historical default: snapshot-cell tables.
@@ -271,7 +276,8 @@ impl<F: MapFamily> ManagerOn<F> {
             },
         )?;
         let mut record = self.customers.get(tx, &customer)?.unwrap_or_default();
-        record.bookings.push(Booking {
+        // The table still holds the old record, so this copies it once.
+        Arc::make_mut(&mut record).bookings.push(Booking {
             kind,
             id,
             price: r.price,
@@ -539,6 +545,28 @@ mod tests {
             .atomically(|tx| m.query(tx, ResourceKind::Car, 1))
             .unwrap();
         assert_eq!(r.used, 0, "deleting the customer releases the unit");
+    }
+
+    #[test]
+    fn reserve_copies_no_other_customers_record() {
+        let stm = Stm::default();
+        let m = Manager::new();
+        stm.atomically(|tx| m.add_resource(tx, ResourceKind::Car, 1, 500, 99));
+        // Enough customers that the booker shares a tree node with many.
+        for customer in 0..100 {
+            assert!(stm.atomically(|tx| m.reserve(tx, ResourceKind::Car, customer, 1)));
+        }
+        let before = m.customers.snapshot_entries();
+        assert!(stm.atomically(|tx| m.reserve(tx, ResourceKind::Car, 42, 1)));
+        let after = m.customers.snapshot_entries();
+        assert_eq!(before.len(), after.len());
+        for ((id, old), (_, new)) in before.iter().zip(&after) {
+            if *id == 42 {
+                assert_eq!((old.bookings.len(), new.bookings.len()), (1, 2));
+            } else {
+                assert!(Arc::ptr_eq(old, new), "customer {id} was deep-copied");
+            }
+        }
     }
 
     #[test]

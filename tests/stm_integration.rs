@@ -66,7 +66,7 @@ fn bank_invariant_under_concurrency() {
     assert_eq!(final_total, expected);
 }
 
-/// The transactional map keeps its red-black invariants and exact size
+/// The transactional map keeps its tree invariants and exact size
 /// under concurrent inserts and removals from many threads.
 #[test]
 fn tmap_concurrent_mixed_ops_stay_consistent() {
@@ -105,7 +105,7 @@ fn tmap_concurrent_mixed_ops_stay_consistent() {
         h.join().unwrap();
     }
     let snap = map.snapshot();
-    snap.check_invariants().expect("red-black invariants");
+    snap.check_invariants().expect("tree invariants");
     assert_eq!(
         snap.len() as i64,
         inserted.load(std::sync::atomic::Ordering::Relaxed),

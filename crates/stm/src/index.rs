@@ -55,15 +55,17 @@ pub(crate) struct VarIndex<V> {
     spilled: bool,
 }
 
-impl<V: Copy> VarIndex<V> {
-    pub(crate) fn new() -> Self {
+impl<V> Default for VarIndex<V> {
+    fn default() -> Self {
         VarIndex {
             entries: Vec::new(),
             map: FxHashMap::default(),
             spilled: false,
         }
     }
+}
 
+impl<V: Copy> VarIndex<V> {
     /// Number of recorded entries.
     #[allow(dead_code)] // exercised by unit tests; kept for API symmetry
     #[inline]
@@ -132,6 +134,17 @@ impl<V: Copy> VarIndex<V> {
         }
     }
 
+    /// Releases capacity beyond `cap` entries. The hashed view never
+    /// holds more than the dense vector did, so the vector's capacity
+    /// decides for both.
+    #[inline]
+    pub(crate) fn shrink_to(&mut self, cap: usize) {
+        if self.entries.capacity() > cap {
+            self.entries.shrink_to(cap);
+            self.map.shrink_to(cap);
+        }
+    }
+
     /// True while the hashed view is active (diagnostics/tests).
     pub(crate) fn spilled(&self) -> bool {
         self.spilled
@@ -149,7 +162,7 @@ mod tests {
 
     #[test]
     fn get_insert_roundtrip_small() {
-        let mut idx: VarIndex<u64> = VarIndex::new();
+        let mut idx: VarIndex<u64> = VarIndex::default();
         assert!(idx.is_empty());
         assert_eq!(idx.get(0x40), None);
         idx.insert(0x40, 7);
@@ -164,7 +177,7 @@ mod tests {
 
     #[test]
     fn spills_past_threshold_and_stays_consistent() {
-        let mut idx: VarIndex<usize> = VarIndex::new();
+        let mut idx: VarIndex<usize> = VarIndex::default();
         let n = SPILL_THRESHOLD * 4;
         for i in 0..n {
             idx.insert(i * 64, i);
@@ -181,7 +194,7 @@ mod tests {
 
     #[test]
     fn clear_returns_to_small_mode_and_keeps_capacity() {
-        let mut idx: VarIndex<u64> = VarIndex::new();
+        let mut idx: VarIndex<u64> = VarIndex::default();
         for i in 0..SPILL_THRESHOLD * 2 {
             idx.insert(i * 8, i as u64);
         }

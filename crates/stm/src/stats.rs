@@ -1,35 +1,83 @@
 //! Commit/abort accounting.
 //!
 //! Each [`crate::Stm`] instance owns one [`StmStats`]: a fixed array of
-//! cache-padded *stripes*, one counter block per stripe. A thread
-//! records into the stripe picked by its process-wide ordinal, so a
-//! committing transaction only ever writes a line its own thread owns
-//! (threads beyond the 64 stripes share one; the counters are atomic,
-//! so sharing costs coherence traffic, never exactness). Readers —
-//! the monitor, `stmbench`, the benchmark — sum the stripes on demand.
-//! This mirrors the paper's §3.1 discipline for task counters
-//! (thread-local, read at interval boundaries) for the commit-rate
-//! diagnostics the evaluation reports and the abort-rate visibility
-//! useful when tuning contention managers.
+//! cache-padded *stripes*, one counter block per stripe, each with a
+//! single writer. A thread *leases* a stripe index on its first record —
+//! a bit taken from a process-wide 64-bit free mask — and returns it
+//! from its thread-local destructor, so short-lived pool workers reuse
+//! indices instead of running past the array. While it holds the lease
+//! the thread is the only writer of that stripe in every `StmStats`, so
+//! recording is a plain load and store on a line the thread owns: no
+//! locked read-modify-write anywhere on a committed transaction's
+//! statistics. Threads beyond 64 live leases share one extra *overflow*
+//! stripe, which keeps atomic increments — sharing costs coherence
+//! traffic, never exactness. Readers — the monitor, `stmbench`, the
+//! benchmark — sum the stripes on demand. This mirrors the paper's §3.1
+//! discipline for task counters (thread-local, read at interval
+//! boundaries) for the commit-rate diagnostics the evaluation reports
+//! and the abort-rate visibility useful when tuning contention
+//! managers.
 
-use rubic_sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use rubic_sync::atomic::{AtomicU64, Ordering};
 
 use crossbeam_utils::CachePadded;
 
 use crate::abort::AbortReason;
 
-/// Number of counter stripes per [`StmStats`]: the paper's 64-context
-/// machine gets one line per hardware thread.
+/// Number of leasable counter stripes per [`StmStats`]: the paper's
+/// 64-context machine gets one line per hardware thread, and one `u64`
+/// holds the free mask.
 const STRIPES: usize = 64;
 
-/// Hands out process-wide thread ordinals for stripe selection.
-static NEXT_ORDINAL: AtomicUsize = AtomicUsize::new(0);
+/// Index of the shared overflow stripe.
+const OVERFLOW: usize = STRIPES;
+
+/// Bit `i` set: stripe `i` is free to lease.
+static FREE_STRIPES: AtomicU64 = AtomicU64::new(u64::MAX);
+
+/// A thread's claim on one stripe index (or on [`OVERFLOW`], which is
+/// never exclusive), returned to the mask when the thread exits.
+struct Lease(usize);
+
+impl Lease {
+    fn acquire() -> Lease {
+        // ordering: Relaxed — only a starting value for the CAS below.
+        let mut free = FREE_STRIPES.load(Ordering::Relaxed);
+        while free != 0 {
+            let idx = free.trailing_zeros() as usize;
+            // ordering: Acquire on success pairs with the Release in
+            // `drop`: the previous holder's plain counter stores
+            // happen-before this thread's first load of them, so the
+            // single-writer load+store never loses an update across a
+            // hand-over. Relaxed on failure — just a fresher mask.
+            match FREE_STRIPES.compare_exchange_weak(
+                free,
+                free & !(1 << idx),
+                Ordering::Acquire,
+                Ordering::Relaxed,
+            ) {
+                Ok(_) => return Lease(idx),
+                Err(now) => free = now,
+            }
+        }
+        Lease(OVERFLOW)
+    }
+}
+
+impl Drop for Lease {
+    fn drop(&mut self) {
+        if self.0 != OVERFLOW {
+            // ordering: Release publishes this thread's counter stores
+            // to the next holder (see `acquire`). The bit is clear while
+            // leased, so adding it sets it without a carry.
+            FREE_STRIPES.fetch_add(1 << self.0, Ordering::Release);
+        }
+    }
+}
 
 thread_local! {
     /// This thread's stripe index in every [`StmStats`].
-    // ordering: Relaxed — the ordinal only spreads threads over
-    // stripes; nothing is published through it.
-    static STRIPE: usize = NEXT_ORDINAL.fetch_add(1, Ordering::Relaxed) % STRIPES;
+    static LEASE: Lease = Lease::acquire();
 }
 
 /// One stripe's counters. The commit-path fields lead so a committing
@@ -55,10 +103,26 @@ struct Stripe {
     by_reason: [AtomicU64; AbortReason::COUNT],
 }
 
+/// Adds `n` to one counter of the calling thread's stripe.
+// ordering: Relaxed throughout — pure monotonic counters; no reader
+// derives ownership or publication from them. An exclusive stripe has
+// one writer at a time (hand-overs are ordered by the lease), so
+// load+store cannot lose an update; the overflow stripe is shared and
+// needs the atomic increment.
+#[inline]
+fn bump(counter: &AtomicU64, n: u64, exclusive: bool) {
+    if exclusive {
+        counter.store(counter.load(Ordering::Relaxed) + n, Ordering::Relaxed);
+    } else {
+        counter.fetch_add(n, Ordering::Relaxed);
+    }
+}
+
 /// Cumulative transaction statistics for one [`crate::Stm`] instance.
 #[derive(Debug)]
 pub struct StmStats {
-    stripes: [CachePadded<Stripe>; STRIPES],
+    /// The leasable stripes, then the shared overflow stripe.
+    stripes: [CachePadded<Stripe>; STRIPES + 1],
 }
 
 impl Default for StmStats {
@@ -76,10 +140,14 @@ impl StmStats {
         StmStats::default()
     }
 
-    /// The calling thread's stripe.
+    /// The calling thread's stripe and whether the thread is its only
+    /// writer. A thread whose lease is already torn down (a transaction
+    /// run from another thread-local's destructor) records into the
+    /// overflow stripe.
     #[inline]
-    fn mine(&self) -> &Stripe {
-        &self.stripes[STRIPE.with(|s| *s)]
+    fn mine(&self) -> (&Stripe, bool) {
+        let idx = LEASE.try_with(|lease| lease.0).unwrap_or(OVERFLOW);
+        (&self.stripes[idx], idx != OVERFLOW)
     }
 
     /// Sums one counter over every stripe.
@@ -91,36 +159,34 @@ impl StmStats {
             .sum()
     }
 
-    // ordering: pure monotonic counters — no reader derives ownership
-    // or publication from them, so Relaxed increments suffice.
     #[inline]
     pub(crate) fn record_commit(&self, reads: u64, writes: u64, read_only: bool) {
-        let s = self.mine();
-        s.commits.fetch_add(1, Ordering::Relaxed);
-        s.reads.fetch_add(reads, Ordering::Relaxed);
-        s.writes.fetch_add(writes, Ordering::Relaxed);
+        let (s, exclusive) = self.mine();
+        bump(&s.commits, 1, exclusive);
+        bump(&s.reads, reads, exclusive);
+        bump(&s.writes, writes, exclusive);
         if read_only {
-            s.ro_commits.fetch_add(1, Ordering::Relaxed);
+            bump(&s.ro_commits, 1, exclusive);
         }
     }
 
-    // ordering: same counter discipline as `record_commit`.
     #[inline]
     pub(crate) fn record_abort(&self, reason: AbortReason, read_only: bool) {
-        let s = self.mine();
-        s.aborts.fetch_add(1, Ordering::Relaxed);
-        s.by_reason[reason.code() as usize].fetch_add(1, Ordering::Relaxed);
+        let (s, exclusive) = self.mine();
+        bump(&s.aborts, 1, exclusive);
+        bump(&s.by_reason[reason.code() as usize], 1, exclusive);
         if read_only {
-            s.ro_aborts.fetch_add(1, Ordering::Relaxed);
+            bump(&s.ro_aborts, 1, exclusive);
         }
     }
 
-    // ordering: same counter discipline as `record_commit`. Only called
-    // from the mvcc snapshot fallback path; allowed to be dead elsewhere.
+    // Only called from the mvcc snapshot fallback path; allowed to be
+    // dead elsewhere.
     #[inline]
     #[allow(dead_code)]
     pub(crate) fn record_snap_demotion(&self) {
-        self.mine().snap_demotions.fetch_add(1, Ordering::Relaxed);
+        let (s, exclusive) = self.mine();
+        bump(&s.snap_demotions, 1, exclusive);
     }
 
     /// Total committed transactions.
@@ -386,6 +452,48 @@ mod tests {
         s.record_commit(7, 2, false);
         let d = s.snapshot().delta_since(&after);
         assert_eq!((d.commits, d.reads, d.writes, d.aborts), (1, 7, 2, 0));
+    }
+
+    /// The pool spawns fresh workers for every window, so stripe
+    /// indices must come back when a thread exits: 300 threads, one
+    /// after another, record exactly, and afterwards every lease is
+    /// free again.
+    #[test]
+    fn leases_are_reused_by_later_threads() {
+        const THREADS: u64 = 300;
+        let s = std::sync::Arc::new(StmStats::new());
+        for t in 0..THREADS {
+            let s = std::sync::Arc::clone(&s);
+            // `join` returns after the thread's destructors ran, so the
+            // next thread finds this one's lease free.
+            std::thread::spawn(move || {
+                s.record_commit(2, 1, false);
+                s.record_commit(1, 0, true);
+                s.record_abort(AbortReason::ALL[(t % 3) as usize], false);
+            })
+            .join()
+            .unwrap();
+        }
+        let snap = s.snapshot();
+        assert_eq!((snap.commits, snap.ro_commits), (THREADS * 2, THREADS));
+        assert_eq!((snap.reads, snap.writes), (THREADS * 3, THREADS));
+        assert_eq!(snap.aborts, THREADS);
+        assert_eq!(snap.abort_reasons.iter().sum::<u64>(), snap.aborts);
+        assert_eq!(snap.abort_reasons[..3], [THREADS / 3; 3]);
+        // Other tests' threads hold leases while they run, so poll: the
+        // mask is full whenever none of them is mid-flight.
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
+        // ordering: Relaxed — a diagnostic sample of the mask.
+        while FREE_STRIPES.load(Ordering::Relaxed) != u64::MAX
+            && std::time::Instant::now() < deadline
+        {
+            std::thread::yield_now();
+        }
+        assert_eq!(
+            FREE_STRIPES.load(Ordering::Relaxed),
+            u64::MAX,
+            "a lease was not returned"
+        );
     }
 
     #[test]

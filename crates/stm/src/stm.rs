@@ -1,4 +1,11 @@
 //! The `Stm` handle: retry loop, contention management, statistics.
+//!
+//! A call to [`Stm::atomically`] borrows the calling thread's
+//! transaction context for its whole retry loop (`Transaction::begin`
+//! takes it, `Transaction::park` returns it — on commit, on a
+//! panicking body, and between the mvcc snapshot attempts), so a
+//! committed transaction's fixed cost is one epoch pin/unpin, the body,
+//! and plain stores to thread-owned memory (DESIGN.md §11).
 
 use std::sync::Arc;
 
@@ -75,12 +82,14 @@ impl Stm {
         loop {
             let outcome = {
                 // Run the body, guarding against panics so held write
-                // locks are always released.
+                // locks are always released and the context goes back
+                // to the thread holding nothing of the body's.
                 let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&mut tx)));
                 match result {
                     Ok(body) => body,
                     Err(payload) => {
                         tx.abort();
+                        tx.park();
                         std::panic::resume_unwind(payload);
                     }
                 }
@@ -88,6 +97,7 @@ impl Stm {
             match outcome.and_then(|r| tx.commit().map(|()| r)) {
                 Ok(r) => {
                     let (reads, writes) = tx.op_counts();
+                    tx.park();
                     self.stats.record_commit(reads, writes, read_only);
                     trace.on_commit(reads, writes, attempt + 1);
                     return r;
@@ -152,6 +162,7 @@ impl Stm {
                     Ok(body) => body,
                     Err(payload) => {
                         tx.abort();
+                        tx.park();
                         std::panic::resume_unwind(payload);
                     }
                 }
@@ -159,6 +170,7 @@ impl Stm {
             match outcome.and_then(|r| tx.commit().map(|()| r)) {
                 Ok(r) => {
                     let (reads, writes) = tx.op_counts();
+                    tx.park();
                     self.stats.record_commit(reads, writes, true);
                     trace.on_commit(reads, writes, attempt + 1);
                     return r;
@@ -174,6 +186,7 @@ impl Stm {
                     crate::stats::note_thread_abort();
                     attempt += 1;
                     trace.on_abort(reason, attempt, tx.conflict_addr());
+                    tx.park();
                     if demoted {
                         demoted_write = true;
                         break;

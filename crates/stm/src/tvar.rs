@@ -617,8 +617,8 @@ impl<T: TxValue> Drop for TVar<T> {
     }
 }
 
-/// One transaction attempt's epoch pin together with the read set
-/// recorded under it.
+/// One transaction's epoch pin together with the read set recorded
+/// under it.
 ///
 /// A read-set entry is a bare pointer to the variable's lock word — no
 /// handle, no reference-count write. What keeps the word alive is the
@@ -627,7 +627,8 @@ impl<T: TxValue> Drop for TVar<T> {
 /// is only *retired*, and the epoch cannot free it before this guard
 /// unpins. Owning the guard and the entries in one type makes that
 /// invariant local: every operation that unpins clears the entries
-/// first.
+/// first, and the allocation only leaves this type emptied, as a
+/// [`ReadBuf`].
 pub(crate) struct PinnedReads {
     guard: Guard,
     entries: Vec<ReadEntry>,
@@ -638,13 +639,29 @@ struct ReadEntry {
     version: u64,
 }
 
+/// The read set's allocation between transactions: always empty, so it
+/// may sit in a parked transaction context while the thread is
+/// unpinned.
+#[derive(Default)]
+pub(crate) struct ReadBuf(Vec<ReadEntry>);
+
 impl PinnedReads {
-    /// Pins the epoch with an empty read set.
-    pub(crate) fn pin() -> Self {
+    /// Pins the epoch with an empty read set that reuses `buf`.
+    #[inline]
+    pub(crate) fn pin(buf: ReadBuf) -> Self {
         PinnedReads {
             guard: epoch::pin(),
-            entries: Vec::new(),
+            entries: buf.0,
         }
+    }
+
+    /// Forgets every entry and unpins, handing the allocation back
+    /// (less whatever it grew beyond `retain` entries).
+    #[inline]
+    pub(crate) fn unpin(mut self, retain: usize) -> ReadBuf {
+        self.entries.clear();
+        self.entries.shrink_to(retain);
+        ReadBuf(self.entries)
     }
 
     #[inline]
@@ -676,14 +693,15 @@ impl PinnedReads {
         self.entries.iter().map(|e| {
             // SAFETY: the entry was recorded through a live handle under
             // this pin and the guard has stayed pinned since (`clear`,
-            // `repin` and `unpinned` take `&mut self` and empty the set
-            // before unpinning), so the core holding the lock word can
-            // have been retired but not freed.
+            // `repin`, `unpinned` and `unpin` empty the set before
+            // unpinning), so the core holding the lock word can have
+            // been retired but not freed.
             (unsafe { e.lock.as_ref() }, e.version)
         })
     }
 
     /// Forgets every entry, keeping the allocation.
+    #[inline]
     pub(crate) fn clear(&mut self) {
         self.entries.clear();
     }
@@ -793,6 +811,35 @@ mod tests {
         assert_eq!(Arc::strong_count(&tracker), 1);
     }
 
+    /// A `TVar` kept in a thread-local is dropped by that local's
+    /// destructor, possibly after the epoch's own thread-local is gone.
+    /// Either order must let the thread exit (a panicking destructor
+    /// aborts the process) and still reclaim the value.
+    #[test]
+    fn last_handle_dropped_by_a_tls_destructor() {
+        thread_local! {
+            static HOLDER: std::cell::RefCell<Option<TVar<Arc<()>>>> =
+                const { std::cell::RefCell::new(None) };
+        }
+        let tracker = Arc::new(());
+        for epoch_local_first in [false, true] {
+            let tracker = Arc::clone(&tracker);
+            std::thread::spawn(move || {
+                if epoch_local_first {
+                    drop(epoch::pin());
+                }
+                HOLDER.with(|h| *h.borrow_mut() = Some(TVar::new(tracker)));
+                // Registers the epoch's local (after HOLDER, unless it
+                // was touched above).
+                drop(epoch::pin());
+            })
+            .join()
+            .unwrap();
+        }
+        flush_epoch_until(|| Arc::strong_count(&tracker) == 1);
+        assert_eq!(Arc::strong_count(&tracker), 1, "value never reclaimed");
+    }
+
     /// The deferred-reclamation contract on the real types: a lock word
     /// recorded under a pin stays readable after another thread dropped
     /// the variable's last handle and pumped the collector, and the core
@@ -801,7 +848,7 @@ mod tests {
     fn recorded_lock_word_outlives_the_last_handle_while_pinned() {
         let tracker = Arc::new(());
         let var = TVar::new(Arc::clone(&tracker));
-        let mut reads = PinnedReads::pin();
+        let mut reads = PinnedReads::pin(ReadBuf::default());
         reads.record(&var, var.version());
         std::thread::spawn(move || {
             drop(var);

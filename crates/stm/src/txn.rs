@@ -42,9 +42,18 @@
 //! measures, so the engine pays for bookkeeping once per *attempt*, not
 //! once per access:
 //!
+//! * Every thread keeps **one transaction context** — the read set's
+//!   vector, both indices, the write vector and the spare write slots —
+//!   and each transaction borrows it: `begin` takes it from the thread's
+//!   slot, `park` empties it and puts it back. A warmed transaction
+//!   therefore allocates nothing but the value boxes it publishes. A
+//!   parked context is *unpinned, empty, and holds no `TVar` handle or
+//!   user value*; what it keeps is capacity, capped by [`RETAIN_CAP`]
+//!   and [`SPARE_CAP`]. A nested `atomically` finds the slot empty and
+//!   runs on a fresh context (whichever parks last stays).
 //! * The epoch is pinned **once per attempt** — [`Transaction`] owns the
-//!   pin (created at `begin`, repinned at `restart`) instead of pinning
-//!   inside every `read`/`read_with`/`commit`.
+//!   pin (created at `begin`, repinned at `restart`, dropped at `park`)
+//!   instead of pinning inside every `read`/`read_with`/`commit`.
 //! * Reads are invisible in the strict sense: a read-set entry is the
 //!   variable's lock-word pointer plus the observed version, kept alive
 //!   by the attempt's pin (`PinnedReads`) rather than by a counted
@@ -53,15 +62,22 @@
 //! * The read/write-set indices are [`crate::index::VarIndex`]: a dense
 //!   linear-scanned vector for counter-sized footprints, spilling into
 //!   an FxHash map for larger ones. No SipHash on the hot path.
-//! * Aborted attempts recycle their allocations: the read-set vector
-//!   keeps its capacity, and write slots (the boxed [`WriteSlot`]s *and*
-//!   the variable handle they hold) move to a per-transaction spare
-//!   list and are reclaimed by the retry, which touches the same
-//!   variables in the same order in the common case. A retry therefore
-//!   allocates nothing and performs no handle-count RMWs for previously
-//!   written variables — exactly when contention is highest.
+//! * Finished attempts recycle their allocations, committed or
+//!   aborted: the read-set vector keeps its capacity, and the boxed
+//!   [`WriteSlot`]s move to the context's spare list, to be reclaimed
+//!   by the next attempt that writes a variable of the same type. An
+//!   *aborted* attempt's slots also keep their variable handle, which
+//!   the retry reclaims — it touches the same variables in the same
+//!   order in the common case — so a retry allocates nothing and
+//!   performs no handle-count RMW for a previously written variable,
+//!   exactly when contention is highest. The handle is an `Option`
+//!   that a commit or `park` clears in every spare slot (the smaller of the two
+//!   fixes considered; recording the core under the pin, as
+//!   `PinnedReads` does for reads, would have put a second raw-pointer
+//!   invariant into this file), so no handle outlives its transaction.
 
 use std::any::Any;
+use std::cell::Cell;
 
 use crossbeam_epoch::Guard;
 
@@ -70,15 +86,25 @@ use crate::chaos::{self, ChaosPoint};
 use crate::clock;
 use crate::index::VarIndex;
 use crate::trc;
-use crate::tvar::{PinnedReads, TVar};
-use crate::vlock::{LockWord, VLock};
+use crate::tvar::{PinnedReads, ReadBuf, TVar, TVarCore};
+use crate::vlock::LockWord;
 use crate::TxValue;
 
-/// Spare-list size cap: recycled write slots beyond this are dropped at
-/// abort. Bounds memory for pathological transactions
-/// that touch a different variable set on every attempt; ordinary
-/// retries (same footprint each attempt) never hit it.
+/// Spare-list size cap: write slots recycled beyond this are dropped.
+/// Bounds what a transaction with a huge write set leaves behind;
+/// ordinary footprints never hit it.
 const SPARE_CAP: usize = 128;
+
+/// Entries of capacity each access-set vector of a parked context may
+/// keep. A transaction that outgrows it pays for the growth again next
+/// time; everything smaller — every paper workload — is retained whole.
+const RETAIN_CAP: usize = 1024;
+
+thread_local! {
+    /// This thread's parked transaction context; `None` while a
+    /// transaction is running on it, or before the first one.
+    static PARKED: Cell<Option<Box<Context>>> = const { Cell::new(None) };
+}
 
 /// Why a transactional operation could not proceed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -103,10 +129,6 @@ pub type TxResult<T> = Result<T, StmError>;
 
 /// Object-safe view of a buffered write.
 trait WriteSlot: Send {
-    fn vlock(&self) -> &VLock;
-    /// The slot's lock address (same identity as [`VLock::addr`]),
-    /// cached for spare-list matching.
-    fn addr(&self) -> usize;
     /// Publishes the buffered value and releases the lock stamped `wv`.
     /// In mvcc mode `retain` is `Some(min_active)`: the displaced value
     /// joins the variable's version chain and entries no registered
@@ -115,16 +137,20 @@ trait WriteSlot: Send {
     fn publish(&mut self, wv: u64, guard: &Guard, #[cfg(feature = "mvcc")] retain: Option<u64>);
     /// Releases the lock restoring the pre-lock version.
     fn release_abort(&self);
-    /// Drops the buffered value (if any) so a slot parked on the spare
-    /// list doesn't keep user data alive; the variable handle is kept
-    /// for reuse by the retry.
-    fn recycle(&mut self);
+    /// True if the slot holds a handle to the variable locked at `addr`.
+    fn holds(&self, addr: usize) -> bool;
+    /// Drops the buffered value (if any) so a slot on the spare list
+    /// keeps no user data alive, and the variable handle too unless
+    /// `keep_handle` (an aborted attempt's slot, kept for the retry).
+    fn recycle(&mut self, keep_handle: bool);
     fn as_any(&self) -> &dyn Any;
     fn as_any_mut(&mut self) -> &mut dyn Any;
 }
 
 struct TypedSlot<T: TxValue> {
-    var: TVar<T>,
+    /// The written variable; `None` only on the spare list, and there
+    /// `Some` only until the transaction that aborted with it parks.
+    var: Option<TVar<T>>,
     pending: Option<T>,
     prev: LockWord,
     /// When this slot's lock was acquired (trace timestamp; 0 when no
@@ -133,21 +159,22 @@ struct TypedSlot<T: TxValue> {
     locked_at: u64,
 }
 
+impl<T: TxValue> TypedSlot<T> {
+    fn core(&self) -> &TVarCore<T> {
+        self.var
+            .as_ref()
+            .expect("spare write slot in the live write set")
+            .core()
+    }
+}
+
 impl<T: TxValue> WriteSlot for TypedSlot<T> {
-    fn vlock(&self) -> &VLock {
-        self.var.core().vlock()
-    }
-
-    fn addr(&self) -> usize {
-        self.var.core().vlock().addr()
-    }
-
     fn publish(&mut self, wv: u64, guard: &Guard, #[cfg(feature = "mvcc")] retain: Option<u64>) {
         let value = self
             .pending
             .take()
             .expect("write slot published twice or never filled");
-        let core = self.var.core();
+        let core = self.core();
         #[cfg(feature = "mvcc")]
         match retain {
             Some(min_active) => {
@@ -166,14 +193,21 @@ impl<T: TxValue> WriteSlot for TypedSlot<T> {
     }
 
     fn release_abort(&self) {
-        let lock = self.var.core().vlock();
+        let lock = self.core().vlock();
         lock.release_abort(self.prev);
         #[cfg(feature = "trace")]
         trc::lock_hold(self.locked_at, lock.addr(), true);
     }
 
-    fn recycle(&mut self) {
+    fn holds(&self, addr: usize) -> bool {
+        self.var.as_ref().is_some_and(|var| var.lock_addr() == addr)
+    }
+
+    fn recycle(&mut self, keep_handle: bool) {
         self.pending = None;
+        if !keep_handle {
+            self.var = None;
+        }
     }
 
     fn as_any(&self) -> &dyn Any {
@@ -206,6 +240,61 @@ pub struct TxFootprint {
     pub read_index_spilled: bool,
 }
 
+/// The allocations a thread keeps between transactions (module docs):
+/// between [`Transaction::park`] and the next [`Transaction::begin`]
+/// every set is empty and no spare slot holds a handle or a value.
+#[derive(Default)]
+struct Context {
+    /// The read set's vector; held by `Transaction::pinned` while a
+    /// transaction runs.
+    reads: ReadBuf,
+    read_index: VarIndex<u64>,
+    write_index: VarIndex<usize>,
+    writes: Vec<Box<dyn WriteSlot>>,
+    /// Recycled write slots, most recently released last. An attempt
+    /// that writes the same types in the same order as the previous one
+    /// pops its slot off the top.
+    spare_writes: Vec<Box<dyn WriteSlot>>,
+    /// True while a spare slot may hold a variable handle, i.e. from an
+    /// abort until the transaction commits or parks.
+    spares_hold_handles: bool,
+}
+
+impl Context {
+    /// Empties the indices and moves the (already released or
+    /// published) write slots to the spare list, keeping every
+    /// allocation. Drained in reverse so the next attempt's first write
+    /// finds its slot on top of the stack. With `keep_handles` (an
+    /// abort) the slots keep their variable handles for the retry;
+    /// without (a commit, `park`) no spare slot holds one afterwards.
+    #[inline]
+    fn clear(&mut self, keep_handles: bool) {
+        self.read_index.clear();
+        self.write_index.clear();
+        for mut slot in self.writes.drain(..).rev() {
+            if self.spare_writes.len() < SPARE_CAP {
+                slot.recycle(keep_handles);
+                self.spare_writes.push(slot);
+                self.spares_hold_handles |= keep_handles;
+            }
+        }
+        if self.spares_hold_handles && !keep_handles {
+            for slot in &mut self.spare_writes {
+                slot.recycle(false);
+            }
+            self.spares_hold_handles = false;
+        }
+    }
+
+    /// Releases capacity beyond [`RETAIN_CAP`] entries per vector.
+    #[inline]
+    fn trim(&mut self) {
+        self.read_index.shrink_to(RETAIN_CAP);
+        self.write_index.shrink_to(RETAIN_CAP);
+        self.writes.shrink_to(RETAIN_CAP);
+    }
+}
+
 /// An in-flight transaction.
 ///
 /// Obtained through [`crate::Stm::atomically`]; user code interacts with
@@ -219,13 +308,8 @@ pub struct Transaction {
     /// individual reads and the commit's publish loop never pay the
     /// pin/unpin protocol, together with the read set it keeps alive.
     pinned: PinnedReads,
-    read_index: VarIndex<u64>,
-    write_index: VarIndex<usize>,
-    writes: Vec<Box<dyn WriteSlot>>,
-    /// Write slots recycled from aborted attempts, most recently
-    /// released last. A retry that re-locks the same variables in the
-    /// same order pops its slot (allocation *and* handle) off the top.
-    spare_writes: Vec<Box<dyn WriteSlot>>,
+    /// The thread's context, minus the read vector `pinned` holds.
+    ctx: Box<Context>,
     /// Operation counters for diagnostics (reported through `StmStats`).
     n_reads: u64,
     n_writes: u64,
@@ -259,15 +343,21 @@ pub struct Transaction {
 }
 
 impl Transaction {
-    /// Begins a fresh transaction at the current clock.
+    /// Begins a transaction at the current clock on the thread's parked
+    /// context. A nested transaction (or one run while the thread's
+    /// locals are torn down) finds none and starts on an empty one.
+    #[inline]
     pub(crate) fn begin() -> Self {
+        let mut ctx = PARKED
+            .try_with(Cell::take)
+            .ok()
+            .flatten()
+            .unwrap_or_default();
+        let pinned = PinnedReads::pin(std::mem::take(&mut ctx.reads));
         Transaction {
             rv: clock::now(),
-            pinned: PinnedReads::pin(),
-            read_index: VarIndex::new(),
-            write_index: VarIndex::new(),
-            writes: Vec::new(),
-            spare_writes: Vec::new(),
+            pinned,
+            ctx,
             n_reads: 0,
             n_writes: 0,
             last_conflict: AbortReason::Explicit,
@@ -315,15 +405,9 @@ impl Transaction {
     /// Clears all buffered state and re-samples the clock, reusing the
     /// allocations for the next attempt.
     pub(crate) fn restart(&mut self) {
-        debug_assert!(
-            self.writes.iter().all(|w| !w.vlock().sample().is_locked()) || self.writes.is_empty(),
-            "restart with locks still held; abort first"
-        );
-        self.read_index.clear();
-        self.write_index.clear();
         // Anything still buffered (the managed retry loop aborts first,
-        // so normally nothing) is parked for reuse, not dropped.
-        self.park_access_sets();
+        // so normally nothing) is recycled, not dropped.
+        self.clear_access_sets(true);
         // The op counters must restart with the attempt: they feed
         // `StmStats::record_commit` as *this commit's* footprint, and
         // carrying counts from aborted attempts would inflate every
@@ -343,20 +427,27 @@ impl Transaction {
         self.rv = clock::now();
     }
 
-    /// Empties the read set and moves the (already released) write
-    /// slots to the spare list, dropping buffered values but keeping
-    /// every allocation and handle for the next attempt. Drained in
-    /// reverse so a retry touching the same variables in the same order
-    /// finds its slot on top of the stack.
-    fn park_access_sets(&mut self) {
+    /// Empties the read and write sets, keeping their allocations. The
+    /// write slots must have been released or published already;
+    /// `keep_handles` leaves them their variable handles for a retry.
+    #[inline]
+    fn clear_access_sets(&mut self, keep_handles: bool) {
         self.pinned.clear();
-        for mut slot in self.writes.drain(..).rev() {
-            slot.recycle();
-            self.spare_writes.push(slot);
-        }
-        // Pathological transactions that touch a fresh variable set on
-        // every attempt would otherwise grow the spares without bound.
-        self.spare_writes.truncate(SPARE_CAP);
+        self.ctx.clear(keep_handles);
+    }
+
+    /// Ends the transaction after its commit or abort: unpins and hands
+    /// the emptied context back to the thread's slot (replacing the one
+    /// a nested transaction may have parked meanwhile).
+    #[inline]
+    pub(crate) fn park(mut self) {
+        self.clear_access_sets(false);
+        let Transaction {
+            pinned, mut ctx, ..
+        } = self;
+        ctx.trim();
+        ctx.reads = pinned.unpin(RETAIN_CAP);
+        let _ = PARKED.try_with(|slot| slot.set(Some(ctx)));
     }
 
     /// Tags this attempt with `reason` and returns the public error.
@@ -413,7 +504,7 @@ impl Transaction {
     /// Number of distinct variables written so far.
     #[must_use]
     pub fn write_set_len(&self) -> usize {
-        self.writes.len()
+        self.ctx.writes.len()
     }
 
     /// Allocation diagnostics: current capacities and spare-list size.
@@ -426,11 +517,11 @@ impl Transaction {
     pub fn footprint(&self) -> TxFootprint {
         TxFootprint {
             reads_capacity: self.pinned.capacity(),
-            writes_capacity: self.writes.capacity(),
-            read_index_capacity: self.read_index.capacity(),
-            write_index_capacity: self.write_index.capacity(),
-            spare_write_slots: self.spare_writes.len(),
-            read_index_spilled: self.read_index.spilled(),
+            writes_capacity: self.ctx.writes.capacity(),
+            read_index_capacity: self.ctx.read_index.capacity(),
+            write_index_capacity: self.ctx.write_index.capacity(),
+            spare_write_slots: self.ctx.spare_writes.len(),
+            read_index_spilled: self.ctx.read_index.spilled(),
         }
     }
 
@@ -444,14 +535,14 @@ impl Transaction {
     /// attempts, after `abort` emptied the read set — the only
     /// epoch-protected state a transaction holds.
     pub(crate) fn unpinned<R>(&mut self, f: impl FnOnce() -> R) -> R {
-        debug_assert!(self.read_index.is_empty(), "unpinned mid-attempt");
+        debug_assert!(self.ctx.read_index.is_empty(), "unpinned mid-attempt");
         self.pinned.unpinned(f)
     }
 
     /// Records a first read of `var`.
     #[inline]
     fn record_read<T: TxValue>(&mut self, var: &TVar<T>, addr: usize, version: u64) {
-        self.read_index.insert(addr, version);
+        self.ctx.read_index.insert(addr, version);
         self.pinned.record(var, version);
     }
 
@@ -472,8 +563,8 @@ impl Transaction {
         let addr = core.vlock().addr();
 
         // Read-your-writes.
-        if let Some(slot_idx) = self.write_index.get(addr) {
-            let slot = self.writes[slot_idx]
+        if let Some(slot_idx) = self.ctx.write_index.get(addr) {
+            let slot = self.ctx.writes[slot_idx]
                 .as_any()
                 .downcast_ref::<TypedSlot<T>>()
                 .expect("write-slot type confusion");
@@ -511,7 +602,7 @@ impl Transaction {
                 }
             }
             // Record (first read only; repeated reads must agree).
-            match self.read_index.get(addr) {
+            match self.ctx.read_index.get(addr) {
                 Some(recorded) => {
                     if recorded != w1.version() {
                         return Err(self.fail_at(AbortReason::ReadValidation, addr));
@@ -547,8 +638,8 @@ impl Transaction {
         let core = var.core();
         let addr = core.vlock().addr();
 
-        if let Some(slot_idx) = self.write_index.get(addr) {
-            let slot = self.writes[slot_idx]
+        if let Some(slot_idx) = self.ctx.write_index.get(addr) {
+            let slot = self.ctx.writes[slot_idx]
                 .as_any()
                 .downcast_ref::<TypedSlot<T>>()
                 .expect("write-slot type confusion");
@@ -577,7 +668,7 @@ impl Transaction {
                     continue;
                 }
             }
-            match self.read_index.get(addr) {
+            match self.ctx.read_index.get(addr) {
                 Some(recorded) => {
                     if recorded != w1.version() {
                         return Err(self.fail_at(AbortReason::ReadValidation, addr));
@@ -645,29 +736,19 @@ impl Transaction {
         }
     }
 
-    /// Pops a recyclable slot for `addr` off the spare list: the exact
-    /// slot from a previous attempt if present (its handle is already the
-    /// right variable), else any slot of the right concrete type
-    /// (reusing the heap allocation).
+    /// Pops a recyclable slot for the variable locked at `addr` off the
+    /// spare list, looking from the top of the stack down: the slot an
+    /// aborted attempt used for it (which still holds the handle), else
+    /// any slot of `T`'s concrete type (reusing the heap allocation).
     fn take_spare_slot<T: TxValue>(&mut self, addr: usize) -> Option<Box<dyn WriteSlot>> {
-        if self.spare_writes.is_empty() {
-            return None;
-        }
-        // Retries re-lock the same variables in the same order and the
-        // spares are stacked in reverse, so the right slot is on top.
-        if let Some(top) = self.spare_writes.last() {
-            if top.addr() == addr {
-                return self.spare_writes.pop();
-            }
-        }
-        if let Some(pos) = self.spare_writes.iter().position(|s| s.addr() == addr) {
-            return Some(self.spare_writes.swap_remove(pos));
-        }
-        let pos = self
-            .spare_writes
-            .iter()
-            .position(|s| s.as_any().is::<TypedSlot<T>>())?;
-        Some(self.spare_writes.swap_remove(pos))
+        let spares = &mut self.ctx.spare_writes;
+        let held = if self.ctx.spares_hold_handles {
+            spares.iter().rposition(|s| s.holds(addr))
+        } else {
+            None
+        };
+        let pos = held.or_else(|| spares.iter().rposition(|s| s.as_any().is::<TypedSlot<T>>()))?;
+        Some(spares.swap_remove(pos))
     }
 
     /// Transactionally writes `value` into `var`.
@@ -693,8 +774,8 @@ impl Transaction {
         let core = var.core();
         let addr = core.vlock().addr();
 
-        if let Some(slot_idx) = self.write_index.get(addr) {
-            let slot = self.writes[slot_idx]
+        if let Some(slot_idx) = self.ctx.write_index.get(addr) {
+            let slot = self.ctx.writes[slot_idx]
                 .as_any_mut()
                 .downcast_mut::<TypedSlot<T>>()
                 .expect("write-slot type confusion");
@@ -712,7 +793,7 @@ impl Transaction {
         }
         // Write-after-read consistency: the version we read must still
         // be current, or our earlier read is stale.
-        if let Some(recorded) = self.read_index.get(addr) {
+        if let Some(recorded) = self.ctx.read_index.get(addr) {
             if w.version() != recorded {
                 return Err(self.fail_at(AbortReason::ReadValidation, addr));
             }
@@ -728,8 +809,8 @@ impl Transaction {
                     .as_any_mut()
                     .downcast_mut::<TypedSlot<T>>()
                     .expect("spare slot type confusion");
-                if !slot.var.ptr_eq(var) {
-                    slot.var = var.clone();
+                if !slot.holds(addr) {
+                    slot.var = Some(var.clone());
                 }
                 slot.pending = Some(value);
                 slot.prev = w;
@@ -740,15 +821,15 @@ impl Transaction {
                 boxed
             }
             None => Box::new(TypedSlot {
-                var: var.clone(),
+                var: Some(var.clone()),
                 pending: Some(value),
                 prev: w,
                 #[cfg(feature = "trace")]
                 locked_at,
             }),
         };
-        self.write_index.insert(addr, self.writes.len());
-        self.writes.push(slot);
+        self.ctx.write_index.insert(addr, self.ctx.writes.len());
+        self.ctx.writes.push(slot);
         Ok(())
     }
 
@@ -774,13 +855,13 @@ impl Transaction {
         }
         // Hoisted once: read-only validation must never probe the write
         // index — a locked entry cannot be ours if we wrote nothing.
-        let may_own_locks = !self.write_index.is_empty();
+        let may_own_locks = !self.ctx.write_index.is_empty();
         for (lock, version) in self.pinned.iter() {
             let w = lock.sample();
             if w.version() != version {
                 return Err((AbortReason::ReadValidation, lock.addr()));
             }
-            if w.is_locked() && !(may_own_locks && self.write_index.contains(lock.addr())) {
+            if w.is_locked() && !(may_own_locks && self.ctx.write_index.contains(lock.addr())) {
                 return Err((AbortReason::LockBusy, lock.addr()));
             }
         }
@@ -814,7 +895,7 @@ impl Transaction {
             self.snap = None; // drop releases the registry slot
             return Ok(());
         }
-        if self.writes.is_empty() {
+        if self.ctx.writes.is_empty() {
             // Read-only: incremental validation (reads + extensions)
             // already guarantees a consistent snapshot at `rv`. The
             // commit still consults the chaos hook exactly like a
@@ -845,20 +926,16 @@ impl Transaction {
                 return Err(self.fail_at(reason, addr));
             }
         }
-        for slot in &mut self.writes {
+        for slot in &mut self.ctx.writes {
             chaos::hit(ChaosPoint::PrePublish);
             #[cfg(feature = "mvcc")]
             slot.publish(wv, self.pinned.guard(), retain);
             #[cfg(not(feature = "mvcc"))]
             slot.publish(wv, self.pinned.guard());
         }
-        // Slots are spent; park them (prevents a double publish if the
-        // transaction object is reused, keeps the allocations around).
-        self.write_index.clear();
-        for slot in self.writes.drain(..).rev() {
-            self.spare_writes.push(slot);
-        }
-        self.spare_writes.truncate(SPARE_CAP);
+        // Slots are spent; recycle them (prevents a double publish if
+        // the transaction object is reused, keeps the allocations).
+        self.clear_access_sets(false);
         Ok(())
     }
 
@@ -901,7 +978,7 @@ impl Transaction {
         self.restart()
     }
 
-    /// Releases every held lock and parks buffered state for reuse.
+    /// Releases every held lock and recycles buffered state for reuse.
     pub(crate) fn abort(&mut self) {
         #[cfg(feature = "mvcc")]
         {
@@ -909,12 +986,10 @@ impl Transaction {
             // holding version chains back (drop is a no-op when None).
             self.snap = None;
         }
-        for slot in &self.writes {
+        for slot in &self.ctx.writes {
             slot.release_abort();
         }
-        self.write_index.clear();
-        self.read_index.clear();
-        self.park_access_sets();
+        self.clear_access_sets(true);
     }
 }
 
@@ -923,7 +998,7 @@ impl std::fmt::Debug for Transaction {
         f.debug_struct("Transaction")
             .field("rv", &self.rv)
             .field("reads", &self.pinned.len())
-            .field("writes", &self.writes.len())
+            .field("writes", &self.ctx.writes.len())
             .finish()
     }
 }
@@ -1349,5 +1424,95 @@ mod tests {
         assert_eq!(t1.commit(), Err(StmError::Conflict));
         t1.abort();
         assert_eq!(sink.snapshot(), 0);
+    }
+
+    // -----------------------------------------------------------------
+    // The per-thread context: what `park` leaves behind.
+    // -----------------------------------------------------------------
+
+    /// After a commit, an abort + retry and a panicking body, the
+    /// parked context holds no variable handle and no user value, and
+    /// it is back in the thread's slot.
+    #[test]
+    fn parked_context_keeps_no_handle_and_no_value() {
+        use std::sync::Arc;
+        let stm = crate::Stm::default();
+        let vars: Vec<TVar<u64>> = (0..4).map(TVar::new).collect();
+        let at_baseline = |step: &str| {
+            for (i, v) in vars.iter().enumerate() {
+                assert_eq!(v.handle_count(), 1, "var {i} after {step}");
+            }
+        };
+        stm.atomically(|tx| vars.iter().try_for_each(|v| tx.modify(v, |x| x + 1)));
+        at_baseline("commit");
+
+        let mut first = true;
+        stm.atomically(|tx| {
+            vars.iter().try_for_each(|v| tx.write(v, 9))?;
+            if std::mem::take(&mut first) {
+                return Err(StmError::Conflict);
+            }
+            Ok(())
+        });
+        at_baseline("abort and retry");
+
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            stm.atomically(|tx| -> TxResult<()> {
+                vars.iter().try_for_each(|v| tx.write(v, 1))?;
+                panic!("boom");
+            })
+        }));
+        assert!(unwound.is_err());
+        at_baseline("panicking body");
+        assert!(vars.iter().all(|v| v.snapshot() == 9 && !v.is_locked()));
+        // The unwind parked the context too: its four slots are spare.
+        assert_eq!(Transaction::begin().footprint().spare_write_slots, 4);
+
+        // A value written by the previous transaction dies with its
+        // variable, not with the thread's context.
+        let tracker = Arc::new(());
+        let held = TVar::new(Arc::clone(&tracker));
+        stm.atomically(|tx| tx.write(&held, Arc::clone(&tracker)));
+        drop(held);
+        // Reclamation waits for every pinned thread, other tests' too.
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
+        while Arc::strong_count(&tracker) != 1 && std::time::Instant::now() < deadline {
+            crossbeam_epoch::pin().flush();
+            std::thread::yield_now();
+        }
+        assert_eq!(Arc::strong_count(&tracker), 1, "parked context kept it");
+    }
+
+    /// A nested `atomically` finds the thread's slot empty, runs on a
+    /// fresh context, and both transactions commit.
+    #[test]
+    fn nested_atomically_commits_both() {
+        let stm = crate::Stm::default();
+        let (outer, inner) = (TVar::new(0u64), TVar::new(0u64));
+        let seen = stm.atomically(|tx| {
+            tx.write(&outer, 1)?;
+            stm.atomically(|nested| nested.write(&inner, 2));
+            tx.read(&outer)
+        });
+        assert_eq!((seen, outer.snapshot(), inner.snapshot()), (1, 1, 2));
+        assert_eq!(stm.stats().commits(), 2);
+        assert!(!outer.is_locked() && !inner.is_locked());
+    }
+
+    /// Retained capacity is capped: a transaction with a huge footprint
+    /// does not leave it to every later transaction of the thread.
+    #[test]
+    fn parked_capacity_is_capped() {
+        let stm = crate::Stm::default();
+        let vars: Vec<TVar<u64>> = (0..100_000).map(TVar::new).collect();
+        let sum = stm.atomically(|tx| vars.iter().try_fold(0, |s, v| Ok(s + tx.read(v)?)));
+        assert_eq!(sum, (0..100_000).sum::<u64>());
+        stm.atomically(|tx| vars[..5_000].iter().try_for_each(|v| tx.write(v, 0)));
+        let parked = Transaction::begin().footprint();
+        assert!(parked.reads_capacity <= RETAIN_CAP, "{parked:?}");
+        assert!(parked.read_index_capacity <= RETAIN_CAP, "{parked:?}");
+        assert!(parked.writes_capacity <= RETAIN_CAP, "{parked:?}");
+        assert!(parked.write_index_capacity <= RETAIN_CAP, "{parked:?}");
+        assert!(parked.spare_write_slots <= SPARE_CAP, "{parked:?}");
     }
 }

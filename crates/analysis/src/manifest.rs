@@ -90,14 +90,14 @@ rand = { workspace = true }
 
 [features]
 trace = ["dep:serde"]
-mvcc = []
+extra = []
 
 [dev-dependencies]
 helper = { path = "x", optional = true }
 "#,
         );
         assert_eq!(m.name.as_deref(), Some("demo"));
-        let want: BTreeSet<String> = ["trace", "mvcc", "serde", "helper"]
+        let want: BTreeSet<String> = ["trace", "extra", "serde", "helper"]
             .into_iter()
             .map(String::from)
             .collect();
@@ -106,9 +106,9 @@ helper = { path = "x", optional = true }
 
     #[test]
     fn comments_and_hash_in_strings() {
-        let m = parse("[features]\ntrace = [] # enables tracing\n# mvcc = []\n");
+        let m = parse("[features]\ntrace = [] # enables tracing\n# extra = []\n");
         assert!(m.features.contains("trace"));
-        assert!(!m.features.contains("mvcc"));
+        assert!(!m.features.contains("extra"));
         assert_eq!(strip_toml_comment(r#"x = "a#b""#), r#"x = "a#b""#);
     }
 }

@@ -222,8 +222,8 @@ mod tests {
     #[test]
     fn cfg_attr_and_cfg_macro_checked() {
         let v = run(
-            "#[cfg_attr(feature = \"serd\", derive(Serialize))]\nstruct S;\nfn f() { if cfg!(feature = \"mvc\") {} }",
-            &["serde", "mvcc"],
+            "#[cfg_attr(feature = \"serd\", derive(Serialize))]\nstruct S;\nfn f() { if cfg!(feature = \"chaso\") {} }",
+            &["serde", "chaos"],
         );
         assert_eq!(v.len(), 2, "{v:?}");
     }

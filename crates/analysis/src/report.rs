@@ -87,7 +87,7 @@ pub struct Stats {
     /// SeqCst/Relaxed/fence sites audited (R2 + R5).
     pub ordering_sites: usize,
     /// `unsafe` sites audited (R3).
-    pub unsafe_sites: usize, // lint: allow-unsafe — identifier, not an unsafe block
+    pub unsafe_sites: usize,
     /// `txn: allow-effect` escapes honoured (each carries a reason).
     pub escapes: usize,
 }
@@ -136,7 +136,7 @@ impl Report {
             st.cfg_sites,
             st.event_kinds,
             st.ordering_sites,
-            st.unsafe_sites, // lint: allow-unsafe — identifier, not an unsafe block
+            st.unsafe_sites,
             st.escapes
         ));
         s

@@ -28,7 +28,7 @@ fn workspace_analyzes_clean() {
 fn workspace_stats_are_plausible() {
     let rep = rubic_analyze::analyze(&workspace_root());
     // The workspace has hundreds of Rust files, a tracing schema with
-    // 20 event kinds, and dozens of audited ordering sites; zeros here
+    // 15 event kinds, and dozens of audited ordering sites; zeros here
     // mean a walk or pass silently matched nothing.
     assert!(rep.stats.files > 50, "files: {}", rep.stats.files);
     assert!(
@@ -37,12 +37,12 @@ fn workspace_stats_are_plausible() {
         rep.stats.txn_contexts
     );
     assert!(
-        rep.stats.cfg_sites > 50,
+        rep.stats.cfg_sites > 30,
         "cfg_sites: {}",
         rep.stats.cfg_sites
     );
     assert_eq!(
-        rep.stats.event_kinds, 20,
+        rep.stats.event_kinds, 15,
         "event_kinds: {}",
         rep.stats.event_kinds
     );

@@ -4,23 +4,20 @@
 //! cargo run --release -p rubic-bench --bin stmbench             # full sweep → BENCH_stm.json
 //! cargo run --release -p rubic-bench --bin stmbench -- --smoke  # ~1 s schema-validation run
 //! cargo run --release -p rubic-bench --bin stmbench -- --reps 5 --duration-ms 500 --out /tmp/b.json
-//! cargo run --release -p rubic-bench --features mvcc --bin stmbench -- --mode sv,mvcc
 //! ```
 //!
-//! Writes the `rubic-stmbench/v3` JSON report (see the README's
+//! Writes the `rubic-stmbench/v4` JSON report (see the README's
 //! "Benchmarking" section for the schema) after validating it; a run
 //! that produces an out-of-range or structurally broken report exits
-//! non-zero without touching the output file. `--mode` restricts the
-//! protocol modes swept (`sv` always available; `mvcc` only in builds
-//! with `--features mvcc` — by default every available mode runs).
-//! `--structure` restricts the map backends swept for the map-backed
-//! workloads (`snapshot`, `btree`; counter always runs as `snapshot`).
+//! non-zero without touching the output file. `--structure` restricts
+//! the map backends swept for the map-backed workloads (`snapshot`,
+//! `btree`; counter always runs as `snapshot`).
 
 use std::path::PathBuf;
 use std::time::Duration;
 
 use rubic_bench::postmortem::{self, BenchTrace, NoisyPoint, PostmortemOptions};
-use rubic_bench::stmbench::{available_modes, run_sweep, SweepOptions, STRUCTURES};
+use rubic_bench::stmbench::{run_sweep, SweepOptions, STRUCTURES};
 
 struct Args {
     opts: SweepOptions,
@@ -56,23 +53,6 @@ fn parse_args() -> Result<Args, String> {
                     return Err("--threads needs positive thread counts".into());
                 }
             }
-            "--mode" => {
-                let v = it.next().ok_or("--mode needs a comma-separated list")?;
-                let avail = available_modes();
-                let mut modes = Vec::new();
-                for m in v.split(',') {
-                    let Some(&known) = avail.iter().find(|&&a| a == m) else {
-                        return Err(format!(
-                            "--mode {m} not available in this build (have: {})",
-                            avail.join(",")
-                        ));
-                    };
-                    if !modes.contains(&known) {
-                        modes.push(known);
-                    }
-                }
-                opts.modes = modes;
-            }
             "--structure" => {
                 let v = it
                     .next()
@@ -95,7 +75,7 @@ fn parse_args() -> Result<Args, String> {
             "--help" | "-h" => {
                 return Err(
                     "usage: stmbench [--smoke] [--reps N] [--duration-ms N] [--threads 1,2,4] \
-                     [--mode sv,mvcc] [--structure snapshot,btree] [--out PATH] \
+                     [--structure snapshot,btree] [--out PATH] \
                      [--postmortem DIR] [--stddev-ratio R]"
                         .into(),
                 );
@@ -119,14 +99,13 @@ fn main() {
         }
     };
     eprintln!(
-        "stmbench: {} threads sweep, modes {}, structures {}, {} reps x {} ms{}",
+        "stmbench: {} threads sweep, structures {}, {} reps x {} ms{}",
         args.opts
             .threads
             .iter()
             .map(ToString::to_string)
             .collect::<Vec<_>>()
             .join(","),
-        args.opts.modes.join(","),
         args.opts.structures.join(","),
         args.opts.reps,
         args.opts.duration.as_millis(),
@@ -149,10 +128,7 @@ fn main() {
             )
         })
         .map(|p| NoisyPoint {
-            label: format!(
-                "{}/{}/{}/{}/t{}",
-                p.workload, p.mix, p.structure, p.mode, p.threads
-            ),
+            label: format!("{}/{}/{}/t{}", p.workload, p.mix, p.structure, p.threads),
             mean: p.ops_per_sec.mean,
             stddev: p.ops_per_sec.stddev,
         })

@@ -8,18 +8,16 @@
 //!
 //! The `stmbench` binary writes the result as `BENCH_stm.json` at the
 //! repository root — the seed of the perf trajectory later PRs are
-//! judged against. The schema (`rubic-stmbench/v3`) is documented in
+//! judged against. The schema (`rubic-stmbench/v4`) is documented in
 //! the README's "Benchmarking" section and validated by
 //! [`BenchReport::validate`], which the binary runs before writing so
 //! a malformed report can never be committed silently.
 //!
-//! Since v2 every point carries a protocol **mode**: `sv` is the
-//! classic single-version validated protocol; `mvcc` (swept only when
-//! built with `--features mvcc`) runs the same workload on an
-//! `Stm::builder().mvcc(true)` runtime, where declared read-only
-//! transactions pin snapshots and commit abort-free. The per-point
-//! `ro_commits`/`ro_aborts` totals make the abort-freedom claim
-//! measurable: an mvcc rbtree read-mix row must show `ro_aborts: 0`.
+//! Every point carries the `ro_commits`/`ro_aborts` totals of its
+//! declared read-only transactions: what the engine's one read protocol
+//! (invisible reads, validated) pays in read-only aborts. v4 dropped the
+//! `mode` field of v2–v3 along with the multi-version mode it selected
+//! (DESIGN.md §14).
 //!
 //! Since v3 every point also carries a **structure**: the ordered-map
 //! backend behind the workload. `snapshot` is the single-cell
@@ -51,19 +49,7 @@ use rubic::workloads::vacation::{VacationConfig, VacationWorkloadOn};
 use rubic::workloads::{ConflictCounter, StripedCounter};
 
 /// Schema identifier written into every report.
-pub const SCHEMA: &str = "rubic-stmbench/v3";
-
-/// Protocol modes this build can sweep: the single-version validated
-/// protocol always, plus mvcc snapshot mode when compiled with
-/// `--features mvcc`.
-#[must_use]
-pub fn available_modes() -> Vec<&'static str> {
-    if cfg!(feature = "mvcc") {
-        vec!["sv", "mvcc"]
-    } else {
-        vec!["sv"]
-    }
-}
+pub const SCHEMA: &str = "rubic-stmbench/v4";
 
 /// Mean ± sample standard deviation over a set of repetitions.
 #[derive(Debug, Clone)]
@@ -111,8 +97,6 @@ pub struct BenchPoint {
     /// or `btree` (per-node B-tree). Always `snapshot` for workloads
     /// without a map axis (counter).
     pub structure: &'static str,
-    /// Protocol mode: `sv` (single-version) or `mvcc` (snapshot mode).
-    pub mode: &'static str,
     /// Worker threads (fixed parallelism level for the whole run).
     pub threads: u32,
     /// Committed transactions per second.
@@ -121,8 +105,7 @@ pub struct BenchPoint {
     pub abort_rate: Stat,
     /// Read-only commits summed across all repetitions.
     pub ro_commits: u64,
-    /// Read-only aborted attempts summed across all repetitions. The
-    /// mvcc abort-freedom claim shows up here as an exact `0`.
+    /// Read-only aborted attempts summed across all repetitions.
     pub ro_aborts: u64,
 }
 
@@ -138,8 +121,7 @@ pub struct BenchReport {
     pub smoke: bool,
     /// `std::thread::available_parallelism` on the measuring host.
     pub hw_threads: u32,
-    /// One entry per (workload, mix, structure, mode, threads)
-    /// configuration.
+    /// One entry per (workload, mix, structure, threads) configuration.
     pub points: Vec<BenchPoint>,
 }
 
@@ -152,8 +134,6 @@ pub struct SweepOptions {
     pub duration: Duration,
     /// Thread counts to sweep.
     pub threads: Vec<u32>,
-    /// Protocol modes to sweep (subset of [`available_modes`]).
-    pub modes: Vec<&'static str>,
     /// Map structures to sweep (subset of [`STRUCTURES`]); workloads
     /// without a map axis always run once as `snapshot`.
     pub structures: Vec<&'static str>,
@@ -162,15 +142,14 @@ pub struct SweepOptions {
 }
 
 impl SweepOptions {
-    /// The full sweep: {1,2,4,8,16} threads, 3 reps, 300 ms each,
-    /// every protocol mode the build supports, both map structures.
+    /// The full sweep: {1,2,4,8,16} threads, 3 reps, 300 ms each, both
+    /// map structures.
     #[must_use]
     pub fn full() -> Self {
         SweepOptions {
             reps: 3,
             duration: Duration::from_millis(300),
             threads: vec![1, 2, 4, 8, 16],
-            modes: available_modes(),
             structures: STRUCTURES.to_vec(),
             smoke: false,
         }
@@ -184,7 +163,6 @@ impl SweepOptions {
             reps: 1,
             duration: Duration::from_millis(25),
             threads: vec![1, 2],
-            modes: available_modes(),
             structures: STRUCTURES.to_vec(),
             smoke: true,
         }
@@ -194,7 +172,6 @@ impl SweepOptions {
 /// The benchmarked grid axes.
 const WORKLOADS: [&str; 3] = ["counter", "rbtree", "vacation"];
 const MIXES: [&str; 3] = ["read-only", "read-heavy", "write-heavy"];
-const MODES: [&str; 2] = ["sv", "mvcc"];
 /// The map-structure axis (v3): `snapshot` is the single-cell `TMap`,
 /// `btree` the per-node `TBTreeMap`.
 pub const STRUCTURES: [&str; 2] = ["snapshot", "btree"];
@@ -217,18 +194,6 @@ fn structures_for(workload: &str) -> &'static [&'static str] {
     }
 }
 
-/// Builds the runtime for one protocol mode. `mode` can only be
-/// `"mvcc"` when the feature is compiled in (the CLI and
-/// [`SweepOptions`] both draw from [`available_modes`]).
-fn make_stm(mode: &str) -> Stm {
-    #[cfg(feature = "mvcc")]
-    if mode == "mvcc" {
-        return Stm::builder().mvcc(true).build();
-    }
-    debug_assert_eq!(mode, "sv", "mode {mode} not available in this build");
-    Stm::default()
-}
-
 /// Per-repetition measurements of one configuration.
 struct RunSample {
     ops_per_sec: f64,
@@ -237,16 +202,15 @@ struct RunSample {
     ro_aborts: u64,
 }
 
-/// Runs one (workload, mix, structure, mode, threads) repetition.
+/// Runs one (workload, mix, structure, threads) repetition.
 fn run_once(
     workload: &'static str,
     mix: &'static str,
     structure: &'static str,
-    mode: &'static str,
     threads: u32,
     opts: &SweepOptions,
 ) -> RunSample {
-    let stm = make_stm(mode);
+    let stm = Stm::default();
     match (workload, mix) {
         ("counter", "read-heavy") => {
             let stripes = if opts.smoke { 64 } else { 1024 };
@@ -352,40 +316,37 @@ pub fn run_sweep(opts: &SweepOptions) -> BenchReport {
                 if !opts.structures.contains(&structure) && structures_for(workload).len() > 1 {
                     continue;
                 }
-                for &mode in &opts.modes {
-                    for &threads in &opts.threads {
-                        let mut ops = Vec::with_capacity(opts.reps as usize);
-                        let mut aborts = Vec::with_capacity(opts.reps as usize);
-                        let mut ro_commits = 0u64;
-                        let mut ro_aborts = 0u64;
-                        for _ in 0..opts.reps {
-                            let s = run_once(workload, mix, structure, mode, threads, opts);
-                            ops.push(s.ops_per_sec);
-                            aborts.push(s.abort_rate);
-                            ro_commits += s.ro_commits;
-                            ro_aborts += s.ro_aborts;
-                        }
-                        let point = BenchPoint {
-                            workload,
-                            mix,
-                            structure,
-                            mode,
-                            threads,
-                            ops_per_sec: Stat::from_samples(ops),
-                            abort_rate: Stat::from_samples(aborts),
-                            ro_commits,
-                            ro_aborts,
-                        };
-                        eprintln!(
-                            "  {workload:>8} {mix:<11} {structure:<8} {mode:<4} t={threads:<2} {:>12.0} ops/s ± {:>6.0}  abort {:.1}%  ro {}/{}",
-                            point.ops_per_sec.mean,
-                            point.ops_per_sec.stddev,
-                            point.abort_rate.mean * 100.0,
-                            point.ro_commits,
-                            point.ro_aborts,
-                        );
-                        points.push(point);
+                for &threads in &opts.threads {
+                    let mut ops = Vec::with_capacity(opts.reps as usize);
+                    let mut aborts = Vec::with_capacity(opts.reps as usize);
+                    let mut ro_commits = 0u64;
+                    let mut ro_aborts = 0u64;
+                    for _ in 0..opts.reps {
+                        let s = run_once(workload, mix, structure, threads, opts);
+                        ops.push(s.ops_per_sec);
+                        aborts.push(s.abort_rate);
+                        ro_commits += s.ro_commits;
+                        ro_aborts += s.ro_aborts;
                     }
+                    let point = BenchPoint {
+                        workload,
+                        mix,
+                        structure,
+                        threads,
+                        ops_per_sec: Stat::from_samples(ops),
+                        abort_rate: Stat::from_samples(aborts),
+                        ro_commits,
+                        ro_aborts,
+                    };
+                    eprintln!(
+                        "  {workload:>8} {mix:<11} {structure:<8} t={threads:<2} {:>12.0} ops/s ± {:>6.0}  abort {:.1}%  ro {}/{}",
+                        point.ops_per_sec.mean,
+                        point.ops_per_sec.stddev,
+                        point.abort_rate.mean * 100.0,
+                        point.ro_commits,
+                        point.ro_aborts,
+                    );
+                    points.push(point);
                 }
             }
         }
@@ -420,7 +381,7 @@ fn json_stat(s: &Stat, indent: &str) -> String {
 }
 
 impl BenchReport {
-    /// Serialises the report as the documented `rubic-stmbench/v3`
+    /// Serialises the report as the documented `rubic-stmbench/v4`
     /// JSON schema.
     #[must_use]
     pub fn to_json(&self) -> String {
@@ -436,11 +397,10 @@ impl BenchReport {
             .iter()
             .map(|p| {
                 format!(
-                    "    {{\n      \"workload\": \"{}\",\n      \"mix\": \"{}\",\n      \"structure\": \"{}\",\n      \"mode\": \"{}\",\n      \"threads\": {},\n      \"ops_per_sec\": {},\n      \"abort_rate\": {},\n      \"ro_commits\": {},\n      \"ro_aborts\": {}\n    }}",
+                    "    {{\n      \"workload\": \"{}\",\n      \"mix\": \"{}\",\n      \"structure\": \"{}\",\n      \"threads\": {},\n      \"ops_per_sec\": {},\n      \"abort_rate\": {},\n      \"ro_commits\": {},\n      \"ro_aborts\": {}\n    }}",
                     p.workload,
                     p.mix,
                     p.structure,
-                    p.mode,
                     p.threads,
                     json_stat(&p.ops_per_sec, "      "),
                     json_stat(&p.abort_rate, "      "),
@@ -485,9 +445,6 @@ impl BenchReport {
                     "{tag}: structure {} not swept for {}",
                     p.structure, p.workload
                 ));
-            }
-            if !MODES.contains(&p.mode) {
-                return Err(format!("{tag}: unknown mode {}", p.mode));
             }
             if p.threads == 0 {
                 return Err(format!("{tag}: zero threads"));
@@ -540,16 +497,15 @@ mod tests {
         let report = run_sweep(&opts);
         report.validate().expect("smoke report must validate");
         let json = report.to_json();
-        assert!(json.contains("\"schema\": \"rubic-stmbench/v3\""));
+        assert!(json.contains("\"schema\": \"rubic-stmbench/v4\""));
         assert!(json.contains("\"workload\": \"rbtree\""));
-        assert!(json.contains("\"mode\": \"sv\""));
+        assert!(!json.contains("\"mode\""), "v4 has no mode axis");
         assert!(json.contains("\"structure\": \"snapshot\""));
         assert!(json.contains("\"structure\": \"btree\""));
         // counter 2 mixes × 1 structure + rbtree 3 × 2 + vacation 2 × 2.
-        let expected = 12 * available_modes().len();
         assert_eq!(
             report.points.len(),
-            expected,
+            12,
             "per-workload mix × structure grid at 1 level"
         );
         // Balanced braces/brackets — cheap structural check without a
@@ -566,7 +522,6 @@ mod tests {
         opts.threads = vec![1];
         opts.duration = Duration::from_millis(5);
         opts.structures = vec!["btree"];
-        opts.modes = vec!["sv"];
         let report = run_sweep(&opts);
         report.validate().expect("filtered report must validate");
         // counter still runs (pinned snapshot); rbtree/vacation only btree.
@@ -597,7 +552,6 @@ mod tests {
                 workload: "counter",
                 mix: "read-heavy",
                 structure: "snapshot",
-                mode: "sv",
                 threads: 1,
                 ops_per_sec: Stat::from_samples(vec![100.0]),
                 abort_rate: Stat::from_samples(vec![1.5]),
@@ -606,25 +560,6 @@ mod tests {
             }],
         };
         assert!(bad.validate().unwrap_err().contains("abort rate"));
-
-        let unknown_mode = BenchReport {
-            reps: 1,
-            duration_ms: 1,
-            smoke: true,
-            hw_threads: 1,
-            points: vec![BenchPoint {
-                workload: "counter",
-                mix: "read-heavy",
-                structure: "snapshot",
-                mode: "hybrid",
-                threads: 1,
-                ops_per_sec: Stat::from_samples(vec![100.0]),
-                abort_rate: Stat::from_samples(vec![0.0]),
-                ro_commits: 0,
-                ro_aborts: 0,
-            }],
-        };
-        assert!(unknown_mode.validate().unwrap_err().contains("mode"));
 
         // Structure restrictions: counter must not claim a btree row,
         // and only rbtree sweeps the read-only mix.
@@ -637,7 +572,6 @@ mod tests {
                 workload: "counter",
                 mix: "read-heavy",
                 structure: "btree",
-                mode: "sv",
                 threads: 1,
                 ops_per_sec: Stat::from_samples(vec![100.0]),
                 abort_rate: Stat::from_samples(vec![0.0]),
@@ -659,7 +593,6 @@ mod tests {
                 workload: "vacation",
                 mix: "read-only",
                 structure: "snapshot",
-                mode: "sv",
                 threads: 1,
                 ops_per_sec: Stat::from_samples(vec![100.0]),
                 abort_rate: Stat::from_samples(vec![0.0]),
@@ -671,27 +604,5 @@ mod tests {
             .validate()
             .unwrap_err()
             .contains("not swept for vacation"));
-    }
-
-    #[cfg(feature = "mvcc")]
-    #[test]
-    fn mvcc_smoke_rows_are_abort_free_for_read_only() {
-        // One tiny rbtree read-heavy mvcc rep per structure: the
-        // declared read-only lookups must commit through the snapshot
-        // path with zero read-only aborts on both map backends.
-        let mut opts = SweepOptions::smoke();
-        opts.threads = vec![2];
-        opts.duration = Duration::from_millis(10);
-        for structure in STRUCTURES {
-            let s = run_once("rbtree", "read-heavy", structure, "mvcc", 2, &opts);
-            assert!(
-                s.ro_commits > 0,
-                "read-only lookups should have run ({structure})"
-            );
-            assert_eq!(
-                s.ro_aborts, 0,
-                "mvcc snapshots must not abort ({structure})"
-            );
-        }
     }
 }

@@ -14,11 +14,6 @@
 //!   vendored `crossbeam-epoch`-style reclamation, instance-based so
 //!   executions are independent, with the drain threshold configurable
 //!   to demonstrate premature-free detection.
-//! * [`mvcc`] — the multi-version snapshot protocol layered on the
-//!   vlock model (`rubic-stm --features mvcc`): version chains, the
-//!   snapshot-timestamp registry's SC-fence handshake, and prefix-drain
-//!   pruning, with the retention rule configurable so the mutation
-//!   self-test can prune early and assert the checker catches it.
 //! * [`reclaim`] — deferred `TVarCore` reclamation (`tvar.rs`): a read-set
 //!   entry borrows the attempt's epoch pin instead of a handle, so the
 //!   last handle must *retire* the core, not free it. The mutation frees
@@ -38,6 +33,5 @@
 
 pub mod btree;
 pub mod epoch;
-pub mod mvcc;
 pub mod reclaim;
 pub mod vlock;

@@ -3,7 +3,7 @@
 //! protocols and must catch deliberately weakened variants within a
 //! bounded, seeded budget — deterministically enough to replay.
 
-use rubic_check::models::{btree, epoch, mvcc, reclaim, vlock};
+use rubic_check::models::{btree, epoch, reclaim, vlock};
 use rubic_check::sync::atomic::Ordering;
 use rubic_check::{check, Config, FailureKind};
 
@@ -89,42 +89,6 @@ fn version_guarded_payload_needs_acquire_sample() {
     check(Config::dfs(10_000), publish_model(Ordering::Acquire)).assert_ok();
     let report = check(Config::dfs(10_000), publish_model(Ordering::Relaxed));
     assert_eq!(report.expect_failure().kind, FailureKind::Race);
-}
-
-/// The multi-version snapshot protocol with the production retention
-/// rule passes: every explored schedule yields consistent snapshot cuts
-/// and no pinned snapshot ever observes a pruned version.
-#[test]
-fn mvcc_correct_retention_passes() {
-    let report = check(
-        Config::pct(0x37CC, rubic_check::env_iters(128)),
-        mvcc::model(mvcc::MvccModel::default()),
-    );
-    report.assert_ok();
-}
-
-/// Pruning without the registry scan (retain only up to the writer's
-/// own stamp) is the canonical multi-version retention bug: a snapshot
-/// registered below `wv` still needs the displaced version. The checker
-/// must catch it, and the failure must replay from its trace.
-#[test]
-fn mvcc_early_prune_is_caught_and_replays() {
-    let mutated = mvcc::MvccModel { early_prune: true };
-    let report = check(Config::pct(0x37CC, 256), mvcc::model(mutated));
-    let failure = report.expect_failure().clone();
-    assert!(
-        matches!(failure.kind, FailureKind::Panic | FailureKind::Race),
-        "early prune must surface as a poisoned snapshot read, got {:?}",
-        failure.kind
-    );
-
-    let replayed = check(Config::replay_trace(&failure.trace), mvcc::model(mutated));
-    let rf = replayed.expect_failure();
-    assert_eq!(rf.kind, failure.kind, "trace replay reproduces the kind");
-    assert_eq!(
-        rf.trace, failure.trace,
-        "trace replay reproduces the schedule"
-    );
 }
 
 /// The B-tree's one-commit-per-structural-change discipline passes:

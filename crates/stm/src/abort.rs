@@ -33,17 +33,11 @@ pub enum AbortReason {
     /// The transaction body itself returned `Err` without the engine
     /// flagging a conflict first (an explicit user retry).
     Explicit = 4,
-    /// A multi-version snapshot read could not find a version visible at
-    /// the pinned timestamp: the bounded per-TVar chain was forced to
-    /// drop it (chain cap overflow under a long-lived snapshot). The
-    /// snapshot retry loop re-pins a fresh timestamp, so this reason is
-    /// transient by construction. Only raised with the `mvcc` feature.
-    SnapshotStale = 5,
 }
 
 impl AbortReason {
     /// Number of distinct reasons.
-    pub const COUNT: usize = 6;
+    pub const COUNT: usize = 5;
 
     /// All reasons, in discriminant order.
     pub const ALL: [AbortReason; AbortReason::COUNT] = [
@@ -52,7 +46,6 @@ impl AbortReason {
         AbortReason::CmKill,
         AbortReason::Chaos,
         AbortReason::Explicit,
-        AbortReason::SnapshotStale,
     ];
 
     /// The stable wire code (equals the `rubic_trace::codes::ABORT_*`
@@ -78,7 +71,6 @@ impl AbortReason {
             AbortReason::CmKill => "cm-kill",
             AbortReason::Chaos => "chaos",
             AbortReason::Explicit => "explicit",
-            AbortReason::SnapshotStale => "snapshot-stale",
         }
     }
 }
@@ -116,10 +108,6 @@ mod tests {
         assert_eq!(AbortReason::CmKill.code(), codes::ABORT_CM_KILL);
         assert_eq!(AbortReason::Chaos.code(), codes::ABORT_CHAOS);
         assert_eq!(AbortReason::Explicit.code(), codes::ABORT_EXPLICIT);
-        assert_eq!(
-            AbortReason::SnapshotStale.code(),
-            codes::ABORT_SNAPSHOT_STALE
-        );
         assert_eq!(AbortReason::COUNT, codes::ABORT_REASONS);
         for reason in AbortReason::ALL {
             assert_eq!(reason.name(), codes::abort_name(reason.code()));

@@ -35,9 +35,8 @@ static GLOBAL_CLOCK: CachePadded<AtomicU64> = CachePadded::new(AtomicU64::new(0)
 /// # Wraparound story
 ///
 /// Version timestamps must stay totally ordered by plain integer
-/// comparison: the versioned locks compare them (`version <= rv`), the
-/// mvcc visibility rule compares them (`stamp <= rv < succ`), and a
-/// wrapped clock would silently invert every one of those comparisons.
+/// comparison: the versioned locks compare them (`version <= rv`), and
+/// a wrapped clock would silently invert every one of those comparisons.
 /// Nothing in the engine renumbers or epochs the clock, so the design
 /// stance is *saturation is unreachable, and we assert it*:
 ///

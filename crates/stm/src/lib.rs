@@ -68,8 +68,6 @@ pub mod chaos;
 pub mod clock;
 pub mod cm;
 mod index;
-#[cfg(feature = "mvcc")]
-mod snap;
 pub mod stats;
 pub mod stm;
 mod trc;

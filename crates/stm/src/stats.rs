@@ -88,17 +88,11 @@ struct Stripe {
     reads: AtomicU64,
     writes: AtomicU64,
     /// Commits by [`crate::Stm::read_only`] transactions (a subset of
-    /// `commits`). Unconditional — a plain counter is cheaper than a
-    /// cfg'd hole in the snapshot type, and the mvcc abort-freedom claim
-    /// (`ro_aborts == 0` under snapshot mode) is benchmarked off it.
+    /// `commits`).
     ro_commits: AtomicU64,
     aborts: AtomicU64,
     /// Aborted attempts inside `read_only` (a subset of `aborts`).
     ro_aborts: AtomicU64,
-    /// Snapshot transactions demoted to the classic validated protocol
-    /// (registry exhaustion, repeated chain-overflow staleness, or a
-    /// body that wrote); stays 0 in non-mvcc builds.
-    snap_demotions: AtomicU64,
     /// Aborts broken down by [`AbortReason`], indexed by reason code.
     by_reason: [AtomicU64; AbortReason::COUNT],
 }
@@ -180,15 +174,6 @@ impl StmStats {
         }
     }
 
-    // Only called from the mvcc snapshot fallback path; allowed to be
-    // dead elsewhere.
-    #[inline]
-    #[allow(dead_code)]
-    pub(crate) fn record_snap_demotion(&self) {
-        let (s, exclusive) = self.mine();
-        bump(&s.snap_demotions, 1, exclusive);
-    }
-
     /// Total committed transactions.
     #[must_use]
     pub fn commits(&self) -> u64 {
@@ -235,18 +220,10 @@ impl StmStats {
     }
 
     /// Aborted attempts inside [`crate::Stm::read_only`] (a subset of
-    /// [`aborts`](Self::aborts)). Exactly `0` when every read-only
-    /// transaction ran in mvcc snapshot mode.
+    /// [`aborts`](Self::aborts)).
     #[must_use]
     pub fn ro_aborts(&self) -> u64 {
         self.sum(|s| &s.ro_aborts)
-    }
-
-    /// Snapshot transactions that fell back to the classic validated
-    /// protocol (mvcc mode only; always `0` otherwise).
-    #[must_use]
-    pub fn snap_demotions(&self) -> u64 {
-        self.sum(|s| &s.snap_demotions)
     }
 
     /// Fraction of attempts that aborted: `aborts / (commits + aborts)`.
@@ -274,7 +251,6 @@ impl StmStats {
             abort_reasons: self.aborts_by_reason(),
             ro_commits: self.ro_commits(),
             ro_aborts: self.ro_aborts(),
-            snap_demotions: self.snap_demotions(),
         }
     }
 }
@@ -297,8 +273,6 @@ pub struct StatsSnapshot {
     /// Aborted attempts inside read-only transactions (a subset of
     /// `aborts`).
     pub ro_aborts: u64,
-    /// Snapshot transactions demoted to the classic protocol.
-    pub snap_demotions: u64,
 }
 
 impl StatsSnapshot {
@@ -322,7 +296,6 @@ impl StatsSnapshot {
             abort_reasons,
             ro_commits: self.ro_commits.saturating_sub(earlier.ro_commits),
             ro_aborts: self.ro_aborts.saturating_sub(earlier.ro_aborts),
-            snap_demotions: self.snap_demotions.saturating_sub(earlier.snap_demotions),
         }
     }
 }
@@ -443,7 +416,6 @@ mod tests {
             },
             ro_commits: threads * ROUNDS,
             ro_aborts: ro_threads * ROUNDS,
-            snap_demotions: 0,
         };
         assert_eq!(after, expected);
         assert_eq!(after.abort_reasons.iter().sum::<u64>(), after.aborts);

@@ -2,10 +2,10 @@
 //!
 //! A call to [`Stm::atomically`] borrows the calling thread's
 //! transaction context for its whole retry loop (`Transaction::begin`
-//! takes it, `Transaction::park` returns it — on commit, on a
-//! panicking body, and between the mvcc snapshot attempts), so a
-//! committed transaction's fixed cost is one epoch pin/unpin, the body,
-//! and plain stores to thread-owned memory (DESIGN.md §11).
+//! takes it, `Transaction::park` returns it — on commit and on a
+//! panicking body), so a committed transaction's fixed cost is one
+//! epoch pin/unpin, the body, and plain stores to thread-owned memory
+//! (DESIGN.md §11).
 
 use std::sync::Arc;
 
@@ -33,12 +33,6 @@ use crate::txn::{Transaction, TxResult};
 pub struct Stm {
     cm: Arc<dyn ContentionManager>,
     stats: Arc<StmStats>,
-    /// Multi-version mode: writing commits append the displaced value to
-    /// the variable's version chain and [`Stm::read_only`] pins a
-    /// snapshot timestamp instead of validating. Off by default — the
-    /// single-version protocol is untouched unless a builder opts in.
-    #[cfg(feature = "mvcc")]
-    mvcc: bool,
 }
 
 impl Stm {
@@ -69,14 +63,11 @@ impl Stm {
         self.run(false, &mut f)
     }
 
-    /// The classic validated retry loop shared by [`atomically`]
-    /// (`Self::atomically`) and the non-snapshot paths of
-    /// [`read_only`](Self::read_only); `read_only` only adds the
+    /// The retry loop behind [`atomically`](Self::atomically) and
+    /// [`read_only`](Self::read_only); `read_only` only selects the
     /// ro-commit/abort accounting.
     fn run<R>(&self, read_only: bool, f: &mut impl FnMut(&mut Transaction) -> TxResult<R>) -> R {
         let mut tx = Transaction::begin();
-        #[cfg(feature = "mvcc")]
-        tx.set_mvcc(self.mvcc);
         let mut trace = crate::trc::TxTrace::begin();
         let mut attempt: u32 = 0;
         loop {
@@ -119,93 +110,13 @@ impl Stm {
         }
     }
 
-    /// Runs a read-only transaction.
-    ///
-    /// Without mvcc mode this is [`atomically`](Self::atomically) plus
-    /// read-only commit/abort accounting (writes are not prevented by
-    /// the type system). With [`StmBuilder::mvcc`] enabled, the
-    /// transaction pins a snapshot timestamp and reads the version
-    /// visible at it: no read-set, no validation, and — outside the
-    /// transient bounded-chain fallback — no aborts. A body that does
-    /// write demotes itself and reruns under the classic protocol.
+    /// Runs a transaction the caller declares read-only: the same
+    /// validated protocol as [`atomically`](Self::atomically) — invisible
+    /// reads, incremental validation, a commit that writes no shared
+    /// memory — with the outcome counted under `ro_commits`/`ro_aborts`.
+    /// The declaration is accounting only; writes are not prevented.
     pub fn read_only<R>(&self, mut f: impl FnMut(&mut Transaction) -> TxResult<R>) -> R {
-        #[cfg(feature = "mvcc")]
-        if self.mvcc {
-            return self.read_only_snapshot(&mut f);
-        }
         self.run(true, &mut f)
-    }
-
-    /// The mvcc snapshot path of [`read_only`](Self::read_only): pin,
-    /// read at the pinned timestamp, commit abort-free. Falls back to
-    /// the always-correct classic loop on registry exhaustion, repeated
-    /// chain-overflow staleness, or demotion (the body wrote).
-    #[cfg(feature = "mvcc")]
-    fn read_only_snapshot<R>(&self, f: &mut impl FnMut(&mut Transaction) -> TxResult<R>) -> R {
-        /// Consecutive `SnapshotStale` re-pins tolerated before giving
-        /// the classic protocol the job: staleness needs a variable to
-        /// outrun its bounded version chain mid-snapshot, so one retry
-        /// almost always suffices and eight means pathological churn.
-        const STALE_LIMIT: u32 = 8;
-        let mut trace = crate::trc::TxTrace::begin();
-        let mut attempt: u32 = 0;
-        let mut demoted_write = false;
-        for _ in 0..STALE_LIMIT {
-            let Some(mut tx) = Transaction::begin_snapshot() else {
-                // Registry full (or writers outran pinning): classic
-                // mode is a correctness-neutral fallback.
-                break;
-            };
-            let outcome = {
-                let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&mut tx)));
-                match result {
-                    Ok(body) => body,
-                    Err(payload) => {
-                        tx.abort();
-                        tx.park();
-                        std::panic::resume_unwind(payload);
-                    }
-                }
-            };
-            match outcome.and_then(|r| tx.commit().map(|()| r)) {
-                Ok(r) => {
-                    let (reads, writes) = tx.op_counts();
-                    tx.park();
-                    self.stats.record_commit(reads, writes, true);
-                    trace.on_commit(reads, writes, attempt + 1);
-                    return r;
-                }
-                Err(_) => {
-                    let reason = tx.conflict_reason();
-                    let demoted = tx.snapshot_demoted();
-                    tx.abort();
-                    // A demotion (the body wrote — not read-only after
-                    // all) is not charged as a read-only abort: it is a
-                    // mode switch, not a data conflict.
-                    self.stats.record_abort(reason, !demoted);
-                    crate::stats::note_thread_abort();
-                    attempt += 1;
-                    trace.on_abort(reason, attempt, tx.conflict_addr());
-                    tx.park();
-                    if demoted {
-                        demoted_write = true;
-                        break;
-                    }
-                    // Transient `SnapshotStale` (a chain hit its hard
-                    // cap and dropped the version this snapshot
-                    // needed): re-pin at a fresh timestamp and retry.
-                }
-            }
-        }
-        // Every path out of the loop is a demotion to the classic
-        // protocol; count it. The write case already emitted its
-        // `SnapDemote` (code 1, with the written variable's address) at
-        // the write site, so only the read-only fallbacks emit here.
-        self.stats.record_snap_demotion();
-        if !demoted_write {
-            crate::trc::snap_demote(0, 0, 0);
-        }
-        self.run(true, f)
     }
 
     /// This runtime's statistics.
@@ -218,13 +129,6 @@ impl Stm {
     #[must_use]
     pub fn contention_manager(&self) -> &'static str {
         self.cm.name()
-    }
-
-    /// Whether this runtime runs in multi-version (snapshot) mode.
-    #[cfg(feature = "mvcc")]
-    #[must_use]
-    pub fn is_mvcc(&self) -> bool {
-        self.mvcc
     }
 }
 
@@ -241,8 +145,6 @@ impl Clone for Stm {
         Stm {
             cm: Arc::clone(&self.cm),
             stats: Arc::clone(&self.stats),
-            #[cfg(feature = "mvcc")]
-            mvcc: self.mvcc,
         }
     }
 }
@@ -259,8 +161,6 @@ impl std::fmt::Debug for Stm {
 /// Builder for [`Stm`].
 pub struct StmBuilder {
     cm: Arc<dyn ContentionManager>,
-    #[cfg(feature = "mvcc")]
-    mvcc: bool,
 }
 
 impl StmBuilder {
@@ -269,8 +169,6 @@ impl StmBuilder {
     pub fn new() -> Self {
         StmBuilder {
             cm: Arc::new(Backoff::default()),
-            #[cfg(feature = "mvcc")]
-            mvcc: false,
         }
     }
 
@@ -281,24 +179,12 @@ impl StmBuilder {
         self
     }
 
-    /// Enables multi-version mode: writing commits keep a bounded chain
-    /// of displaced versions per variable and [`Stm::read_only`] runs as
-    /// an abort-free snapshot transaction. Off by default.
-    #[cfg(feature = "mvcc")]
-    #[must_use]
-    pub fn mvcc(mut self, on: bool) -> Self {
-        self.mvcc = on;
-        self
-    }
-
     /// Finalises the runtime.
     #[must_use]
     pub fn build(self) -> Stm {
         Stm {
             cm: self.cm,
             stats: Arc::new(StmStats::new()),
-            #[cfg(feature = "mvcc")]
-            mvcc: self.mvcc,
         }
     }
 }
@@ -428,81 +314,6 @@ mod tests {
         }
         assert_eq!(v.snapshot(), threads * per_thread);
         assert_eq!(stm.stats().commits(), threads * per_thread);
-    }
-
-    #[cfg(feature = "mvcc")]
-    #[test]
-    fn mvcc_read_only_commits_abort_free() {
-        let stm = Stm::builder().mvcc(true).build();
-        assert!(stm.is_mvcc());
-        let v = TVar::new(0u64);
-        for i in 0..16 {
-            stm.atomically(|tx| tx.write(&v, i));
-            let got = stm.read_only(|tx| tx.read(&v));
-            assert_eq!(got, i);
-        }
-        assert_eq!(stm.stats().ro_commits(), 16);
-        assert_eq!(stm.stats().ro_aborts(), 0);
-        assert_eq!(stm.stats().aborts(), 0);
-    }
-
-    #[cfg(feature = "mvcc")]
-    #[test]
-    fn mvcc_read_only_that_writes_demotes_to_classic() {
-        let stm = Stm::builder().mvcc(true).build();
-        let v = TVar::new(1u64);
-        // A "read-only" body that writes anyway: the snapshot attempt
-        // demotes itself and the classic rerun commits the write.
-        let got = stm.read_only(|tx| {
-            let x = tx.read(&v)?;
-            tx.write(&v, x + 1)?;
-            Ok(x + 1)
-        });
-        assert_eq!(got, 2);
-        assert_eq!(v.snapshot(), 2);
-        // Demotion is not charged as a read-only abort.
-        assert_eq!(stm.stats().ro_aborts(), 0);
-        assert_eq!(stm.stats().ro_commits(), 1);
-    }
-
-    #[cfg(feature = "mvcc")]
-    #[test]
-    fn mvcc_snapshots_observe_invariants_under_writers() {
-        use std::sync::atomic::{AtomicBool, Ordering};
-        use std::sync::Arc;
-        let stm = Stm::builder().mvcc(true).build();
-        let a = Arc::new(TVar::new(500i64));
-        let b = Arc::new(TVar::new(500i64));
-        let stop = Arc::new(AtomicBool::new(false));
-        let writer = {
-            let stm = stm.clone();
-            let (a, b, stop) = (Arc::clone(&a), Arc::clone(&b), Arc::clone(&stop));
-            std::thread::spawn(move || {
-                let mut k = 0i64;
-                while !stop.load(Ordering::Relaxed) {
-                    let amount = k % 9 - 4;
-                    stm.atomically(|tx| {
-                        let x = tx.read(&a)?;
-                        let y = tx.read(&b)?;
-                        tx.write(&a, x - amount)?;
-                        tx.write(&b, y + amount)?;
-                        Ok(())
-                    });
-                    k += 1;
-                }
-            })
-        };
-        for _ in 0..2000 {
-            let sum = stm.read_only(|tx| {
-                let x = tx.read(&a)?;
-                let y = tx.read(&b)?;
-                Ok(x + y)
-            });
-            assert_eq!(sum, 1000, "snapshot saw a torn transfer");
-        }
-        stop.store(true, Ordering::Relaxed);
-        writer.join().unwrap();
-        assert_eq!(stm.stats().ro_commits(), 2000);
     }
 
     #[test]

@@ -143,62 +143,6 @@ mod enabled {
             emit(EventKind::ClockExtend, 0, old_rv, new_rv, 0);
         }
     }
-
-    /// Emits a `SnapshotRead` event: an mvcc snapshot read resolved
-    /// through the version chain (no caller in non-mvcc builds).
-    #[inline]
-    #[allow(dead_code)]
-    pub(crate) fn snapshot_read(rv: u64, stamp: u64) {
-        if is_enabled() {
-            emit(EventKind::SnapshotRead, 0, rv, stamp, 0);
-        }
-    }
-
-    /// Emits a `VersionPrune` event: a writing commit drained
-    /// reclaimable entries from a version chain (no caller in non-mvcc
-    /// builds).
-    #[inline]
-    #[allow(dead_code)]
-    pub(crate) fn version_prune(addr: usize, dropped: u64, min_active: u64) {
-        if is_enabled() {
-            emit(EventKind::VersionPrune, 0, addr as u64, dropped, min_active);
-        }
-    }
-
-    /// Emits a `SnapPin` event: a snapshot transaction pinned `rv` in
-    /// registry slot `slot` (no caller in non-mvcc builds).
-    #[inline]
-    #[allow(dead_code)]
-    pub(crate) fn snap_pin(rv: u64, slot: usize) {
-        if is_enabled() {
-            emit(EventKind::SnapPin, 0, rv, slot as u64, 0);
-        }
-    }
-
-    /// Emits a `SnapExtend` event: a chain overflow forced a snapshot
-    /// to re-pin from `old_rv` to `new_rv`; `addr` identifies the
-    /// variable whose bounded chain dropped the needed version (no
-    /// caller in non-mvcc builds).
-    #[inline]
-    #[allow(dead_code)]
-    pub(crate) fn snap_extend(old_rv: u64, new_rv: u64, addr: usize) {
-        if is_enabled() {
-            emit(EventKind::SnapExtend, 0, old_rv, new_rv, addr as u64);
-        }
-    }
-
-    /// Emits a `SnapDemote` event: a snapshot transaction fell back to
-    /// the classic validated protocol. `code` 0 = read-only fallback
-    /// (registry exhaustion or repeated staleness), 1 = the body wrote;
-    /// `addr` names the written variable in the write case (no caller
-    /// in non-mvcc builds).
-    #[inline]
-    #[allow(dead_code)]
-    pub(crate) fn snap_demote(code: u8, rv: u64, addr: usize) {
-        if is_enabled() {
-            emit(EventKind::SnapDemote, code, rv, 0, addr as u64);
-        }
-    }
 }
 
 #[cfg(not(feature = "trace"))]
@@ -239,26 +183,6 @@ mod disabled {
 
     #[inline(always)]
     pub(crate) fn clock_extend(_old_rv: u64, _new_rv: u64) {}
-
-    #[inline(always)]
-    #[allow(dead_code)]
-    pub(crate) fn snapshot_read(_rv: u64, _stamp: u64) {}
-
-    #[inline(always)]
-    #[allow(dead_code)]
-    pub(crate) fn version_prune(_addr: usize, _dropped: u64, _min_active: u64) {}
-
-    #[inline(always)]
-    #[allow(dead_code)]
-    pub(crate) fn snap_pin(_rv: u64, _slot: usize) {}
-
-    #[inline(always)]
-    #[allow(dead_code)]
-    pub(crate) fn snap_extend(_old_rv: u64, _new_rv: u64, _addr: usize) {}
-
-    #[inline(always)]
-    #[allow(dead_code)]
-    pub(crate) fn snap_demote(_code: u8, _rv: u64, _addr: usize) {}
 }
 
 /// Size in bytes of the per-transaction trace state. **0 when the

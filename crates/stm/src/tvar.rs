@@ -35,171 +35,6 @@ use rubic_sync::atomic::{fence, AtomicUsize, Ordering};
 use crate::vlock::VLock;
 use crate::TxValue;
 
-/// Inline chain capacity: the `index::VarIndex` small-set trick applied
-/// to version chains — counter-sized histories (a handful of retained
-/// versions) live in a dense in-place array and never allocate; only
-/// genuinely deep chains spill to the heap.
-#[cfg(feature = "mvcc")]
-const INLINE_VERSIONS: usize = 4;
-
-/// Hard cap on retained old versions per variable. Pruning against the
-/// snapshot registry's minimum keeps chains near-empty in steady state;
-/// the cap bounds memory when a long-lived snapshot pins versions while
-/// writers churn. Overflow drops the *oldest* entries, and a snapshot
-/// that later needs one observes [`SnapshotMiss`] and re-pins — the
-/// transient `AbortReason::SnapshotStale`.
-#[cfg(feature = "mvcc")]
-const MAX_CHAIN: usize = 16;
-
-/// Returned by [`TVarCore::read_at_with`] when the version visible at
-/// the pinned timestamp has been dropped from the bounded chain.
-#[cfg(feature = "mvcc")]
-pub(crate) struct SnapshotMiss;
-
-/// One displaced version in a variable's chain: the boxed value that
-/// was current for timestamps `stamp ..= succ - 1`.
-#[cfg(feature = "mvcc")]
-struct OldVersion<T> {
-    /// Commit stamp of this version (the vlock version while current).
-    stamp: u64,
-    /// Stamp of the version that displaced it. Visibility rule: this
-    /// entry is the snapshot at `rv` iff `stamp <= rv < succ`.
-    succ: u64,
-    /// The displaced box, owned by the chain until pruned. Pruned
-    /// entries are retired through the epoch (never freed inline):
-    /// concurrent classic readers may still hold guard-protected
-    /// references from before the displacing swap.
-    ptr: *const T,
-}
-
-// SAFETY: `ptr` is an ownership handle to a heap `T` that is never
-// aliased mutably (published values are immutable); moving or sharing
-// the handle across threads is as safe as moving/sharing `Box<T>`,
-// which `T: Send + Sync` (from `TxValue`) provides.
-#[cfg(feature = "mvcc")]
-unsafe impl<T: Send + Sync> Send for OldVersion<T> {}
-// SAFETY: same argument; `&OldVersion<T>` only exposes `&T`.
-#[cfg(feature = "mvcc")]
-unsafe impl<T: Send + Sync> Sync for OldVersion<T> {}
-
-/// A variable's displaced-version chain, oldest first. Invariant: the
-/// inline array is only populated while the spill vector is empty (once
-/// spilled, entries stay spilled until the chain fully drains — the
-/// same representation discipline as `index::VarIndex`).
-#[cfg(feature = "mvcc")]
-struct History<T> {
-    inline: [Option<OldVersion<T>>; INLINE_VERSIONS],
-    inline_len: usize,
-    spill: Vec<OldVersion<T>>,
-}
-
-#[cfg(feature = "mvcc")]
-impl<T> History<T> {
-    const fn new() -> Self {
-        History {
-            inline: [None, None, None, None],
-            inline_len: 0,
-            spill: Vec::new(),
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.inline_len + self.spill.len()
-    }
-
-    fn iter(&self) -> impl Iterator<Item = &OldVersion<T>> {
-        self.inline[..self.inline_len]
-            .iter()
-            .map(|slot| slot.as_ref().expect("inline prefix is dense"))
-            .chain(self.spill.iter())
-    }
-
-    /// Appends the newest displaced version (stamps are pushed in
-    /// strictly increasing order — writers serialise on the vlock).
-    fn push(&mut self, v: OldVersion<T>) {
-        if !self.spill.is_empty() {
-            self.spill.push(v);
-        } else if self.inline_len < INLINE_VERSIONS {
-            self.inline[self.inline_len] = Some(v);
-            self.inline_len += 1;
-        } else {
-            // Spill: migrate the dense prefix, keeping order.
-            self.spill.reserve(INLINE_VERSIONS + 1);
-            for slot in &mut self.inline {
-                self.spill
-                    .push(slot.take().expect("inline prefix is dense"));
-            }
-            self.inline_len = 0;
-            self.spill.push(v);
-        }
-    }
-
-    /// The entry visible at snapshot timestamp `rv`, if still chained.
-    fn find(&self, rv: u64) -> Option<&OldVersion<T>> {
-        self.iter().find(|v| v.stamp <= rv && rv < v.succ)
-    }
-
-    /// The most recently pushed entry. Its `succ` is the stamp of the
-    /// *current* value as of the last publish of this variable — the
-    /// slow path uses it to recognise a swapped-but-unreleased commit.
-    fn newest(&self) -> Option<&OldVersion<T>> {
-        self.spill.last().or_else(|| {
-            self.inline_len
-                .checked_sub(1)
-                .and_then(|i| self.inline[i].as_ref())
-        })
-    }
-
-    /// Removes the single oldest entry, handing its box to `retire`.
-    fn drop_front(&mut self, retire: &mut impl FnMut(*const T)) {
-        if self.inline_len > 0 {
-            let v = self.inline[0].take().expect("inline prefix is dense");
-            retire(v.ptr);
-            // Re-densify: [None, a, b, c] -> [a, b, c, None].
-            self.inline.rotate_left(1);
-            self.inline_len -= 1;
-        } else {
-            let v = self.spill.remove(0);
-            retire(v.ptr);
-        }
-    }
-
-    /// The prefix-drain reclamation path: drops every leading entry no
-    /// registered snapshot can need (`succ <= min_active`), then
-    /// enforces [`MAX_CHAIN`] by dropping further oldest entries.
-    /// Chains are stamp-ordered, so the droppable set is a prefix.
-    /// Returns the number of entries handed to `retire`.
-    fn prune(&mut self, min_active: u64, mut retire: impl FnMut(*const T)) -> usize {
-        let mut dropped = 0;
-        loop {
-            let droppable = match self.iter().next() {
-                Some(front) => front.succ <= min_active || self.len() > MAX_CHAIN,
-                None => false,
-            };
-            if !droppable {
-                break;
-            }
-            self.drop_front(&mut retire);
-            dropped += 1;
-        }
-        dropped
-    }
-}
-
-#[cfg(feature = "mvcc")]
-impl<T> Drop for History<T> {
-    fn drop(&mut self) {
-        let ptrs: Vec<*const T> = self.iter().map(|v| v.ptr).collect();
-        for ptr in ptrs {
-            // SAFETY: the chain owns its boxes, and `Drop` runs with
-            // `&mut self` through `TVarCore`'s drop — the last handle is
-            // gone and every reader pinned at that moment has unpinned,
-            // so nobody can reference a chained version anymore.
-            unsafe { drop(Box::from_raw(ptr.cast_mut())) };
-        }
-    }
-}
-
 /// Internal state shared by all handles to one transactional variable.
 pub(crate) struct TVarCore<T> {
     vlock: VLock,
@@ -207,13 +42,6 @@ pub(crate) struct TVarCore<T> {
     /// the core through the epoch.
     handles: AtomicUsize,
     data: Atomic<T>,
-    /// Displaced-version chain (mvcc mode). The mutex excludes chain
-    /// mutation against slow-path snapshot reads; writers already
-    /// serialise on the vlock, and snapshot reads only take it when the
-    /// current version is not the visible one, so it is uncontended in
-    /// steady state. `rubic_sync::Mutex` so checker builds can model it.
-    #[cfg(feature = "mvcc")]
-    history: rubic_sync::Mutex<History<T>>,
 }
 
 impl<T: TxValue> TVarCore<T> {
@@ -225,8 +53,6 @@ impl<T: TxValue> TVarCore<T> {
             vlock: VLock::new(0),
             handles: AtomicUsize::new(1),
             data: Atomic::new(value),
-            #[cfg(feature = "mvcc")]
-            history: rubic_sync::Mutex::new(History::new()),
         }
     }
 
@@ -284,151 +110,6 @@ impl<T: TxValue> TVarCore<T> {
         // are dropped is exactly the epoch-reclamation contract.
         unsafe { guard.defer_destroy(old) };
     }
-
-    /// The mvcc sibling of [`publish`](Self::publish): publishes
-    /// `value` stamped `wv` and chains the displaced version instead of
-    /// retiring it, so snapshots pinned before `wv` can still read it.
-    /// Then runs the prefix-drain reclamation: entries no registered
-    /// snapshot can need (`succ <= min_active`, plus cap overflow) are
-    /// retired through the epoch. Returns the number of pruned entries.
-    ///
-    /// # Contract
-    /// Same as `publish` (write lock held, release with `wv` after),
-    /// plus: `min_active` must come from `crate::snap::min_active`
-    /// *after* the commit's clock tick — the registry's fence protocol
-    /// is what makes dropping `succ <= min_active` entries safe.
-    #[cfg(feature = "mvcc")]
-    pub(crate) fn publish_versioned(
-        &self,
-        value: T,
-        wv: u64,
-        min_active: u64,
-        guard: &Guard,
-    ) -> usize {
-        let mut history = self.history.lock();
-        // Holding the write lock, the sampled word is ours and
-        // `version()` is the displaced version's stamp.
-        let stamp = self.vlock.sample().version();
-        let old: Shared<'_, T> = self
-            .data
-            .swap(Owned::new(value), EpochOrdering::Release, guard);
-        debug_assert!(!old.is_null());
-        history.push(OldVersion {
-            stamp,
-            succ: wv,
-            ptr: old.as_raw(),
-        });
-        history.prune(min_active, |ptr| {
-            // SAFETY: the entry was just unchained under the history
-            // mutex, so no snapshot read can hand out a reference to it
-            // anymore; classic readers from before the displacing swap
-            // may still hold guard-protected references, so the box is
-            // retired through the epoch rather than freed inline.
-            unsafe { guard.defer_destroy(Shared::from(ptr)) };
-        })
-    }
-
-    /// Reads the version visible at snapshot timestamp `rv` (visibility
-    /// rule: the newest version with `stamp <= rv`), applying `f`
-    /// without cloning. Returns the projection plus the chain stamp when
-    /// the read resolved through the chain (`None` = current value).
-    ///
-    /// No validation, no conflicts: writers are invisible to this path.
-    ///
-    /// # Errors
-    /// [`SnapshotMiss`] when the needed version was dropped by a
-    /// bounded chain (cap overflow) — the caller re-pins and retries.
-    #[cfg(feature = "mvcc")]
-    pub(crate) fn read_at_with<R>(
-        &self,
-        rv: u64,
-        guard: &Guard,
-        f: &mut impl FnMut(&T) -> R,
-    ) -> Result<(R, Option<u64>), SnapshotMiss> {
-        // Fast path: the current version is visible and stable. No
-        // commit during this snapshot's lifetime can stamp `<= rv`
-        // (write stamps are drawn from the clock after `rv` was
-        // pinned), so a current version with `stamp <= rv` *is* the
-        // newest one visible.
-        loop {
-            let w1 = self.vlock.sample();
-            if w1.is_locked() || w1.version() > rv {
-                break;
-            }
-            let result = self.with_value(guard, &mut *f);
-            if self.vlock.sample() == w1 {
-                return Ok((result, None));
-            }
-            // A commit raced between the two samples; resample.
-        }
-        // Slow path: locked or too new — resolve through the chain. The
-        // history mutex excludes the publish critical section, so the
-        // (current value, chain) pair is a consistent cut.
-        //
-        // The chain must be consulted *before* trusting the lock word: a
-        // locked word carries the pre-lock version, so `version() <= rv`
-        // alone cannot distinguish a writer that has not swapped yet
-        // (current data is still the visible version) from one that
-        // swapped and published but has not released the vlock (current
-        // data is the too-new value).
-        //
-        // When the variable is locked and the chain does not cover `rv`,
-        // there is one genuinely ambiguous state: the pre-lock version
-        // is `<= rv`, the owner may either be encounter-locked inside
-        // its body (its eventual write stamp will exceed every already
-        // pinned `rv`, so the current value is the visible one) or
-        // mid-publication of a commit stamped `<= rv` (the current value
-        // is about to be displaced, and sibling variables of that commit
-        // may already answer with their new values). Guessing either way
-        // can tear the snapshot across one atomic commit, so the reader
-        // *waits the lock out* — publication is bounded, lock-holders
-        // never wait on snapshot readers, and the reader holds no lock
-        // while spinning, so this cannot deadlock. Abort-freedom is
-        // preserved: waiting is not an abort.
-        loop {
-            {
-                let history = self.history.lock();
-                if let Some(v) = history.find(rv) {
-                    // SAFETY: the entry is still chained and
-                    // removal/retire only happen under the history mutex
-                    // we hold, so the box is live; chained values are
-                    // immutable.
-                    let result = f(unsafe { &*v.ptr });
-                    return Ok((result, Some(v.stamp)));
-                }
-                let w = self.vlock.sample();
-                if w.version() > rv {
-                    // Neither the chain nor the current lineage has a
-                    // version visible at `rv`: it was pruned (or never
-                    // existed). The caller re-pins or aborts.
-                    return Err(SnapshotMiss);
-                }
-                if !w.is_locked() {
-                    // Unlocked with `stamp <= rv` under the mutex: the
-                    // current value is the newest visible version.
-                    let result = self.with_value(guard, &mut *f);
-                    return Ok((result, None));
-                }
-                // Locked, pre-lock version <= rv. If the owner already
-                // swapped this variable's new value in (`newest().succ`
-                // moved past the pre-lock stamp) and that stamp is
-                // visible, the current value is the right answer even
-                // though the vlock is still held.
-                if let Some(top) = history.newest() {
-                    if top.succ > w.version() && top.succ <= rv {
-                        let result = self.with_value(guard, &mut *f);
-                        return Ok((result, None));
-                    }
-                }
-                // Ambiguous body-vs-publication state: fall through to
-                // wait (mutex dropped first so the owner can publish).
-            }
-            for _ in 0..32 {
-                std::hint::spin_loop();
-            }
-            rubic_sync::thread::yield_now();
-        }
-    }
 }
 
 impl<T> Drop for TVarCore<T> {
@@ -473,10 +154,10 @@ pub struct TVar<T: TxValue> {
 // SAFETY: a handle shares the core exactly like `Arc<TVarCore<T>>`
 // would — `&T` is handed to many threads and `T` is dropped by whichever
 // thread reclaims — which `T: Send + Sync` allows. The other core fields
-// (`VLock`, the handle count, the mvcc history mutex) are thread-safe on
-// their own. The bound spells `TxValue` out because a recursive value
-// type (a node holding `TVar`s of nodes) can only close the `Send` cycle
-// through auto traits, not through the `TxValue` blanket impl.
+// (`VLock`, the handle count) are thread-safe on their own. The bound
+// spells `TxValue` out because a recursive value type (a node holding
+// `TVar`s of nodes) can only close the `Send` cycle through auto traits,
+// not through the `TxValue` blanket impl.
 unsafe impl<T: Clone + Send + Sync + 'static> Send for TVar<T> {}
 // SAFETY: same argument; `&TVar<T>` exposes nothing `TVar<T>` does not.
 unsafe impl<T: Clone + Send + Sync + 'static> Sync for TVar<T> {}

@@ -130,11 +130,7 @@ pub type TxResult<T> = Result<T, StmError>;
 /// Object-safe view of a buffered write.
 trait WriteSlot: Send {
     /// Publishes the buffered value and releases the lock stamped `wv`.
-    /// In mvcc mode `retain` is `Some(min_active)`: the displaced value
-    /// joins the variable's version chain and entries no registered
-    /// snapshot can need (`succ <= min_active`) are pruned; `None`
-    /// keeps the single-version behaviour (immediate epoch retirement).
-    fn publish(&mut self, wv: u64, guard: &Guard, #[cfg(feature = "mvcc")] retain: Option<u64>);
+    fn publish(&mut self, wv: u64, guard: &Guard);
     /// Releases the lock restoring the pre-lock version.
     fn release_abort(&self);
     /// True if the slot holds a handle to the variable locked at `addr`.
@@ -169,23 +165,12 @@ impl<T: TxValue> TypedSlot<T> {
 }
 
 impl<T: TxValue> WriteSlot for TypedSlot<T> {
-    fn publish(&mut self, wv: u64, guard: &Guard, #[cfg(feature = "mvcc")] retain: Option<u64>) {
+    fn publish(&mut self, wv: u64, guard: &Guard) {
         let value = self
             .pending
             .take()
             .expect("write slot published twice or never filled");
         let core = self.core();
-        #[cfg(feature = "mvcc")]
-        match retain {
-            Some(min_active) => {
-                let dropped = core.publish_versioned(value, wv, min_active, guard);
-                if dropped > 0 {
-                    trc::version_prune(core.vlock().addr(), dropped as u64, min_active);
-                }
-            }
-            None => core.publish(value, guard),
-        }
-        #[cfg(not(feature = "mvcc"))]
         core.publish(value, guard);
         core.vlock().release_commit(wv);
         #[cfg(feature = "trace")]
@@ -324,22 +309,6 @@ pub struct Transaction {
     /// `last_conflict`: one word per transaction, maintained only on
     /// the abort path, it feeds trace-side conflict attribution.
     conflict_addr: usize,
-    /// True when this transaction belongs to an mvcc-mode
-    /// [`crate::Stm`]: its writing commit appends displaced values to
-    /// the per-TVar version chains instead of retiring them
-    /// immediately.
-    #[cfg(feature = "mvcc")]
-    mvcc: bool,
-    /// Present for snapshot (multi-version read-only) transactions: the
-    /// claimed registry slot pinning `rv` as the snapshot timestamp.
-    /// Dropping it (commit, abort, or panic unwind) frees the slot.
-    #[cfg(feature = "mvcc")]
-    snap: Option<crate::snap::SlotClaim>,
-    /// Set when user code called `write` inside a snapshot transaction;
-    /// [`crate::Stm::read_only`] demotes the transaction to the classic
-    /// validated protocol and reruns the body.
-    #[cfg(feature = "mvcc")]
-    snap_demoted: bool,
 }
 
 impl Transaction {
@@ -362,44 +331,7 @@ impl Transaction {
             n_writes: 0,
             last_conflict: AbortReason::Explicit,
             conflict_addr: 0,
-            #[cfg(feature = "mvcc")]
-            mvcc: false,
-            #[cfg(feature = "mvcc")]
-            snap: None,
-            #[cfg(feature = "mvcc")]
-            snap_demoted: false,
         }
-    }
-
-    /// Begins a snapshot (multi-version read-only) transaction: claims
-    /// a registry slot, pins the snapshot timestamp, and never
-    /// validates or aborts at commit. `None` when the registry is
-    /// saturated or the clock outruns the bounded pin loop — the caller
-    /// falls back to the classic validated protocol.
-    #[cfg(feature = "mvcc")]
-    pub(crate) fn begin_snapshot() -> Option<Self> {
-        let claim = crate::snap::register()?;
-        trc::snap_pin(claim.rv(), claim.idx());
-        let mut tx = Self::begin();
-        tx.rv = claim.rv();
-        tx.mvcc = true;
-        tx.snap = Some(claim);
-        Some(tx)
-    }
-
-    /// Marks this transaction as belonging to an mvcc-mode `Stm` (its
-    /// writing commit feeds the version chains). Called right after
-    /// `begin` by the retry loop; never flips mid-attempt.
-    #[cfg(feature = "mvcc")]
-    pub(crate) fn set_mvcc(&mut self, on: bool) {
-        self.mvcc = on;
-    }
-
-    /// True when a snapshot transaction attempted a write and must be
-    /// rerun under the classic protocol.
-    #[cfg(feature = "mvcc")]
-    pub(crate) fn snapshot_demoted(&self) -> bool {
-        self.snap_demoted
     }
 
     /// Clears all buffered state and re-samples the clock, reusing the
@@ -416,10 +348,6 @@ impl Transaction {
         self.n_writes = 0;
         self.last_conflict = AbortReason::Explicit;
         self.conflict_addr = 0;
-        #[cfg(feature = "mvcc")]
-        {
-            self.snap_demoted = false;
-        }
         // Momentarily unpin so the epoch (and hence reclamation) can
         // pass this thread between attempts, then re-sample the clock
         // under the fresh pin.
@@ -555,10 +483,6 @@ impl Transaction {
     /// writer or the snapshot cannot be made consistent.
     pub fn read<T: TxValue>(&mut self, var: &TVar<T>) -> TxResult<T> {
         self.n_reads += 1;
-        #[cfg(feature = "mvcc")]
-        if self.snap.is_some() {
-            return self.snapshot_read_with(var, &mut Clone::clone);
-        }
         let core = var.core();
         let addr = core.vlock().addr();
 
@@ -631,10 +555,6 @@ impl Transaction {
         mut f: impl FnMut(&T) -> R,
     ) -> TxResult<R> {
         self.n_reads += 1;
-        #[cfg(feature = "mvcc")]
-        if self.snap.is_some() {
-            return self.snapshot_read_with(var, &mut f);
-        }
         let core = var.core();
         let addr = core.vlock().addr();
 
@@ -680,62 +600,6 @@ impl Transaction {
         }
     }
 
-    /// The snapshot read protocol: no read-set recording, no lock-busy
-    /// conflicts — just the version visible at the pinned timestamp,
-    /// either the variable's current value (fast path) or a chain entry
-    /// (slow path).
-    ///
-    /// On a [`SnapshotMiss`](crate::tvar::SnapshotMiss) (a bounded
-    /// chain was forced to drop the needed version), a transaction with
-    /// no *prior* reads has observed nothing that a newer snapshot
-    /// could contradict, so it **extends**: re-pins its registry slot
-    /// at the current clock and retries in place (the snapshot-mode
-    /// analogue of TinySTM's timestamp extension, where extension is
-    /// trivially valid on an empty read-set). Single-read transactions
-    /// — e.g. a whole `TMap` lookup — therefore never abort even when
-    /// chains overflow under scheduler preemption. Only a miss *after*
-    /// earlier reads fails, with [`AbortReason::SnapshotStale`]; the
-    /// retry loop re-pins a fresh transaction.
-    #[cfg(feature = "mvcc")]
-    fn snapshot_read_with<T: TxValue, R>(
-        &mut self,
-        var: &TVar<T>,
-        f: &mut impl FnMut(&T) -> R,
-    ) -> TxResult<R> {
-        // Same chaos *perturbation* point as a classic read's lock
-        // sample (keeps seeded decision streams aligned across modes),
-        // but never the kill query: snapshot reads cannot abort.
-        chaos::hit(ChaosPoint::LockSample);
-        let addr = var.core().vlock().addr();
-        // `n_reads` was already bumped for this read by the dispatcher.
-        let extendable = self.n_reads == 1;
-        let mut extends_left: u8 = 3;
-        loop {
-            match var.core().read_at_with(self.rv, self.pinned.guard(), f) {
-                Ok((value, via_chain)) => {
-                    if let Some(stamp) = via_chain {
-                        trc::snapshot_read(self.rv, stamp);
-                    }
-                    return Ok(value);
-                }
-                Err(crate::tvar::SnapshotMiss) => {
-                    if extendable && extends_left > 0 {
-                        extends_left -= 1;
-                        if let Some(claim) = self.snap.as_mut() {
-                            let old_rv = self.rv;
-                            if claim.refresh() {
-                                self.rv = claim.rv();
-                                trc::snap_extend(old_rv, self.rv, addr);
-                                continue;
-                            }
-                        }
-                    }
-                    return Err(self.fail_at(AbortReason::SnapshotStale, addr));
-                }
-            }
-        }
-    }
-
     /// Pops a recyclable slot for the variable locked at `addr` off the
     /// spare list, looking from the top of the stack down: the slot an
     /// aborted attempt used for it (which still holds the handle), else
@@ -762,15 +626,6 @@ impl Transaction {
     /// since been overwritten.
     pub fn write<T: TxValue>(&mut self, var: &TVar<T>, value: T) -> TxResult<()> {
         self.n_writes += 1;
-        #[cfg(feature = "mvcc")]
-        if self.snap.is_some() {
-            // Snapshot transactions are read-only by contract; a write
-            // demotes the whole transaction and `read_only` reruns the
-            // body under the classic validated protocol.
-            self.snap_demoted = true;
-            trc::snap_demote(1, self.rv, var.core().vlock().addr());
-            return Err(self.fail(AbortReason::Explicit));
-        }
         let core = var.core();
         let addr = core.vlock().addr();
 
@@ -884,17 +739,6 @@ impl Transaction {
     /// Attempts to commit. On success all writes are visible atomically;
     /// on failure the caller must [`abort`](Self::abort).
     pub(crate) fn commit(&mut self) -> TxResult<()> {
-        #[cfg(feature = "mvcc")]
-        if self.snap.is_some() {
-            // Snapshot commit: zero validation, zero aborts. It fires
-            // the same pre-validate chaos *perturbation* as every other
-            // commit so seeded decision streams stay aligned across
-            // modes, but never the kill query — abort-freedom is the
-            // mode's contract.
-            chaos::hit(ChaosPoint::PreValidate);
-            self.snap = None; // drop releases the registry slot
-            return Ok(());
-        }
         if self.ctx.writes.is_empty() {
             // Read-only: incremental validation (reads + extensions)
             // already guarantees a consistent snapshot at `rv`. The
@@ -909,15 +753,6 @@ impl Transaction {
             return Ok(());
         }
         let wv = clock::tick();
-        // In mvcc mode the displaced versions go onto the per-TVar
-        // chains; compute the retention bound once per commit, after the
-        // tick (the writer half of the registry's Dekker handshake).
-        #[cfg(feature = "mvcc")]
-        let retain = if self.mvcc {
-            Some(crate::snap::min_active(wv))
-        } else {
-            None
-        };
         if wv != self.rv + 1 {
             // Someone committed since we started; make sure none of our
             // reads were invalidated (TL2 fast path skips this when the
@@ -928,9 +763,6 @@ impl Transaction {
         }
         for slot in &mut self.ctx.writes {
             chaos::hit(ChaosPoint::PrePublish);
-            #[cfg(feature = "mvcc")]
-            slot.publish(wv, self.pinned.guard(), retain);
-            #[cfg(not(feature = "mvcc"))]
             slot.publish(wv, self.pinned.guard());
         }
         // Slots are spent; recycle them (prevents a double publish if
@@ -980,12 +812,6 @@ impl Transaction {
 
     /// Releases every held lock and recycles buffered state for reuse.
     pub(crate) fn abort(&mut self) {
-        #[cfg(feature = "mvcc")]
-        {
-            // Free the registry slot promptly so the snapshot stops
-            // holding version chains back (drop is a no-op when None).
-            self.snap = None;
-        }
         for slot in &self.ctx.writes {
             slot.release_abort();
         }

@@ -33,7 +33,7 @@ use crate::report::{
 
 /// Bundle schema identifier written into `manifest.json`,
 /// `contention.json` and `histograms.json`. Bump on any layout change.
-pub const BUNDLE_SCHEMA: &str = "rubic-postmortem/v1";
+pub const BUNDLE_SCHEMA: &str = "rubic-postmortem/v2";
 
 /// Monotone bundle sequence number, process-wide, so concurrent or
 /// repeated dumps never collide on a directory name.
@@ -206,7 +206,6 @@ pub(crate) fn write_bundle(dir: &Path, input: &BundleInput<'_>) -> io::Result<Pa
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::report::SnapStats;
 
     fn snapshot() -> MetricsSnapshot {
         MetricsSnapshot {
@@ -215,13 +214,12 @@ mod tests {
             commits: 5,
             interval_commits: 5,
             throughput: 5_000_000.0,
-            aborts_by_reason: [1, 2, 0, 0, 0, 0],
+            aborts_by_reason: [1, 2, 0, 0, 0],
             interval_aborts: 3,
             abort_rate: 3.0 / 8.0,
             commit_p50_ns: 100,
             commit_p99_ns: 900,
             level: 2,
-            snap: SnapStats::default(),
             steals_local: 4,
             steals_remote: 1,
             top_conflicts: Vec::new(),
@@ -267,12 +265,10 @@ mod tests {
             label: Some("hot".into()),
             count: 3,
             err: 0,
-            by_reason: [0, 3, 0, 0, 0, 0],
+            by_reason: [0, 3, 0, 0, 0],
             lock_holds: 3,
             hold_p50_ns: 64,
             hold_p99_ns: 128,
-            snap_extends: 0,
-            version_prunes: 0,
         }];
         let snap = snapshot();
         let input = BundleInput {

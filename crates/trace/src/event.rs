@@ -27,11 +27,6 @@
 /// | `Chaos` | chaos point | action code | spin count | 0 |
 /// | `TaskSteal` | bit 0: victim gated, bit 1: cross-socket | `thief << 32 \| victim` | tasks moved | victim shard length before |
 /// | `WorkerPark` | 0 park / 1 unpark | worker tid | level at transition | 0 |
-/// | `SnapshotRead` | 0 | pinned snapshot timestamp (rv) | visible version stamp | 0 |
-/// | `VersionPrune` | 0 | lock address | versions dropped | min active snapshot timestamp |
-/// | `SnapPin` | 0 | pinned snapshot timestamp (rv) | registry slot index | 0 |
-/// | `SnapExtend` | 0 | old snapshot timestamp | new snapshot timestamp | lock address that overflowed |
-/// | `SnapDemote` | 0 read-only / 1 write | snapshot timestamp at demotion | 0 | lock address (write demote) |
 /// | `Anomaly` | anomaly kind | observed value | configured threshold | round (0 if n/a) |
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
@@ -64,28 +59,14 @@ pub enum EventKind {
     TaskSteal = 12,
     /// A worker parked on the gate (code 0) or resumed from it (code 1).
     WorkerPark = 13,
-    /// A multi-version snapshot read resolved through the version chain
-    /// (the current version was newer than the pinned timestamp).
-    SnapshotRead = 14,
-    /// A writing commit pruned reclaimable entries from a version chain.
-    VersionPrune = 15,
-    /// A read-only transaction pinned a snapshot timestamp in the
-    /// registry (mvcc mode).
-    SnapPin = 16,
-    /// A pinned snapshot's timestamp was refreshed in place after a
-    /// bounded version chain overflowed beneath it (mvcc mode).
-    SnapExtend = 17,
-    /// The snapshot path gave up and fell back to the classic validated
-    /// protocol (registry full, or a write inside snapshot mode).
-    SnapDemote = 18,
     /// An anomaly watchdog fired (abort storm, level oscillation,
     /// latency breach); usually accompanied by a post-mortem dump.
-    Anomaly = 19,
+    Anomaly = 14,
 }
 
 impl EventKind {
     /// All kinds, in discriminant order (for decode tables).
-    pub const ALL: [EventKind; 20] = [
+    pub const ALL: [EventKind; 15] = [
         EventKind::TxnBegin,
         EventKind::TxnCommit,
         EventKind::TxnAbort,
@@ -100,11 +81,6 @@ impl EventKind {
         EventKind::Chaos,
         EventKind::TaskSteal,
         EventKind::WorkerPark,
-        EventKind::SnapshotRead,
-        EventKind::VersionPrune,
-        EventKind::SnapPin,
-        EventKind::SnapExtend,
-        EventKind::SnapDemote,
         EventKind::Anomaly,
     ];
 
@@ -132,11 +108,6 @@ impl EventKind {
             EventKind::Chaos => "chaos",
             EventKind::TaskSteal => "task_steal",
             EventKind::WorkerPark => "worker_park",
-            EventKind::SnapshotRead => "snapshot_read",
-            EventKind::VersionPrune => "version_prune",
-            EventKind::SnapPin => "snap_pin",
-            EventKind::SnapExtend => "snap_extend",
-            EventKind::SnapDemote => "snap_demote",
             EventKind::Anomaly => "anomaly",
         }
     }
@@ -204,11 +175,8 @@ pub mod codes {
     pub const ABORT_CHAOS: u8 = 3;
     /// Abort: the transaction body returned `Err` itself.
     pub const ABORT_EXPLICIT: u8 = 4;
-    /// Abort: a snapshot read missed its version in a bounded chain
-    /// (mvcc mode; transient — the retry re-pins a fresh timestamp).
-    pub const ABORT_SNAPSHOT_STALE: u8 = 5;
     /// Number of distinct abort reasons.
-    pub const ABORT_REASONS: usize = 6;
+    pub const ABORT_REASONS: usize = 5;
 
     /// Names for the abort-reason codes, indexed by code.
     pub const ABORT_NAMES: [&str; ABORT_REASONS] = [
@@ -217,7 +185,6 @@ pub mod codes {
         "cm-kill",
         "chaos",
         "explicit",
-        "snapshot-stale",
     ];
 
     /// Decodes an abort-reason code (out-of-range codes map to a fixed
@@ -394,14 +361,12 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_kinds_have_stable_discriminants() {
-        // The mvcc snapshot-protocol and anomaly kinds append after the
-        // PR 6 tail; earlier discriminants are frozen by exported data.
-        assert_eq!(EventKind::SnapPin as u8, 16);
-        assert_eq!(EventKind::SnapExtend as u8, 17);
-        assert_eq!(EventKind::SnapDemote as u8, 18);
-        assert_eq!(EventKind::Anomaly as u8, 19);
-        assert_eq!(EventKind::from_u8(16), Some(EventKind::SnapPin));
-        assert_eq!(EventKind::from_u8(20), None);
+    fn tail_kinds_have_stable_discriminants() {
+        // The numeric kinds of `rubic-postmortem/v2`: `Anomaly` closes
+        // the table right after the pool's `WorkerPark`.
+        assert_eq!(EventKind::WorkerPark as u8, 13);
+        assert_eq!(EventKind::Anomaly as u8, 14);
+        assert_eq!(EventKind::from_u8(14), Some(EventKind::Anomaly));
+        assert_eq!(EventKind::from_u8(15), None);
     }
 }

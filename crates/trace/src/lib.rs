@@ -57,6 +57,6 @@ pub use labels::{label, set_label};
 pub use recorder::{
     emit, is_enabled, note_conflict, now_ns, request_postmortem, TraceConfig, TraceSession,
 };
-pub use report::{ContentionEntry, LevelSample, MetricsSnapshot, SnapStats, TraceReport};
+pub use report::{ContentionEntry, LevelSample, MetricsSnapshot, TraceReport};
 pub use ring::Ring;
 pub use sketch::{ConflictSketch, CulpritEntry};

@@ -75,15 +75,12 @@ impl MiniHist {
     }
 }
 
-/// Per-lock-address aggregates fed by `LockHold`, `SnapExtend` and
-/// `VersionPrune` events.
+/// Per-lock-address aggregates fed by `LockHold` events.
 #[derive(Debug, Clone)]
 struct AddrAggregate {
     hold: MiniHist,
     holds_commit: u64,
     holds_abort: u64,
-    snap_extends: u64,
-    version_prunes: u64,
 }
 
 impl AddrAggregate {
@@ -92,8 +89,6 @@ impl AddrAggregate {
             hold: MiniHist::new(),
             holds_commit: 0,
             holds_abort: 0,
-            snap_extends: 0,
-            version_prunes: 0,
         }
     }
 }
@@ -152,9 +147,6 @@ pub(crate) struct Sink {
     level_timeline: Vec<LevelSample>,
     addr_stats: HashMap<u64, AddrAggregate>,
     addr_overflow: u64,
-    snap_pins: u64,
-    snap_extends: u64,
-    snap_demotes: u64,
     steals_local: u64,
     steals_remote: u64,
     anomalies: [u64; codes::ANOMALY_NAMES.len()],
@@ -177,9 +169,6 @@ impl Sink {
             level_timeline: Vec::new(),
             addr_stats: HashMap::new(),
             addr_overflow: 0,
-            snap_pins: 0,
-            snap_extends: 0,
-            snap_demotes: 0,
             steals_local: 0,
             steals_remote: 0,
             anomalies: [0; codes::ANOMALY_NAMES.len()],
@@ -238,14 +227,6 @@ impl Sink {
                 });
             }
             EventKind::MonitorRound => self.last_level = (event.b >> 32) as u32,
-            EventKind::SnapPin => self.snap_pins += 1,
-            EventKind::SnapExtend => {
-                self.snap_extends += 1;
-                if let Some(agg) = self.addr_entry(event.c) {
-                    agg.snap_extends += 1;
-                }
-            }
-            EventKind::SnapDemote => self.snap_demotes += 1,
             EventKind::TaskSteal => {
                 // Flags bitfield: bit 0 = victim gated, bit 1 = the
                 // steal crossed a socket boundary.
@@ -253,11 +234,6 @@ impl Sink {
                     self.steals_local += 1;
                 } else {
                     self.steals_remote += 1;
-                }
-            }
-            EventKind::VersionPrune => {
-                if let Some(agg) = self.addr_entry(event.a) {
-                    agg.version_prunes += 1;
                 }
             }
             EventKind::Anomaly => {
@@ -308,8 +284,8 @@ impl Sink {
     }
 
     /// Builds the top-K contention table by joining the merged conflict
-    /// sketch with the per-address lock-hold/snapshot aggregates and the
-    /// label registry.
+    /// sketch with the per-address lock-hold aggregates and the label
+    /// registry.
     pub(crate) fn contention_table(&self, merged: &ConflictSketch) -> Vec<ContentionEntry> {
         merged
             .top(self.opts.top_k)
@@ -325,8 +301,6 @@ impl Sink {
                     lock_holds: agg.map_or(0, |a| a.holds_commit + a.holds_abort),
                     hold_p50_ns: agg.map_or(0, |a| a.hold.value_at_quantile(0.50)),
                     hold_p99_ns: agg.map_or(0, |a| a.hold.value_at_quantile(0.99)),
-                    snap_extends: agg.map_or(0, |a| a.snap_extends),
-                    version_prunes: agg.map_or(0, |a| a.version_prunes),
                 }
             })
             .collect()
@@ -372,11 +346,6 @@ impl Sink {
             commit_p50_ns: self.commit_latency.p50(),
             commit_p99_ns: self.commit_latency.p99(),
             level: self.last_level,
-            snap: SnapStats {
-                pins: self.snap_pins,
-                extends: self.snap_extends,
-                demotes: self.snap_demotes,
-            },
             steals_local: self.steals_local,
             steals_remote: self.steals_remote,
             top_conflicts: self.contention_table(merged),
@@ -397,11 +366,6 @@ impl Sink {
             abort_breakdown: self.abort_breakdown,
             level_timeline: self.level_timeline,
             contention,
-            snap: SnapStats {
-                pins: self.snap_pins,
-                extends: self.snap_extends,
-                demotes: self.snap_demotes,
-            },
             anomalies: self.anomalies,
             dropped: self.dropped,
         }
@@ -409,8 +373,8 @@ impl Sink {
 }
 
 /// One row of the top-K contention table: a culprit `TVar` with its
-/// estimated conflict count, per-reason breakdown, and lock-hold /
-/// mvcc-pressure aggregates.
+/// estimated conflict count, per-reason breakdown, and lock-hold
+/// aggregates.
 #[derive(Debug, Clone)]
 pub struct ContentionEntry {
     /// The `TVar`'s `lock_addr()` identity (matches `LockHold.b` and the
@@ -432,11 +396,6 @@ pub struct ContentionEntry {
     pub hold_p50_ns: u64,
     /// 99th-percentile write-lock hold time, nanoseconds.
     pub hold_p99_ns: u64,
-    /// Snapshot extensions forced by this `TVar`'s chain overflowing
-    /// (mvcc chain-overflow pressure).
-    pub snap_extends: u64,
-    /// Version-chain prune operations on this `TVar` (mvcc).
-    pub version_prunes: u64,
 }
 
 impl ContentionEntry {
@@ -447,17 +406,6 @@ impl ContentionEntry {
             .clone()
             .unwrap_or_else(|| format!("{:#x}", self.addr))
     }
-}
-
-/// Cumulative mvcc snapshot-protocol counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SnapStats {
-    /// Snapshot timestamps pinned in the registry (`SnapPin`).
-    pub pins: u64,
-    /// In-place snapshot refreshes after chain overflow (`SnapExtend`).
-    pub extends: u64,
-    /// Falls back to the classic validated protocol (`SnapDemote`).
-    pub demotes: u64,
 }
 
 /// Everything a finished [`TraceSession`](crate::TraceSession) observed.
@@ -479,8 +427,6 @@ pub struct TraceReport {
     /// Top-K contention table from the merged per-thread conflict
     /// sketches, descending by estimated conflict count.
     pub contention: Vec<ContentionEntry>,
-    /// Cumulative mvcc snapshot-protocol counters.
-    pub snap: SnapStats,
     /// Anomaly-watchdog firings by kind (index = `codes::ANOMALY_*`).
     pub anomalies: [u64; codes::ANOMALY_NAMES.len()],
     /// Events discarded by ring overflow (drop-oldest) across all
@@ -657,13 +603,6 @@ impl TraceReport {
                 );
             }
         }
-        if self.snap != SnapStats::default() {
-            let _ = writeln!(
-                s,
-                "mvcc snapshots: pins={} extends={} demotes={}",
-                self.snap.pins, self.snap.extends, self.snap.demotes
-            );
-        }
         let fired: u64 = self.anomalies.iter().sum();
         if fired > 0 {
             let _ = writeln!(s, "anomalies fired: {fired}");
@@ -712,8 +651,6 @@ pub struct MetricsSnapshot {
     pub commit_p99_ns: u64,
     /// Last applied parallelism level observed.
     pub level: u32,
-    /// Cumulative mvcc snapshot counters.
-    pub snap: SnapStats,
     /// Cumulative task steals whose thief and victim shared a socket
     /// (`TaskSteal` events without the cross-socket flag).
     pub steals_local: u64,
@@ -765,11 +702,6 @@ impl MetricsSnapshot {
         s.push('}');
         let _ = write!(
             s,
-            ",\"snap\":{{\"pins\":{},\"extends\":{},\"demotes\":{}}}",
-            self.snap.pins, self.snap.extends, self.snap.demotes
-        );
-        let _ = write!(
-            s,
             ",\"steals\":{{\"local\":{},\"remote\":{}}}",
             self.steals_local, self.steals_remote
         );
@@ -818,12 +750,6 @@ impl MetricsSnapshot {
         );
         let _ = writeln!(s, "# TYPE rubic_level gauge");
         let _ = writeln!(s, "rubic_level {}", self.level);
-        let _ = writeln!(s, "# TYPE rubic_snapshot_pins_total counter");
-        let _ = writeln!(s, "rubic_snapshot_pins_total {}", self.snap.pins);
-        let _ = writeln!(s, "# TYPE rubic_snapshot_extends_total counter");
-        let _ = writeln!(s, "rubic_snapshot_extends_total {}", self.snap.extends);
-        let _ = writeln!(s, "# TYPE rubic_snapshot_demotes_total counter");
-        let _ = writeln!(s, "rubic_snapshot_demotes_total {}", self.snap.demotes);
         let _ = writeln!(s, "# TYPE rubic_steals_total counter");
         let _ = writeln!(
             s,
@@ -878,8 +804,8 @@ pub(crate) fn contention_entry_json(c: &ContentionEntry) -> String {
     }
     let _ = write!(
         s,
-        "}},\"lock_holds\":{},\"hold_p50_ns\":{},\"hold_p99_ns\":{},\"snap_extends\":{},\"version_prunes\":{}}}",
-        c.lock_holds, c.hold_p50_ns, c.hold_p99_ns, c.snap_extends, c.version_prunes
+        "}},\"lock_holds\":{},\"hold_p50_ns\":{},\"hold_p99_ns\":{}}}",
+        c.lock_holds, c.hold_p50_ns, c.hold_p99_ns
     );
     s
 }
@@ -1114,24 +1040,6 @@ mod tests {
         // The LockHold event in the sample carried addr 0xBEEF.
         assert_eq!(c.lock_holds, 1);
         assert!(c.hold_p50_ns > 0);
-    }
-
-    #[test]
-    fn snapshot_counters_accumulate() {
-        let mut sink = Sink::new(SinkOptions::default());
-        sink.add(ev(EventKind::SnapPin, 0, 10, 7, 3, 0));
-        sink.add(ev(EventKind::SnapExtend, 0, 20, 7, 9, 0xCAFE));
-        sink.add(ev(EventKind::SnapDemote, 0, 30, 9, 0, 0));
-        sink.add(ev(EventKind::SnapDemote, 1, 40, 9, 0, 0xCAFE));
-        let r = sink.into_report(&ConflictSketch::new(4));
-        assert_eq!(
-            r.snap,
-            SnapStats {
-                pins: 1,
-                extends: 1,
-                demotes: 2
-            }
-        );
     }
 
     #[test]

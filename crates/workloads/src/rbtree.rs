@@ -209,8 +209,8 @@ impl<F: MapFamily> Workload for RbTreeWorkloadOn<F> {
         let key = state.rng.gen_range(0..self.cfg.key_range);
         let dice = state.rng.gen_range(0..self.cfg.mix.total());
         if dice < self.cfg.mix.lookup {
-            // Declared read-only: under mvcc mode the lookup runs as an
-            // abort-free snapshot transaction.
+            // Declared read-only so the lookup's outcome is counted
+            // under `ro_commits`/`ro_aborts`.
             let _ = self.stm.read_only(|tx| self.map.get(tx, &key));
         } else if dice < self.cfg.mix.lookup + self.cfg.mix.insert {
             let _ = self.stm.atomically(|tx| self.map.insert(tx, key, key));

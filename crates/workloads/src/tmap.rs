@@ -10,16 +10,16 @@
 //! What the single cell buys (DESIGN.md §2b, §16): a look-up's read set
 //! is one entry however deep the tree is, and the whole map can be
 //! captured in O(1) ([`TMap::read_snapshot`]) for bulk reads that must
-//! be consistent with the rest of the transaction. What it costs: in
-//! the default single-version protocol, look-ups *validate* against the
-//! root `TVar` and can therefore abort when any update to the same map
-//! commits concurrently — they are write-free, not conflict-free. Only
-//! under the `mvcc` feature's declared read-only mode
-//! ([`rubic_stm::Stm::read_only`]) do look-ups pin a snapshot and
-//! become abort-free. Updates always serialise on the map's single root
-//! `TVar` — the snapshot-map discipline standard for immutable-value
-//! STMs (Haskell/Clojure lineage) — which makes every update conflict
-//! with every other update on the same map, regardless of key. For the
+//! be consistent with the rest of the transaction. What it costs:
+//! look-ups *validate* against the root `TVar` and can therefore abort
+//! when any update to the same map commits concurrently — they are
+//! write-free, not conflict-free (a declared
+//! [`rubic_stm::Stm::read_only`] look-up runs the same protocol; its
+//! aborts are counted as `ro_aborts`). Updates always serialise on the
+//! map's single root `TVar` — the snapshot-map discipline standard for
+//! immutable-value STMs (Haskell/Clojure lineage) — which makes every
+//! update conflict with every other update on the same map, regardless
+//! of key. For the
 //! opposite trade-off see [`crate::btree::TBTreeMap`]: one `TVar` per
 //! node, so a transaction's footprint is only the O(log n) path it
 //! touched and updates on disjoint subtrees commute. Both implement

@@ -263,6 +263,45 @@ fn chaos_readonly_snapshots_are_never_torn() {
     leaks.check().unwrap();
 }
 
+/// Declared read-only transactions stay monotone when the hook kills
+/// one in four attempts — the reader's own included: a killed
+/// `read_only` attempt retries, so every call still commits exactly
+/// once and never reports an older value than the call before it.
+#[test]
+fn chaos_killed_read_only_retries_and_stays_monotone() {
+    let _serial = serial();
+    for seed in [0x5EED_0004u64, 0x5EED_0005, 0x5EED_0006, 0x5EED_0007] {
+        let stm = Stm::default();
+        let hot = Arc::new(TVar::new(0u64));
+        let _chaos = install(Arc::new(SeededChaos::with_abort_one_in(seed, 4)));
+        let (writes, reads) = (200u64, 400u64);
+
+        let writer = {
+            let stm = stm.clone();
+            let hot = Arc::clone(&hot);
+            std::thread::spawn(move || {
+                for _ in 0..writes {
+                    stm.atomically(|tx| tx.modify(&hot, |x| x + 1));
+                }
+            })
+        };
+        let mut last = 0u64;
+        for _ in 0..reads {
+            let seen = stm.read_only(|tx| tx.read(&hot));
+            assert!(seen >= last, "seed {seed:#x}: read went backwards");
+            last = seen;
+        }
+        writer.join().unwrap();
+
+        assert_eq!(stm.read_only(|tx| tx.read(&hot)), writes);
+        assert_eq!(stm.stats().ro_commits(), reads + 1, "seed {seed:#x}");
+        assert!(
+            stm.stats().aborts_for(AbortReason::Chaos) > 0,
+            "seed {seed:#x}: the kills never landed"
+        );
+    }
+}
+
 #[test]
 fn unmanaged_writer_lock_conflicts_readers_until_abort() {
     let _serial = serial();

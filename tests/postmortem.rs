@@ -288,7 +288,7 @@ mod determinism {
     }
 
     /// One contention-table row: (label, count, err, by_reason).
-    type AttributionRow = (Option<String>, u64, u64, [u64; 6]);
+    type AttributionRow = (Option<String>, u64, u64, [u64; codes::ABORT_REASONS]);
 
     /// One seeded single-threaded storm; returns the attribution table
     /// rows plus the address-normalised bundle contention.json.

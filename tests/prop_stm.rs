@@ -127,6 +127,74 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Declared read-only transactions observe a serial prefix: a
+    /// writer stamps every cell with the same generation per
+    /// transaction, so any mixture of generations inside one
+    /// `read_only` would expose a non-serial state. Successive reads on
+    /// one thread must also never move backwards.
+    #[test]
+    fn read_only_observes_a_serial_prefix(
+        generations in 8u64..96,
+        reads_per_reader in 16usize..128,
+    ) {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let stm = Stm::default();
+        let vars: Arc<Vec<TVar<u64>>> = Arc::new((0..6).map(|_| TVar::new(0)).collect());
+        let done = Arc::new(AtomicBool::new(false));
+
+        let writer = {
+            let stm = stm.clone();
+            let vars = Arc::clone(&vars);
+            let done = Arc::clone(&done);
+            std::thread::spawn(move || {
+                for g in 1..=generations {
+                    stm.atomically(|tx| vars.iter().try_for_each(|v| tx.write(v, g)));
+                }
+                done.store(true, Ordering::Release);
+            })
+        };
+        let readers: Vec<_> = (0..2)
+            .map(|_| {
+                let stm = stm.clone();
+                let vars = Arc::clone(&vars);
+                let done = Arc::clone(&done);
+                std::thread::spawn(move || {
+                    let mut last = 0u64;
+                    let mut n = 0usize;
+                    while n < reads_per_reader || !done.load(Ordering::Acquire) {
+                        let gens = stm.read_only(|tx| {
+                            let mut out = [0u64; 6];
+                            for (slot, v) in out.iter_mut().zip(vars.iter()) {
+                                *slot = tx.read(v)?;
+                            }
+                            Ok(out)
+                        });
+                        assert!(
+                            gens.iter().all(|&g| g == gens[0]),
+                            "read-only transaction mixed generations: {gens:?}"
+                        );
+                        assert!(
+                            gens[0] >= last,
+                            "read-only transaction went backwards: {} < {last}",
+                            gens[0]
+                        );
+                        last = gens[0];
+                        n += 1;
+                    }
+                    n as u64
+                })
+            })
+            .collect();
+        writer.join().unwrap();
+        let reads: u64 = readers.into_iter().map(|r| r.join().unwrap()).sum();
+        prop_assert_eq!(vars[0].snapshot(), generations);
+        prop_assert_eq!(stm.stats().ro_commits(), reads, "one commit per read_only call");
+    }
+}
+
 // ---------------------------------------------------------------------
 // Hot-path fast-path properties: the access-set index switches from a
 // linear-scanned small set to a hashed (spilled) representation past 16

@@ -184,49 +184,6 @@ fn lock_leak_and_contention_table_share_tvar_identity() {
     }
 }
 
-#[cfg(feature = "mvcc")]
-mod mvcc_snapshot {
-    use super::*;
-
-    /// An mvcc read-only run must emit the snapshot-path events: a
-    /// `SnapPin` per pinned snapshot and a `SnapDemote` when the body
-    /// turns out to write, with the always-on demotion counter agreeing.
-    #[test]
-    fn snapshot_path_emits_pin_and_demote_events() {
-        let _serial = serial();
-        let stm = Stm::builder().mvcc(true).build();
-        let v = TVar::new(1u64);
-        let demotions_before = stm.stats().snap_demotions();
-        let session = TraceSession::start(TraceConfig::default());
-        for _ in 0..16 {
-            let _ = stm.read_only(|tx| tx.read(&v));
-        }
-        // A read-only body that writes demotes itself to the classic
-        // protocol (SnapDemote code 1, naming the written variable).
-        stm.read_only(|tx| tx.modify(&v, |x| x + 1));
-        let report = session.finish();
-
-        assert!(
-            report.events.iter().any(|e| e.kind == EventKind::SnapPin),
-            "no SnapPin events from the snapshot path"
-        );
-        assert!(
-            report
-                .events
-                .iter()
-                .any(|e| e.kind == EventKind::SnapDemote),
-            "no SnapDemote event from the demoted write"
-        );
-        assert!(report.snap.pins >= 17, "pins: {}", report.snap.pins);
-        assert!(report.snap.demotes >= 1, "demotes: {}", report.snap.demotes);
-        assert!(
-            stm.stats().snap_demotions() > demotions_before,
-            "StmStats must count the demotion unconditionally"
-        );
-        assert_eq!(v.snapshot(), 2);
-    }
-}
-
 #[cfg(feature = "chaos")]
 mod chaos_interleaving {
     use super::*;

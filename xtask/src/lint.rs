@@ -1,9 +1,8 @@
 //! `cargo xtask lint` — thin shim over `rubic-analyze`'s re-hosted
 //! R1–R5 lexical rules. The rules themselves (sync-facade discipline,
 //! ordering justifications, SAFETY comments, hot-path timing, fence
-//! justifications) now run on the analyzer's token stream instead of
-//! raw line text; `xtask/tests/legacy_parity.rs` pins the old and new
-//! implementations to identical verdicts.
+//! justifications) run on the analyzer's token stream; the mutation
+//! fixtures in `crates/analysis/tests/mutation.rs` are their oracle.
 
 use std::path::Path;
 

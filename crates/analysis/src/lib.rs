@@ -12,12 +12,11 @@
 //!   a declared feature ([`passes::features`]).
 //! - **A3** trace-schema consistency — `EventKind` agrees with its
 //!   decode table, doc table, and the README ([`passes::schema`]).
-//! - **R1–R5** the historical `xtask lint` rules, re-hosted on the
-//!   token stream ([`passes::lexical`]).
+//! - **R1–R5** the hygiene rules of the former line-based lint,
+//!   re-hosted on the token stream ([`passes::lexical`]).
 //!
-//! Entry points: [`analyze`] (everything, what `cargo xtask analyze`
-//! runs) and [`analyze_lexical`] (R1–R5 only, what the legacy
-//! `cargo xtask lint` shim runs).
+//! One entry point: [`analyze`] — everything, what `cargo xtask
+//! analyze` runs.
 
 pub mod lexer;
 pub mod manifest;
@@ -36,8 +35,8 @@ use report::Report;
 const SKIP_DIRS: [&str; 3] = ["target", "fixtures", "vendor"];
 
 /// Directory names that hold test-harness (non-production) code, for
-/// the production walk (A1 + R1–R5 scan the same set the historical
-/// lint did).
+/// the production walk (A1 + R1–R5 scan crate `src` trees and the
+/// suite library only).
 const NON_PRODUCTION_DIRS: [&str; 3] = ["tests", "benches", "examples"];
 
 /// Runs every pass over the workspace at `root`. Finding paths are
@@ -48,7 +47,7 @@ pub fn analyze(root: &Path) -> Report {
     let mut scanned: BTreeSet<PathBuf> = BTreeSet::new();
 
     // A1 + R1–R5 over production sources (crate `src` trees + the
-    // suite library — the same set `xtask lint` always scanned).
+    // suite library).
     for rel in production_files(root) {
         let Ok(src) = std::fs::read_to_string(root.join(&rel)) else {
             continue;
@@ -112,23 +111,6 @@ pub fn analyze(root: &Path) -> Report {
     rep
 }
 
-/// Runs only the re-hosted R1–R5 rules (the `xtask lint` surface).
-#[must_use]
-pub fn analyze_lexical(root: &Path) -> Report {
-    let mut rep = Report::default();
-    let files = production_files(root);
-    rep.stats.files = files.len();
-    for rel in files {
-        let Ok(src) = std::fs::read_to_string(root.join(&rel)) else {
-            continue;
-        };
-        let lexed = lexer::lex(&src);
-        passes::lexical::check_file(&rel, &lexed, &mut rep.stats, &mut rep.findings);
-    }
-    rep.sort();
-    rep
-}
-
 /// Production `.rs` files (root-relative, sorted): the `crates` and
 /// `suite` trees minus test/bench/example/fixture directories.
 #[must_use]
@@ -181,8 +163,7 @@ fn package_files(root: &Path, pkg_dir: &Path) -> Vec<PathBuf> {
 }
 
 /// Recursive `.rs` collection under `root/rel`. `production` also
-/// skips test/bench/example subdirectories (the historical lint's
-/// scope); fixtures/target/vendor are always skipped.
+/// skips test/bench/example subdirectories; fixtures/target/vendor are always skipped.
 fn collect_rs(root: &Path, rel: &Path, production: bool, out: &mut Vec<PathBuf>) {
     let Ok(entries) = std::fs::read_dir(root.join(rel)) else {
         return;

@@ -1,8 +1,6 @@
-//! R1–R5, re-hosted from `xtask lint`'s line scan onto the token
-//! stream. Semantics are unchanged — same rules, same escapes, same
-//! justification windows — but string literals and comments can no
-//! longer produce false positives, because they are single tokens /
-//! comment-map entries rather than raw line text.
+//! R1–R5, the concurrency hygiene rules, on the token stream: string
+//! literals and comments cannot produce false positives, because they
+//! are single tokens / comment-map entries rather than raw line text.
 
 use std::collections::BTreeSet;
 use std::path::Path;
@@ -10,8 +8,7 @@ use std::path::Path;
 use crate::lexer::{LexOut, Tok, TokKind};
 use crate::report::{Finding, Rule, Stats};
 
-/// How far above a site a justification comment may sit (matches the
-/// historical lint's window).
+/// How far above a site a justification comment may sit.
 pub const COMMENT_WINDOW: u32 = 10;
 
 /// Crates whose `src` trees are exempt from R1/R2/R5: they *implement*

@@ -4,8 +4,10 @@
 //! payload doc table, or the README event table ships half-decoded:
 //! `from_u8` returns `None` for it (the ring drops it as "corrupt") and
 //! operators have no schema row to read dumps with. This pass parses
-//! the enum and cross-checks all four surfaces, including cell-level
-//! drift between the rustdoc payload table and the README copy.
+//! the enum and cross-checks all four surfaces in both directions — a
+//! table row that names no variant documents an event nothing can emit
+//! — including cell-level drift between the rustdoc payload table and
+//! the README copy.
 
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -125,6 +127,33 @@ pub fn check(input: &SchemaInput<'_>, stats: &mut Stats, out: &mut Vec<Finding>)
                     ),
                 });
             }
+        }
+    }
+
+    // The other direction: a row that outlived its variant.
+    for (key, row) in &doc_rows {
+        if !variants.iter().any(|(variant, _, _)| variant == key) {
+            out.push(Finding {
+                file: input.event_rs_rel.to_path_buf(),
+                line: row.line,
+                rule: Rule::A3,
+                message: format!(
+                    "`EventKind` payload doc table has a row for `{key}`, which is not a variant"
+                ),
+            });
+        }
+    }
+    for (key, row) in &readme_rows {
+        if !names.values().any(|name| name == key) {
+            out.push(Finding {
+                file: input.readme_rel.to_path_buf(),
+                line: row.line,
+                rule: Rule::A3,
+                message: format!(
+                    "README event-schema table has a row for `{key}`, which no `EventKind` \
+                     variant is exported as"
+                ),
+            });
         }
     }
 }
@@ -543,6 +572,21 @@ impl EventKind {
             v.iter().any(|f| f.contains("no row in the README")),
             "{v:?}"
         );
+    }
+
+    #[test]
+    fn stale_doc_and_readme_rows_flagged() {
+        let stale_doc = GOOD.replace(
+            "pub enum EventKind {",
+            "/// | `Gone` | 2 | x | y | z |\npub enum EventKind {",
+        );
+        let v = run(&stale_doc, GOOD_README);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].contains("row for `Gone`, which is not a variant"));
+        let stale_readme = format!("{GOOD_README}| `gone` | 2 | x | y | z |\n");
+        let v = run(GOOD, &stale_readme);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].contains("README.md:5") && v[0].contains("row for `gone`"));
     }
 
     #[test]

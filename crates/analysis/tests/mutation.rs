@@ -126,6 +126,33 @@ fn undecoded_event_caught() {
 }
 
 #[test]
+fn stale_schema_row_caught() {
+    let event_src = fixture("stale_row/event.rs");
+    let readme_src = fixture("stale_row/README.md");
+    let mut stats = report::Stats::default();
+    let mut out = Vec::new();
+    passes::schema::check(
+        &passes::schema::SchemaInput {
+            event_rs_rel: Path::new("event.rs"),
+            event_rs_src: &event_src,
+            readme_rel: Path::new("README.md"),
+            readme_src: &readme_src,
+        },
+        &mut stats,
+        &mut out,
+    );
+    let msgs: Vec<String> = out.iter().map(ToString::to_string).collect();
+    // The enum, `ALL`, `name()` and the doc table agree; only the README
+    // row that outlived its variant is reported, at its own line.
+    assert_eq!(out.len(), 1, "{msgs:?}");
+    assert_eq!(out[0].rule.id(), "A3");
+    assert!(
+        msgs[0].contains("README.md:10") && msgs[0].contains("row for `gamma`"),
+        "{msgs:?}"
+    );
+}
+
+#[test]
 fn unjustified_seqcst_caught() {
     let v = production_verdicts(
         "crates/runtime/src/lib.rs",

@@ -1,9 +1,8 @@
 //! STM primitive microbenchmarks: transaction begin/commit paths,
-//! read/write costs, contention-manager comparison.
+//! read/write costs.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use rubic::prelude::*;
-use rubic::stm::{Aggressive, Backoff, Polite};
 
 fn bench_read_only(c: &mut Criterion) {
     let stm = Stm::default();
@@ -68,42 +67,6 @@ fn bench_write_n(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_contention_managers(c: &mut Criterion) {
-    let mut group = c.benchmark_group("stm/contention_manager_2threads");
-    group.sample_size(10);
-    let run = |stm: Stm| {
-        let v = std::sync::Arc::new(TVar::new(0u64));
-        let handles: Vec<_> = (0..2)
-            .map(|_| {
-                let stm = stm.clone();
-                let v = std::sync::Arc::clone(&v);
-                std::thread::spawn(move || {
-                    for _ in 0..2_000 {
-                        stm.atomically(|tx| tx.modify(&v, |x| x + 1));
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-    };
-    group.bench_function("backoff", |b| {
-        b.iter(|| {
-            run(Stm::builder()
-                .contention_manager(Backoff::default())
-                .build())
-        });
-    });
-    group.bench_function("polite", |b| {
-        b.iter(|| run(Stm::builder().contention_manager(Polite).build()));
-    });
-    group.bench_function("aggressive", |b| {
-        b.iter(|| run(Stm::builder().contention_manager(Aggressive).build()));
-    });
-    group.finish();
-}
-
 fn bench_snapshot(c: &mut Criterion) {
     let v = TVar::new(vec![1u64; 16]);
     c.bench_function("stm/non_transactional_snapshot", |b| {
@@ -118,7 +81,6 @@ criterion_group!(
     bench_rmw_tx,
     bench_read_n,
     bench_write_n,
-    bench_contention_managers,
     bench_snapshot
 );
 criterion_main!(benches);

@@ -55,29 +55,6 @@ fn bench_intruder(c: &mut Criterion) {
     });
 }
 
-fn bench_labyrinth(c: &mut Criterion) {
-    c.bench_function("workloads/labyrinth/route_task", |b| {
-        let w = LabyrinthWorkload::new(LabyrinthConfig::small(), Stm::default());
-        let mut st = w.init_worker(0);
-        b.iter(|| w.run_task(&mut st));
-    });
-}
-
-fn bench_kmeans(c: &mut Criterion) {
-    let mut group = c.benchmark_group("workloads/kmeans");
-    group.bench_function("high_contention_assign", |b| {
-        let w = KMeansWorkload::new(KMeansConfig::high_contention(), Stm::default());
-        let mut st = w.init_worker(0);
-        b.iter(|| w.run_task(&mut st));
-    });
-    group.bench_function("low_contention_assign", |b| {
-        let w = KMeansWorkload::new(KMeansConfig::low_contention(), Stm::default());
-        let mut st = w.init_worker(0);
-        b.iter(|| w.run_task(&mut st));
-    });
-    group.finish();
-}
-
 fn bench_counters(c: &mut Criterion) {
     let mut group = c.benchmark_group("workloads/counters");
     group.bench_function("conflict_counter_task", |b| {
@@ -98,8 +75,6 @@ criterion_group!(
     bench_rbtree,
     bench_vacation,
     bench_intruder,
-    bench_labyrinth,
-    bench_kmeans,
     bench_counters
 );
 criterion_main!(benches);

@@ -1,4 +1,4 @@
-//! `poolbench` — queue-backend comparison for the malleable pool.
+//! `poolbench` — queue-transport cost of the malleable pool.
 //!
 //! ```text
 //! cargo run --release -p rubic-bench --bin poolbench             # full sweep → BENCH_pool.json
@@ -6,15 +6,16 @@
 //! cargo run --release -p rubic-bench --bin poolbench -- --reps 7 --workers 1,4,16 --out /tmp/p.json
 //! ```
 //!
-//! Writes the `rubic-poolbench/v1` JSON report (see the README's
+//! Writes the `rubic-poolbench/v2` JSON report (see the README's
 //! "poolbench" section for the schema) after validating it; a run that
 //! produces an out-of-range or structurally broken report exits
 //! non-zero without touching the output file.
 
 use std::path::PathBuf;
+use std::process::ExitCode;
 
 use rubic_bench::poolbench::{run_sweep, PoolSweepOptions};
-use rubic_bench::postmortem::{self, BenchTrace, NoisyPoint, PostmortemOptions};
+use rubic_bench::postmortem::{self, BenchTrace, PostmortemOptions};
 
 struct Args {
     opts: PoolSweepOptions,
@@ -71,12 +72,12 @@ fn parse_args() -> Result<Args, String> {
     Ok(Args { opts, out, pm })
 }
 
-fn main() {
+fn main() -> ExitCode {
     let args = match parse_args() {
         Ok(a) => a,
         Err(msg) => {
             eprintln!("{msg}");
-            std::process::exit(2);
+            return ExitCode::from(2);
         }
     };
     eprintln!(
@@ -93,32 +94,5 @@ fn main() {
         if args.opts.smoke { " (smoke)" } else { "" },
     );
     let bench_trace = BenchTrace::start(&args.pm, "poolbench");
-    let report = run_sweep(&args.opts);
-    if let Err(msg) = report.validate() {
-        eprintln!("poolbench: report failed validation: {msg}");
-        std::process::exit(1);
-    }
-    let noisy: Vec<NoisyPoint> = report
-        .points
-        .iter()
-        .filter(|p| {
-            postmortem::is_noisy(
-                p.ops_per_sec.mean,
-                p.ops_per_sec.stddev,
-                args.pm.stddev_ratio,
-            )
-        })
-        .map(|p| NoisyPoint {
-            label: format!("{}/{}/{}/w{}", p.queue, p.task, p.controller, p.workers),
-            mean: p.ops_per_sec.mean,
-            stddev: p.ops_per_sec.stddev,
-        })
-        .collect();
-    bench_trace.finish(&args.pm, &noisy, "poolbench");
-    let json = report.to_json();
-    if let Err(e) = std::fs::write(&args.out, &json) {
-        eprintln!("poolbench: cannot write {}: {e}", args.out.display());
-        std::process::exit(1);
-    }
-    eprintln!("poolbench: wrote {}", args.out.display());
+    run_sweep(&args.opts).finish(bench_trace, &args.pm, &args.out)
 }

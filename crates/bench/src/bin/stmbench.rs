@@ -14,9 +14,10 @@
 //! `btree`; counter always runs as `snapshot`).
 
 use std::path::PathBuf;
+use std::process::ExitCode;
 use std::time::Duration;
 
-use rubic_bench::postmortem::{self, BenchTrace, NoisyPoint, PostmortemOptions};
+use rubic_bench::postmortem::{self, BenchTrace, PostmortemOptions};
 use rubic_bench::stmbench::{run_sweep, SweepOptions, STRUCTURES};
 
 struct Args {
@@ -90,12 +91,12 @@ fn parse_args() -> Result<Args, String> {
     Ok(Args { opts, out, pm })
 }
 
-fn main() {
+fn main() -> ExitCode {
     let args = match parse_args() {
         Ok(a) => a,
         Err(msg) => {
             eprintln!("{msg}");
-            std::process::exit(2);
+            return ExitCode::from(2);
         }
     };
     eprintln!(
@@ -112,32 +113,5 @@ fn main() {
         if args.opts.smoke { " (smoke)" } else { "" },
     );
     let bench_trace = BenchTrace::start(&args.pm, "stmbench");
-    let report = run_sweep(&args.opts);
-    if let Err(msg) = report.validate() {
-        eprintln!("stmbench: report failed validation: {msg}");
-        std::process::exit(1);
-    }
-    let noisy: Vec<NoisyPoint> = report
-        .points
-        .iter()
-        .filter(|p| {
-            postmortem::is_noisy(
-                p.ops_per_sec.mean,
-                p.ops_per_sec.stddev,
-                args.pm.stddev_ratio,
-            )
-        })
-        .map(|p| NoisyPoint {
-            label: format!("{}/{}/{}/t{}", p.workload, p.mix, p.structure, p.threads),
-            mean: p.ops_per_sec.mean,
-            stddev: p.ops_per_sec.stddev,
-        })
-        .collect();
-    bench_trace.finish(&args.pm, &noisy, "stmbench");
-    let json = report.to_json();
-    if let Err(e) = std::fs::write(&args.out, &json) {
-        eprintln!("stmbench: cannot write {}: {e}", args.out.display());
-        std::process::exit(1);
-    }
-    eprintln!("stmbench: wrote {}", args.out.display());
+    run_sweep(&args.opts).finish(bench_trace, &args.pm, &args.out)
 }

@@ -13,6 +13,7 @@
 //! file.
 
 use std::path::PathBuf;
+use std::process::ExitCode;
 
 use rubic_bench::topobench::{run_sweep, TopoSweepOptions};
 
@@ -67,12 +68,12 @@ fn parse_args() -> Result<Args, String> {
     Ok(Args { opts, out })
 }
 
-fn main() {
+fn main() -> ExitCode {
     let args = match parse_args() {
         Ok(a) => a,
         Err(msg) => {
             eprintln!("{msg}");
-            std::process::exit(2);
+            return ExitCode::from(2);
         }
     };
     eprintln!(
@@ -82,15 +83,5 @@ fn main() {
         args.opts.noise,
         if args.opts.smoke { " (smoke)" } else { "" },
     );
-    let report = run_sweep(&args.opts);
-    if let Err(msg) = report.validate() {
-        eprintln!("topobench: report failed validation: {msg}");
-        std::process::exit(1);
-    }
-    let json = report.to_json();
-    if let Err(e) = std::fs::write(&args.out, &json) {
-        eprintln!("topobench: cannot write {}: {e}", args.out.display());
-        std::process::exit(1);
-    }
-    eprintln!("topobench: wrote {}", args.out.display());
+    run_sweep(&args.opts).finish(&args.out)
 }

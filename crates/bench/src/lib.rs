@@ -19,6 +19,7 @@ pub mod figures;
 pub mod invivo;
 pub mod poolbench;
 pub mod postmortem;
+pub mod report;
 pub mod stmbench;
 pub mod topobench;
 

@@ -1,15 +1,14 @@
 //! The pool's task-distribution harness (`poolbench`).
 //!
-//! Compares the two queue backends of `rubic-runtime` — the single
-//! shared channel ([`ChannelWorkload`]) and the sharded work-stealing
-//! queues ([`ShardedWorkload`]) — across worker counts, task grains and
-//! controllers. Each measured point drains a fixed number of items
-//! through a malleable pool and reports items per second of wall time,
-//! repeated `reps` times for a mean ± sample stddev.
+//! Measures what `rubic-runtime`'s one queue transport — the sharded
+//! work-stealing queues ([`ShardedWorkload`]) — costs per item across
+//! worker counts, task grains and controllers. Each measured point
+//! drains a fixed number of items through a malleable pool and reports
+//! items per second of wall time, repeated `reps` times for a mean ±
+//! sample stddev.
 //!
 //! Axes:
 //!
-//! * **queue** ∈ {`channel`, `sharded`} — the backend under test.
 //! * **task** ∈ {`tiny`, `stm-txn`} — `tiny` is a handful of ALU ops
 //!   (queue overhead dominates, the case sharding targets); `stm-txn`
 //!   runs one striped-counter STM transaction per item (real work
@@ -18,35 +17,39 @@
 //! * **controller** ∈ {`fixed`, `rubic`} — a pinned level versus the
 //!   paper's controller moving the level mid-drain.
 //!
+//! v1 carried a `queue` axis comparing a single shared channel with
+//! the sharded queues; the channel lost at 20 of 20 points and was
+//! deleted with its axis (DESIGN.md §12).
+//!
 //! The `poolbench` binary writes `BENCH_pool.json` (schema
-//! `rubic-poolbench/v1`) after [`PoolBenchReport::validate`] passes —
+//! `rubic-poolbench/v2`) after [`PoolBenchReport::validate`] passes —
 //! same contract as `stmbench`: a malformed report is never written.
 
+use std::path::Path;
+use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use rubic::controllers::{Controller, Fixed, Rubic, RubicConfig};
-use rubic::runtime::{ChannelWorkload, MalleablePool, PoolConfig, ShardedWorkload};
+use rubic::runtime::{MalleablePool, PoolConfig, ShardedWorkload};
 use rubic::stm::{Stm, TVar};
 
-use crate::stmbench::Stat;
+use crate::postmortem::{BenchTrace, PostmortemOptions};
+use crate::report::{self, Document, Point, Stat, Value};
 
 /// Schema identifier written into every report.
-pub const SCHEMA: &str = "rubic-poolbench/v1";
+pub const SCHEMA: &str = "rubic-poolbench/v2";
 
 /// The benchmarked grid axes.
-const QUEUES: [&str; 2] = ["channel", "sharded"];
 const TASKS: [&str; 2] = ["tiny", "stm-txn"];
 const CONTROLLERS: [&str; 2] = ["fixed", "rubic"];
 
-/// Queue capacity used by both backends.
+/// Queue capacity.
 const CAPACITY: usize = 1024;
 
 /// One swept configuration and its measurement.
 #[derive(Debug, Clone)]
 pub struct PoolBenchPoint {
-    /// Queue backend: `channel` or `sharded`.
-    pub queue: &'static str,
     /// Task grain: `tiny` or `stm-txn`.
     pub task: &'static str,
     /// Controller driving the level: `fixed` or `rubic`.
@@ -55,6 +58,13 @@ pub struct PoolBenchPoint {
     pub workers: u32,
     /// Items drained per second of wall time.
     pub ops_per_sec: Stat,
+}
+
+impl PoolBenchPoint {
+    /// Names the point in validation errors and noise warnings.
+    fn label(&self) -> String {
+        format!("{}/{}/w{}", self.task, self.controller, self.workers)
+    }
 }
 
 /// A complete sweep: harness parameters plus every measured point.
@@ -70,7 +80,7 @@ pub struct PoolBenchReport {
     pub smoke: bool,
     /// `std::thread::available_parallelism` on the measuring host.
     pub hw_threads: u32,
-    /// One entry per (queue, task, controller, workers) configuration.
+    /// One entry per (task, controller, workers) configuration.
     pub points: Vec<PoolBenchPoint>,
 }
 
@@ -140,15 +150,9 @@ fn stm_task(stm: &Stm, stripes: &[TVar<u64>], n: u64) {
     });
 }
 
-/// Drives `items` numbered tasks through a pool over the given queue
-/// backend and returns items per second of wall time (send → drained).
-fn run_once(
-    queue: &'static str,
-    task: &'static str,
-    controller: &'static str,
-    workers: u32,
-    items: u64,
-) -> f64 {
+/// Drives `items` numbered tasks through a pool and returns items per
+/// second of wall time (send → drained).
+fn run_once(task: &'static str, controller: &'static str, workers: u32, items: u64) -> f64 {
     let stm = Arc::new(Stm::default());
     let stripes: Arc<Vec<TVar<u64>>> = Arc::new((0..256).map(|_| TVar::new(0)).collect());
     let handler = move |n: u64| match task {
@@ -159,73 +163,48 @@ fn run_once(
         .initial_level(workers)
         .monitor_period(Duration::from_millis(5))
         .name("poolbench");
-    match queue {
-        "channel" => {
-            let (workload, tx) = ChannelWorkload::new(CAPACITY, handler);
-            let handle = workload.handle();
-            let pool = MalleablePool::start(cfg, workload, make_controller(controller, workers));
-            let start = Instant::now();
-            let producer = rubic_sync::thread::spawn(move || {
-                for n in 0..items {
-                    tx.send(n).unwrap();
-                }
-            });
-            producer.join().unwrap();
-            handle.wait_drained();
-            let elapsed = start.elapsed();
-            let _ = pool.stop();
-            assert_eq!(handle.processed(), items, "channel lost items");
-            items as f64 / elapsed.as_secs_f64()
-        }
-        "sharded" => {
-            let (workload, tx) = ShardedWorkload::new(workers as usize, CAPACITY, handler);
-            let handle = workload.handle();
-            let pool = MalleablePool::start(cfg, workload, make_controller(controller, workers));
-            let start = Instant::now();
-            let producer = rubic_sync::thread::spawn(move || {
-                tx.send_batch(0..items).unwrap();
-            });
-            producer.join().unwrap();
-            handle.wait_drained();
-            let elapsed = start.elapsed();
-            let _ = pool.stop();
-            assert_eq!(handle.processed(), items, "sharded lost items");
-            items as f64 / elapsed.as_secs_f64()
-        }
-        other => unreachable!("unknown queue {other}"),
-    }
+    let (workload, tx) = ShardedWorkload::new(workers as usize, CAPACITY, handler);
+    let handle = workload.handle();
+    let pool = MalleablePool::start(cfg, workload, make_controller(controller, workers));
+    let start = Instant::now();
+    let producer = rubic_sync::thread::spawn(move || {
+        tx.send_batch(0..items).unwrap();
+    });
+    producer.join().unwrap();
+    handle.wait_drained();
+    let elapsed = start.elapsed();
+    let _ = pool.stop();
+    assert_eq!(handle.processed(), items, "queue lost items");
+    items as f64 / elapsed.as_secs_f64()
 }
 
 /// Runs the whole sweep, printing one progress line per configuration.
 #[must_use]
 pub fn run_sweep(opts: &PoolSweepOptions) -> PoolBenchReport {
     let mut points = Vec::new();
-    for queue in QUEUES {
-        for task in TASKS {
-            for controller in CONTROLLERS {
-                for &workers in &opts.workers {
-                    let items = if task == "tiny" {
-                        opts.items_tiny
-                    } else {
-                        opts.items_stm
-                    };
-                    let mut ops = Vec::with_capacity(opts.reps as usize);
-                    for _ in 0..opts.reps {
-                        ops.push(run_once(queue, task, controller, workers, items));
-                    }
-                    let point = PoolBenchPoint {
-                        queue,
-                        task,
-                        controller,
-                        workers,
-                        ops_per_sec: Stat::from_samples(ops),
-                    };
-                    eprintln!(
-                        "  {queue:>7} {task:<7} {controller:<5} w={workers:<2} {:>12.0} items/s ± {:>8.0}",
-                        point.ops_per_sec.mean, point.ops_per_sec.stddev,
-                    );
-                    points.push(point);
+    for task in TASKS {
+        for controller in CONTROLLERS {
+            for &workers in &opts.workers {
+                let items = if task == "tiny" {
+                    opts.items_tiny
+                } else {
+                    opts.items_stm
+                };
+                let mut ops = Vec::with_capacity(opts.reps as usize);
+                for _ in 0..opts.reps {
+                    ops.push(run_once(task, controller, workers, items));
                 }
+                let point = PoolBenchPoint {
+                    task,
+                    controller,
+                    workers,
+                    ops_per_sec: Stat::from_samples(ops),
+                };
+                eprintln!(
+                    "  {task:<7} {controller:<5} w={workers:<2} {:>12.0} items/s ± {:>8.0}",
+                    point.ops_per_sec.mean, point.ops_per_sec.stddev,
+                );
+                points.push(point);
             }
         }
     }
@@ -239,70 +218,52 @@ pub fn run_sweep(opts: &PoolSweepOptions) -> PoolBenchReport {
     }
 }
 
-fn json_f64(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x:.6}")
-    } else {
-        "null".to_string()
-    }
-}
-
-fn json_stat(s: &Stat, indent: &str) -> String {
-    let samples: Vec<String> = s.samples.iter().map(|&x| json_f64(x)).collect();
-    format!(
-        "{{\n{indent}  \"mean\": {},\n{indent}  \"stddev\": {},\n{indent}  \"samples\": [{}]\n{indent}}}",
-        json_f64(s.mean),
-        json_f64(s.stddev),
-        samples.join(", "),
-    )
-}
-
 impl PoolBenchReport {
-    /// Serialises the report as the documented `rubic-poolbench/v1`
+    fn document(&self) -> Document<'_> {
+        Document {
+            schema: SCHEMA,
+            reps: self.reps,
+            harness: vec![
+                ("items_tiny", Value::Int(self.items_tiny)),
+                ("items_stm", Value::Int(self.items_stm)),
+                ("smoke", Value::Bool(self.smoke)),
+                ("hw_threads", Value::Int(self.hw_threads.into())),
+            ],
+            points: self
+                .points
+                .iter()
+                .map(|p| Point {
+                    label: p.label(),
+                    headline: &p.ops_per_sec,
+                    fields: vec![
+                        ("task", Value::Str(p.task)),
+                        ("controller", Value::Str(p.controller)),
+                        ("workers", Value::Int(p.workers.into())),
+                        ("ops_per_sec", Value::Stat(&p.ops_per_sec)),
+                    ],
+                })
+                .collect(),
+        }
+    }
+
+    /// Serialises the report as the documented `rubic-poolbench/v2`
     /// JSON schema.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"schema\": \"{SCHEMA}\",\n"));
-        out.push_str(&format!(
-            "  \"harness\": {{\n    \"reps\": {},\n    \"items_tiny\": {},\n    \"items_stm\": {},\n    \"smoke\": {},\n    \"hw_threads\": {}\n  }},\n",
-            self.reps, self.items_tiny, self.items_stm, self.smoke, self.hw_threads,
-        ));
-        out.push_str("  \"results\": [\n");
-        let rows: Vec<String> = self
-            .points
-            .iter()
-            .map(|p| {
-                format!(
-                    "    {{\n      \"queue\": \"{}\",\n      \"task\": \"{}\",\n      \"controller\": \"{}\",\n      \"workers\": {},\n      \"ops_per_sec\": {}\n    }}",
-                    p.queue,
-                    p.task,
-                    p.controller,
-                    p.workers,
-                    json_stat(&p.ops_per_sec, "      "),
-                )
-            })
-            .collect();
-        out.push_str(&rows.join(",\n"));
-        out.push_str("\n  ]\n}\n");
-        out
+        self.document().to_json()
     }
 
-    /// Structural sanity checks: non-empty grid, known axis values,
-    /// finite positive throughput, sample counts matching `reps`. The
-    /// binary refuses to write a report that fails these.
+    /// The shared structural checks ([`crate::report`]: non-empty grid,
+    /// sample counts matching `reps`, finite positive throughput) plus
+    /// known axis values. The binary refuses to write a report that
+    /// fails these.
     ///
     /// # Errors
     /// A human-readable description of the first violated invariant.
     pub fn validate(&self) -> Result<(), String> {
-        if self.points.is_empty() {
-            return Err("empty sweep: no configurations measured".into());
-        }
+        self.document().validate()?;
         for p in &self.points {
-            let tag = format!("{}/{}/{}/w{}", p.queue, p.task, p.controller, p.workers);
-            if !QUEUES.contains(&p.queue) {
-                return Err(format!("{tag}: unknown queue"));
-            }
+            let tag = p.label();
             if !TASKS.contains(&p.task) {
                 return Err(format!("{tag}: unknown task"));
             }
@@ -312,21 +273,21 @@ impl PoolBenchReport {
             if p.workers == 0 {
                 return Err(format!("{tag}: zero workers"));
             }
-            if p.ops_per_sec.samples.len() != self.reps as usize {
-                return Err(format!(
-                    "{tag}: ops_per_sec has {} samples, expected {}",
-                    p.ops_per_sec.samples.len(),
-                    self.reps
-                ));
-            }
-            if !p.ops_per_sec.mean.is_finite() || p.ops_per_sec.mean <= 0.0 {
-                return Err(format!(
-                    "{tag}: throughput {} out of range",
-                    p.ops_per_sec.mean
-                ));
-            }
         }
         Ok(())
+    }
+
+    /// The `poolbench` binary's tail: validate, name the noisy points,
+    /// write `out`.
+    pub fn finish(&self, trace: BenchTrace, pm: &PostmortemOptions, out: &Path) -> ExitCode {
+        report::finish(
+            "poolbench",
+            self.validate(),
+            &self.document(),
+            trace,
+            pm,
+            out,
+        )
     }
 }
 
@@ -344,17 +305,13 @@ mod tests {
         let report = run_sweep(&opts);
         report.validate().expect("smoke report must validate");
         let json = report.to_json();
-        assert!(json.contains("\"schema\": \"rubic-poolbench/v1\""));
-        assert!(json.contains("\"queue\": \"sharded\""));
+        assert!(json.contains("\"schema\": \"rubic-poolbench/v2\""));
+        assert!(!json.contains("\"queue\""), "v2 has no queue axis");
         assert_eq!(
             report.points.len(),
-            8,
-            "2 queues x 2 tasks x 2 controllers x 1 worker count"
+            4,
+            "2 tasks x 2 controllers x 1 worker count"
         );
-        let opens = json.matches('{').count();
-        let closes = json.matches('}').count();
-        assert_eq!(opens, closes);
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
     }
 
     #[test]
@@ -376,7 +333,6 @@ mod tests {
             smoke: true,
             hw_threads: 1,
             points: vec![PoolBenchPoint {
-                queue: "sharded",
                 task: "tiny",
                 controller: "fixed",
                 workers: 1,

@@ -70,11 +70,13 @@ impl BenchTrace {
         #[cfg(feature = "trace")]
         {
             let session = opts.dir.as_ref().map(|_| {
-                let mut cfg = rubic::trace::TraceConfig::default();
                 // Histograms + flight recorder suffice for a bundle;
                 // the unbounded full event log would dominate a long
                 // sweep's memory for no diagnostic gain.
-                cfg.keep_events = false;
+                let mut cfg = rubic::trace::TraceConfig {
+                    keep_events: false,
+                    ..Default::default()
+                };
                 cfg.manifest.push(("bench".to_string(), bench.to_string()));
                 rubic::trace::TraceSession::start(cfg)
             });

@@ -9,9 +9,12 @@
 //! The `stmbench` binary writes the result as `BENCH_stm.json` at the
 //! repository root — the seed of the perf trajectory later PRs are
 //! judged against. The schema (`rubic-stmbench/v4`) is documented in
-//! the README's "Benchmarking" section and validated by
-//! [`BenchReport::validate`], which the binary runs before writing so
-//! a malformed report can never be committed silently.
+//! the README's "Benchmarking" section; serialisation, the structural
+//! checks every `BENCH_*.json` schema shares and the binary's
+//! validate-then-write tail are [`crate::report`]'s, and
+//! [`BenchReport::validate`] adds what only this schema promises (axis
+//! values, the per-workload mix/structure table, abort rate ≤ 1), so a
+//! malformed report can never be committed silently.
 //!
 //! Every point carries the `ro_commits`/`ro_aborts` totals of its
 //! declared read-only transactions: what the engine's one read protocol
@@ -38,6 +41,8 @@
 //! | rbtree | 100 % look-ups (§4.6) | paper mix, 98 % look-ups | 50/25/25 lookup/insert/delete |
 //! | vacation | — | STAMP `vacation-low` | STAMP `vacation-high` |
 
+use std::path::Path;
+use std::process::ExitCode;
 use std::time::Duration;
 
 use rubic::controllers::Fixed;
@@ -48,43 +53,11 @@ use rubic::workloads::rbtree::{OpMix, RbTreeConfig, RbTreeWorkloadOn};
 use rubic::workloads::vacation::{VacationConfig, VacationWorkloadOn};
 use rubic::workloads::{ConflictCounter, StripedCounter};
 
+use crate::postmortem::{BenchTrace, PostmortemOptions};
+use crate::report::{self, Document, Point, Stat, Value};
+
 /// Schema identifier written into every report.
 pub const SCHEMA: &str = "rubic-stmbench/v4";
-
-/// Mean ± sample standard deviation over a set of repetitions.
-#[derive(Debug, Clone)]
-pub struct Stat {
-    /// Arithmetic mean of `samples`.
-    pub mean: f64,
-    /// Sample standard deviation (n-1 denominator; 0 for n < 2).
-    pub stddev: f64,
-    /// The raw per-repetition measurements.
-    pub samples: Vec<f64>,
-}
-
-impl Stat {
-    /// Summarises `samples`.
-    ///
-    /// # Panics
-    /// Panics if `samples` is empty.
-    #[must_use]
-    pub fn from_samples(samples: Vec<f64>) -> Self {
-        assert!(!samples.is_empty(), "Stat needs at least one sample");
-        let n = samples.len() as f64;
-        let mean = samples.iter().sum::<f64>() / n;
-        let stddev = if samples.len() < 2 {
-            0.0
-        } else {
-            let var = samples.iter().map(|s| (s - mean).powi(2)).sum::<f64>() / (n - 1.0);
-            var.sqrt()
-        };
-        Stat {
-            mean,
-            stddev,
-            samples,
-        }
-    }
-}
 
 /// One swept configuration and its measurements.
 #[derive(Debug, Clone)]
@@ -107,6 +80,16 @@ pub struct BenchPoint {
     pub ro_commits: u64,
     /// Read-only aborted attempts summed across all repetitions.
     pub ro_aborts: u64,
+}
+
+impl BenchPoint {
+    /// Names the point in validation errors and noise warnings.
+    fn label(&self) -> String {
+        format!(
+            "{}/{}/{}/t{}",
+            self.workload, self.mix, self.structure, self.threads
+        )
+    }
 }
 
 /// A complete sweep: harness parameters plus every measured point.
@@ -360,74 +343,57 @@ pub fn run_sweep(opts: &SweepOptions) -> BenchReport {
     }
 }
 
-fn json_f64(x: f64) -> String {
-    // JSON has no NaN/Infinity literal; a broken measurement must not
-    // produce an unparseable file.
-    if x.is_finite() {
-        format!("{x:.6}")
-    } else {
-        "null".to_string()
-    }
-}
-
-fn json_stat(s: &Stat, indent: &str) -> String {
-    let samples: Vec<String> = s.samples.iter().map(|&x| json_f64(x)).collect();
-    format!(
-        "{{\n{indent}  \"mean\": {},\n{indent}  \"stddev\": {},\n{indent}  \"samples\": [{}]\n{indent}}}",
-        json_f64(s.mean),
-        json_f64(s.stddev),
-        samples.join(", "),
-    )
-}
-
 impl BenchReport {
+    fn document(&self) -> Document<'_> {
+        Document {
+            schema: SCHEMA,
+            reps: self.reps,
+            harness: vec![
+                ("duration_ms", Value::Int(self.duration_ms)),
+                ("smoke", Value::Bool(self.smoke)),
+                ("hw_threads", Value::Int(self.hw_threads.into())),
+            ],
+            points: self
+                .points
+                .iter()
+                .map(|p| Point {
+                    label: p.label(),
+                    headline: &p.ops_per_sec,
+                    fields: vec![
+                        ("workload", Value::Str(p.workload)),
+                        ("mix", Value::Str(p.mix)),
+                        ("structure", Value::Str(p.structure)),
+                        ("threads", Value::Int(p.threads.into())),
+                        ("ops_per_sec", Value::Stat(&p.ops_per_sec)),
+                        ("abort_rate", Value::Stat(&p.abort_rate)),
+                        ("ro_commits", Value::Int(p.ro_commits)),
+                        ("ro_aborts", Value::Int(p.ro_aborts)),
+                    ],
+                })
+                .collect(),
+        }
+    }
+
     /// Serialises the report as the documented `rubic-stmbench/v4`
     /// JSON schema.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"schema\": \"{SCHEMA}\",\n"));
-        out.push_str(&format!(
-            "  \"harness\": {{\n    \"reps\": {},\n    \"duration_ms\": {},\n    \"smoke\": {},\n    \"hw_threads\": {}\n  }},\n",
-            self.reps, self.duration_ms, self.smoke, self.hw_threads,
-        ));
-        out.push_str("  \"results\": [\n");
-        let rows: Vec<String> = self
-            .points
-            .iter()
-            .map(|p| {
-                format!(
-                    "    {{\n      \"workload\": \"{}\",\n      \"mix\": \"{}\",\n      \"structure\": \"{}\",\n      \"threads\": {},\n      \"ops_per_sec\": {},\n      \"abort_rate\": {},\n      \"ro_commits\": {},\n      \"ro_aborts\": {}\n    }}",
-                    p.workload,
-                    p.mix,
-                    p.structure,
-                    p.threads,
-                    json_stat(&p.ops_per_sec, "      "),
-                    json_stat(&p.abort_rate, "      "),
-                    p.ro_commits,
-                    p.ro_aborts,
-                )
-            })
-            .collect();
-        out.push_str(&rows.join(",\n"));
-        out.push_str("\n  ]\n}\n");
-        out
+        self.document().to_json()
     }
 
-    /// Structural sanity checks: non-empty grid, all means finite and
-    /// non-negative, abort rates within [0, 1], sample counts matching
-    /// `reps`, axes drawn from the documented sets (including the
-    /// per-workload mix/structure restrictions). The binary refuses to
-    /// write a report that fails these.
+    /// The shared structural checks ([`crate::report`]: non-empty grid,
+    /// sample counts matching `reps`, finite non-negative means,
+    /// positive throughput) plus this schema's own: axes drawn from the
+    /// documented sets (including the per-workload mix/structure
+    /// restrictions) and abort rates within [0, 1]. The binary refuses
+    /// to write a report that fails these.
     ///
     /// # Errors
     /// A human-readable description of the first violated invariant.
     pub fn validate(&self) -> Result<(), String> {
-        if self.points.is_empty() {
-            return Err("empty sweep: no configurations measured".into());
-        }
+        self.document().validate()?;
         for p in &self.points {
-            let tag = format!("{}/{}/{}/t{}", p.workload, p.mix, p.structure, p.threads);
+            let tag = p.label();
             if !WORKLOADS.contains(&p.workload) {
                 return Err(format!("{tag}: unknown workload"));
             }
@@ -449,44 +415,30 @@ impl BenchReport {
             if p.threads == 0 {
                 return Err(format!("{tag}: zero threads"));
             }
-            for (name, stat) in [
-                ("ops_per_sec", &p.ops_per_sec),
-                ("abort_rate", &p.abort_rate),
-            ] {
-                if stat.samples.len() != self.reps as usize {
-                    return Err(format!(
-                        "{tag}: {name} has {} samples, expected {}",
-                        stat.samples.len(),
-                        self.reps
-                    ));
-                }
-                if !stat.mean.is_finite() || stat.mean < 0.0 {
-                    return Err(format!("{tag}: {name} mean {} out of range", stat.mean));
-                }
-            }
-            if p.ops_per_sec.mean <= 0.0 {
-                return Err(format!("{tag}: zero throughput (harness stall?)"));
-            }
             if p.abort_rate.mean > 1.0 {
                 return Err(format!("{tag}: abort rate {} > 1", p.abort_rate.mean));
             }
         }
         Ok(())
     }
+
+    /// The `stmbench` binary's tail: validate, name the noisy points,
+    /// write `out`.
+    pub fn finish(&self, trace: BenchTrace, pm: &PostmortemOptions, out: &Path) -> ExitCode {
+        report::finish(
+            "stmbench",
+            self.validate(),
+            &self.document(),
+            trace,
+            pm,
+            out,
+        )
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn stat_mean_and_stddev() {
-        let s = Stat::from_samples(vec![1.0, 2.0, 3.0]);
-        assert!((s.mean - 2.0).abs() < 1e-12);
-        assert!((s.stddev - 1.0).abs() < 1e-12);
-        let single = Stat::from_samples(vec![5.0]);
-        assert_eq!(single.stddev, 0.0);
-    }
 
     #[test]
     fn smoke_sweep_produces_valid_json() {
@@ -508,12 +460,6 @@ mod tests {
             12,
             "per-workload mix × structure grid at 1 level"
         );
-        // Balanced braces/brackets — cheap structural check without a
-        // JSON parser in the dependency tree.
-        let opens = json.matches('{').count();
-        let closes = json.matches('}').count();
-        assert_eq!(opens, closes);
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
     }
 
     #[test]

@@ -25,10 +25,14 @@
 //! `BENCH_topo.json` (schema `rubic-topobench/v1`) only after
 //! validation passes.
 
+use std::path::Path;
+use std::process::ExitCode;
+
 use rubic::controllers::{MappingPolicy, Policy};
 use rubic_sim::{curves, run, Machine, ProcessSpec, SimConfig};
 
-use crate::stmbench::Stat;
+use crate::postmortem::{BenchTrace, PostmortemOptions};
+use crate::report::{self, Document, Point, Stat, Value};
 
 /// Schema identifier written into every report.
 pub const SCHEMA: &str = "rubic-topobench/v1";
@@ -112,6 +116,13 @@ pub struct TopoBenchPoint {
     /// Mean placement spread fraction, averaged over processes and
     /// reps (0 = packed on one socket).
     pub mean_spread: f64,
+}
+
+impl TopoBenchPoint {
+    /// Names the point in validation errors and noise warnings.
+    fn label(&self) -> String {
+        format!("{}/{}/s{}", self.scenario, self.mapping, self.sockets)
+    }
 }
 
 /// A complete sweep: harness parameters plus every measured point.
@@ -246,24 +257,6 @@ pub fn run_sweep(opts: &TopoSweepOptions) -> TopoBenchReport {
     }
 }
 
-fn json_f64(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x:.6}")
-    } else {
-        "null".to_string()
-    }
-}
-
-fn json_stat(s: &Stat, indent: &str) -> String {
-    let samples: Vec<String> = s.samples.iter().map(|&x| json_f64(x)).collect();
-    format!(
-        "{{\n{indent}  \"mean\": {},\n{indent}  \"stddev\": {},\n{indent}  \"samples\": [{}]\n{indent}}}",
-        json_f64(s.mean),
-        json_f64(s.stddev),
-        samples.join(", "),
-    )
-}
-
 impl TopoBenchReport {
     /// The point for a (scenario, mapping, sockets) cell, if swept.
     #[must_use]
@@ -273,45 +266,47 @@ impl TopoBenchReport {
             .find(|p| p.scenario == scenario && p.mapping == mapping && p.sockets == sockets)
     }
 
+    fn document(&self) -> Document<'_> {
+        Document {
+            schema: SCHEMA,
+            reps: self.reps,
+            harness: vec![
+                ("rounds", Value::Int(self.rounds)),
+                ("noise", Value::Num(self.noise)),
+                ("smoke", Value::Bool(self.smoke)),
+            ],
+            points: self
+                .points
+                .iter()
+                .map(|p| Point {
+                    label: p.label(),
+                    headline: &p.nash,
+                    fields: vec![
+                        ("scenario", Value::Str(p.scenario)),
+                        ("processes", Value::Int(p.processes.into())),
+                        ("mapping", Value::Str(p.mapping)),
+                        ("sockets", Value::Int(p.sockets.into())),
+                        ("mean_spread", Value::Num(p.mean_spread)),
+                        ("nash", Value::Stat(&p.nash)),
+                    ],
+                })
+                .collect(),
+        }
+    }
+
     /// Serialises the report as the documented `rubic-topobench/v1`
     /// JSON schema.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"schema\": \"{SCHEMA}\",\n"));
-        out.push_str(&format!(
-            "  \"harness\": {{\n    \"reps\": {},\n    \"rounds\": {},\n    \"noise\": {},\n    \"smoke\": {}\n  }},\n",
-            self.reps,
-            self.rounds,
-            json_f64(self.noise),
-            self.smoke,
-        ));
-        out.push_str("  \"results\": [\n");
-        let rows: Vec<String> = self
-            .points
-            .iter()
-            .map(|p| {
-                format!(
-                    "    {{\n      \"scenario\": \"{}\",\n      \"processes\": {},\n      \"mapping\": \"{}\",\n      \"sockets\": {},\n      \"mean_spread\": {},\n      \"nash\": {}\n    }}",
-                    p.scenario,
-                    p.processes,
-                    p.mapping,
-                    p.sockets,
-                    json_f64(p.mean_spread),
-                    json_stat(&p.nash, "      "),
-                )
-            })
-            .collect();
-        out.push_str(&rows.join(",\n"));
-        out.push_str("\n  ]\n}\n");
-        out
+        self.document().to_json()
     }
 
     /// Structural and semantic checks; the binary refuses to write a
     /// report that fails any of them:
     ///
-    /// 1. non-empty grid, known axis values, finite positive Nash
-    ///    products, sample counts matching `reps`;
+    /// 1. the shared structural checks ([`crate::report`]: non-empty
+    ///    grid, sample counts matching `reps`, finite positive Nash
+    ///    products) and known axis values;
     /// 2. **flat reproduction** — on the 1-socket machine every mapping
     ///    policy yields the same figures (placement cannot matter
     ///    there, so the topology extension must be inert);
@@ -322,13 +317,11 @@ impl TopoBenchReport {
     /// # Errors
     /// A human-readable description of the first violated invariant.
     pub fn validate(&self) -> Result<(), String> {
-        if self.points.is_empty() {
-            return Err("empty sweep: no configurations measured".into());
-        }
+        self.document().validate()?;
         let scenario_names: Vec<&str> = SCENARIOS.iter().map(|s| s.name).collect();
         let mapping_names: Vec<&str> = MappingPolicy::ALL.iter().map(|m| m.label()).collect();
         for p in &self.points {
-            let tag = format!("{}/{}/s{}", p.scenario, p.mapping, p.sockets);
+            let tag = p.label();
             if !scenario_names.contains(&p.scenario) {
                 return Err(format!("{tag}: unknown scenario"));
             }
@@ -337,16 +330,6 @@ impl TopoBenchReport {
             }
             if !SOCKETS.contains(&p.sockets) {
                 return Err(format!("{tag}: unknown socket count"));
-            }
-            if p.nash.samples.len() != self.reps as usize {
-                return Err(format!(
-                    "{tag}: nash has {} samples, expected {}",
-                    p.nash.samples.len(),
-                    self.reps
-                ));
-            }
-            if !p.nash.mean.is_finite() || p.nash.mean <= 0.0 {
-                return Err(format!("{tag}: nash {} out of range", p.nash.mean));
             }
             if !(0.0..=1.0).contains(&p.mean_spread) {
                 return Err(format!("{tag}: spread {} out of range", p.mean_spread));
@@ -397,6 +380,21 @@ impl TopoBenchReport {
         }
         Ok(())
     }
+
+    /// The `topobench` binary's tail: validate, name the noisy points,
+    /// write `out`. The simulator emits no trace events, so there is no
+    /// post-mortem session to freeze.
+    pub fn finish(&self, out: &Path) -> ExitCode {
+        let pm = PostmortemOptions::default();
+        report::finish(
+            "topobench",
+            self.validate(),
+            &self.document(),
+            BenchTrace::start(&pm, "topobench"),
+            &pm,
+            out,
+        )
+    }
 }
 
 #[cfg(test)]
@@ -415,8 +413,6 @@ mod tests {
             report.points.len(),
             SCENARIOS.len() * MappingPolicy::ALL.len() * SOCKETS.len(),
         );
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
     }
 
     #[test]

@@ -110,15 +110,14 @@ pub mod prelude {
         efficiency, geometric_mean, jain_index, nash_product, speedup, LevelTrace, Summary,
     };
     pub use rubic_runtime::{
-        ChannelWorkload, MalleablePool, PoolConfig, PoolView, RunReport, ShardSender,
-        ShardedHandle, ShardedWorkload, WorkerPlacement, Workload,
+        MalleablePool, PoolConfig, PoolView, RunReport, ShardSender, ShardedHandle,
+        ShardedWorkload, WorkerPlacement, Workload,
     };
     pub use rubic_sim::{curves, Experiment, Machine, ProcessSpec, SimConfig, WorkloadSpec};
     pub use rubic_stm::{Stm, StmError, TVar, Transaction, TxResult};
     pub use rubic_workloads::{
-        ConflictCounter, GenomeConfig, GenomeWorkload, IntruderConfig, IntruderWorkload,
-        KMeansConfig, KMeansWorkload, LabyrinthConfig, LabyrinthWorkload, Manager, Maze, OpMix,
-        RbTreeConfig, RbTreeWorkload, StripedCounter, TMap, VacationConfig, VacationWorkload,
+        ConflictCounter, IntruderConfig, IntruderWorkload, Manager, OpMix, RbTreeConfig,
+        RbTreeWorkload, StripedCounter, TMap, VacationConfig, VacationWorkload,
     };
 }
 

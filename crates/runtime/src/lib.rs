@@ -59,13 +59,12 @@
 
 pub mod placement;
 pub mod pool;
-pub mod queue;
 pub mod semaphore;
 pub mod sharded;
+mod signal;
 mod trc;
 
 pub use placement::WorkerPlacement;
 pub use pool::{MalleablePool, PoolConfig, PoolView, RunReport, Workload};
-pub use queue::{ChannelWorkload, QueueHandle, TaskSender};
 pub use semaphore::Semaphore;
 pub use sharded::{ShardSender, ShardedHandle, ShardedWorkload};

@@ -11,8 +11,8 @@ use rubic_controllers::{Controller, Sample};
 use rubic_metrics::LevelTrace;
 
 use crate::placement::WorkerPlacement;
-use crate::queue::DrainSignal;
 use crate::semaphore::Semaphore;
+use crate::signal::DrainSignal;
 
 /// A throughput-oriented workload run by the pool's workers.
 ///

@@ -1,11 +1,11 @@
 //! Sharded, work-stealing task queues for the malleable pool.
 //!
-//! [`ChannelWorkload`](crate::queue::ChannelWorkload) reproduces the
-//! paper's §3 queue model with one shared channel: correct, but every
-//! task pays a lock acquisition on a queue all workers contend on.
-//! [`ShardedWorkload`] keeps the same external contract (producers push
-//! items, gated workers drain them through a handler, the driver waits
-//! for the drain) while distributing the synchronization:
+//! The paper's §3 runtime has one task source — "as soon as a s/w
+//! thread completes its current task, it picks a new task from a task
+//! queue". [`ShardedWorkload`] is that queue (producers push items,
+//! gated workers drain them through a handler, the driver waits for the
+//! drain) with the synchronization distributed, so a task does not pay
+//! a lock acquisition on a queue every worker contends on:
 //!
 //! * The queue is split into **shards** — one bounded deque per worker
 //!   (`tid % shards` owns shard `tid % shards`). Producers distribute
@@ -37,7 +37,7 @@ use rubic_sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use rubic_sync::{Arc, Condvar, Mutex, OnceLock};
 
 use crate::pool::{PoolView, Workload};
-use crate::queue::DrainSignal;
+use crate::signal::DrainSignal;
 
 /// Default maximum number of items a worker moves per lock acquisition
 /// (own-shard pops, steals and producer batch flushes alike).
@@ -339,7 +339,7 @@ impl<T> Drop for ShardSender<T> {
 }
 
 /// A cloneable, type-erased handle for observing a sharded queue from
-/// the driver (mirrors [`QueueHandle`](crate::queue::QueueHandle)).
+/// the driver.
 #[derive(Debug, Clone)]
 pub struct ShardedHandle {
     g: Arc<Gauges>,
@@ -397,8 +397,10 @@ impl ShardedHandle {
         self.g.drain.wait();
     }
 
-    /// Condvar wakeups observed by `wait_drained` callers (diagnostic;
-    /// see [`QueueHandle::drain_wait_wakes`](crate::queue::QueueHandle::drain_wait_wakes)).
+    /// Condvar wakeups observed by `wait_drained` callers so far. A
+    /// healthy drain wakes each waiter O(1) times; the regression test
+    /// uses this to assert the condvar path does not degenerate into a
+    /// poll storm.
     #[must_use]
     pub fn drain_wait_wakes(&self) -> u64 {
         self.g.drain.wakes()
@@ -425,8 +427,6 @@ impl<T> Drop for ShardWorker<T> {
 
 /// A pool workload that drains a sharded, work-stealing queue through a
 /// handler function.
-///
-/// Construction mirrors [`ChannelWorkload`](crate::queue::ChannelWorkload):
 ///
 /// ```
 /// use std::time::Duration;
@@ -851,6 +851,44 @@ mod tests {
         handle.wait_drained();
         let _ = pool.stop();
         assert_eq!(handle.processed(), 300);
+    }
+
+    #[test]
+    fn wait_drained_is_event_driven_not_a_wake_storm() {
+        let (workload, tx) = ShardedWorkload::new(2, 64, |_n: u64| {
+            std::thread::sleep(Duration::from_micros(100));
+        });
+        let handle = workload.handle();
+        let pool = crate::MalleablePool::start(
+            PoolConfig::new(2)
+                .initial_level(2)
+                .monitor_period(Duration::from_millis(2)),
+            workload,
+            Box::new(Fixed::new(2, 2)),
+        );
+        // Three waiters park on the drain while the queue is still busy
+        // for tens of milliseconds.
+        let waiters: Vec<_> = (0..3)
+            .map(|_| {
+                let h = handle.clone();
+                std::thread::spawn(move || h.wait_drained())
+            })
+            .collect();
+        for n in 0..200u64 {
+            tx.send(n).unwrap();
+        }
+        drop(tx);
+        for w in waiters {
+            w.join().unwrap();
+        }
+        assert!(handle.is_drained());
+        let _ = pool.stop();
+        // A sleep-per-probe wait would wake dozens of times per waiter
+        // over a ~20 ms drain. The condvar path wakes each waiter O(1)
+        // times (a small allowance covers spurious wakeups).
+        let wakes = handle.drain_wait_wakes();
+        assert!(wakes >= 1, "waiters never woke through the condvar");
+        assert!(wakes <= 12, "wake storm: {wakes} wakeups for 3 waiters");
     }
 
     #[test]

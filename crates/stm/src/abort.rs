@@ -23,10 +23,9 @@ pub enum AbortReason {
     /// concurrent writer (eager W/W detection, or a reader meeting a
     /// locked variable).
     LockBusy = 1,
-    /// The contention manager killed the attempt. Reserved: none of the
-    /// built-in managers kill, but the code is allocated so CM
-    /// strategies that do (e.g. Greedy-style priority kills) share the
-    /// taxonomy.
+    /// The contention manager killed the attempt. Reserved: the engine's
+    /// one policy (self-abort and back off) never kills, but the code is
+    /// part of the exported taxonomy and stays allocated.
     CmKill = 2,
     /// The chaos hook forced the abort (fault injection).
     Chaos = 3,

@@ -1,111 +1,34 @@
-//! Contention managers: what an aborted transaction does before
+//! Contention management: what an aborted transaction does before
 //! retrying.
 //!
 //! Our STM resolves every conflict by aborting the transaction that
 //! *detected* it (self-abort, like SwissTM's "timid" first phase), so
-//! the contention manager's job reduces to spacing retries out in time.
-//! Three policies are provided:
-//!
-//! * [`Backoff`] — capped exponential backoff (spin, then yield).
-//!   The default; the standard choice for invisible-read STMs, where an
-//!   aborted reader cannot identify its enemy to arbitrate against.
-//! * [`Polite`] — linear backoff with yields; gentler under heavy
-//!   oversubscription (it surrenders the time slice early, which matters
-//!   when more software threads than hardware contexts are runnable —
-//!   precisely the regime the RUBIC paper studies).
-//! * [`Aggressive`] — retry immediately; useful as a baseline in the
-//!   contention-manager ablation bench and for very short transactions.
+//! contention management reduces to spacing retries out in time. There
+//! is one policy — capped exponential backoff (spin, then yield), the
+//! standard choice for invisible-read STMs, where an aborted reader
+//! cannot identify its enemy to arbitrate against. Every workload,
+//! example and benchmark ran it; the yield-first and no-backoff
+//! alternatives were selected by nothing but their own tests
+//! (DESIGN.md §3).
 
-/// Decides how long an aborted transaction waits before retrying.
-///
-/// `attempt` is the number of consecutive aborts of the current
-/// operation (1 on the first abort). Implementations must be cheap and
-/// callable from any thread.
-pub trait ContentionManager: Send + Sync {
-    /// Blocks/spins the calling thread appropriately for the `attempt`-th
-    /// consecutive abort.
-    fn backoff(&self, attempt: u32);
+/// Spin iterations after the first abort.
+const BASE_SPINS: u32 = 32;
+/// The spin count doubles per consecutive abort up to 2^this.
+const MAX_EXP: u32 = 10;
+/// Consecutive aborts from which the time slice is yielded as well.
+const YIELD_AFTER: u32 = 4;
 
-    /// Policy name for diagnostics and bench labels.
-    fn name(&self) -> &'static str;
-}
-
-/// Capped exponential backoff: spin `base << min(attempt, max_exp)`
-/// iterations, and additionally yield the time slice once past
-/// `yield_after` consecutive aborts.
-#[derive(Debug, Clone)]
-pub struct Backoff {
-    base_spins: u32,
-    max_exp: u32,
-    yield_after: u32,
-}
-
-impl Backoff {
-    /// Creates an exponential backoff policy.
-    #[must_use]
-    pub fn new(base_spins: u32, max_exp: u32, yield_after: u32) -> Self {
-        Backoff {
-            base_spins: base_spins.max(1),
-            max_exp,
-            yield_after: yield_after.max(1),
-        }
+/// Blocks the calling thread for the `attempt`-th consecutive abort of
+/// the current operation (1 on the first): spin
+/// `BASE_SPINS << min(attempt, MAX_EXP)` iterations, and yield the time
+/// slice once past `YIELD_AFTER`.
+pub(crate) fn backoff(attempt: u32) {
+    let spins = BASE_SPINS.saturating_shl(attempt.min(MAX_EXP));
+    for _ in 0..spins {
+        std::hint::spin_loop();
     }
-}
-
-impl Default for Backoff {
-    /// 32 base spins, doubling up to 2^10×, yielding from the 4th
-    /// consecutive abort — a reasonable middle ground measured on the
-    /// counter and red-black-tree microbenches.
-    fn default() -> Self {
-        Backoff::new(32, 10, 4)
-    }
-}
-
-impl ContentionManager for Backoff {
-    fn backoff(&self, attempt: u32) {
-        let exp = attempt.min(self.max_exp);
-        let spins = self.base_spins.saturating_shl(exp);
-        for _ in 0..spins {
-            std::hint::spin_loop();
-        }
-        if attempt >= self.yield_after {
-            rubic_sync::thread::yield_now();
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "backoff"
-    }
-}
-
-/// Linear, yield-first backoff.
-#[derive(Debug, Clone, Default)]
-pub struct Polite;
-
-impl ContentionManager for Polite {
-    fn backoff(&self, attempt: u32) {
-        // Yield once per abort, plus a short linear spin to avoid
-        // hammering the scheduler for micro-conflicts.
-        for _ in 0..(attempt.min(64) * 16) {
-            std::hint::spin_loop();
-        }
+    if attempt >= YIELD_AFTER {
         rubic_sync::thread::yield_now();
-    }
-
-    fn name(&self) -> &'static str {
-        "polite"
-    }
-}
-
-/// No backoff at all: retry immediately.
-#[derive(Debug, Clone, Default)]
-pub struct Aggressive;
-
-impl ContentionManager for Aggressive {
-    fn backoff(&self, _attempt: u32) {}
-
-    fn name(&self) -> &'static str {
-        "aggressive"
     }
 }
 
@@ -131,23 +54,9 @@ mod tests {
 
     #[test]
     fn backoff_terminates() {
-        let b = Backoff::default();
         for attempt in [0, 1, 5, 50, u32::MAX] {
-            b.backoff(attempt); // must not hang or overflow
+            backoff(attempt); // must not hang or overflow
         }
-    }
-
-    #[test]
-    fn polite_and_aggressive_terminate() {
-        Polite.backoff(u32::MAX);
-        Aggressive.backoff(u32::MAX);
-    }
-
-    #[test]
-    fn names() {
-        assert_eq!(Backoff::default().name(), "backoff");
-        assert_eq!(Polite.name(), "polite");
-        assert_eq!(Aggressive.name(), "aggressive");
     }
 
     #[test]
@@ -155,17 +64,5 @@ mod tests {
         assert_eq!(1u32.saturating_shl(40), u32::MAX);
         assert_eq!(2u32.saturating_shl(3), 16);
         assert_eq!(u32::MAX.saturating_shl(1), u32::MAX);
-    }
-
-    #[test]
-    fn backoff_grows_with_attempts() {
-        // Indirect check: higher attempts spin at least as many
-        // iterations (we time it loosely; just assert no panic and
-        // monotone configured spins).
-        let b = Backoff::new(1, 4, 100);
-        // spins: attempt 0 -> 1, 1 -> 2, ..., capped at 2^4.
-        b.backoff(0);
-        b.backoff(4);
-        b.backoff(9);
     }
 }

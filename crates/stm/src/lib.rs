@@ -22,9 +22,9 @@
 //!   through `crossbeam-epoch`. This is what makes invisible reads sound
 //!   in Rust's memory model: readers clone an immutable snapshot instead
 //!   of racing on bytes the way C-style word-based STMs do.
-//! * **Pluggable contention management** ([`cm`]) — bounded exponential
-//!   backoff by default, with polite (wait-then-abort) and aggressive
-//!   variants.
+//! * **Contention management** — the transaction that detects a
+//!   conflict aborts itself and backs off (capped exponential: spin,
+//!   then yield) before retrying.
 //!
 //! # Quick start
 //!
@@ -66,7 +66,7 @@
 pub mod abort;
 pub mod chaos;
 pub mod clock;
-pub mod cm;
+mod cm;
 mod index;
 pub mod stats;
 pub mod stm;
@@ -76,9 +76,8 @@ pub mod txn;
 pub mod vlock;
 
 pub use abort::AbortReason;
-pub use cm::{Aggressive, Backoff, ContentionManager, Polite};
 pub use stats::{take_thread_aborts, StatsSnapshot, StmStats};
-pub use stm::{Stm, StmBuilder};
+pub use stm::Stm;
 pub use trc::trace_footprint;
 pub use tvar::TVar;
 pub use txn::{StmError, Transaction, TxFootprint, TxResult};

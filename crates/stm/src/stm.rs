@@ -1,4 +1,4 @@
-//! The `Stm` handle: retry loop, contention management, statistics.
+//! The `Stm` handle: retry loop, back-off, statistics.
 //!
 //! A call to [`Stm::atomically`] borrows the calling thread's
 //! transaction context for its whole retry loop (`Transaction::begin`
@@ -9,16 +9,16 @@
 
 use std::sync::Arc;
 
-use crate::cm::{Backoff, ContentionManager};
 use crate::stats::StmStats;
 use crate::txn::{Transaction, TxResult};
 
-/// An STM runtime handle: owns the contention manager and statistics and
-/// drives the transaction retry loop.
+/// An STM runtime handle: owns the statistics and drives the
+/// transaction retry loop.
 ///
-/// `Stm` is `Send + Sync` and cheap to share (`Arc` fields); worker
-/// threads typically share one instance per logical process/tenant so
-/// commit-rates are accounted per tenant.
+/// `Stm` is `Send + Sync` and cheap to share: a clone is another handle
+/// to the same statistics, and worker threads typically share one
+/// instance per logical process/tenant so commit-rates are accounted
+/// per tenant.
 ///
 /// ```
 /// use rubic_stm::{Stm, TVar};
@@ -30,31 +30,24 @@ use crate::txn::{Transaction, TxResult};
 /// assert_eq!(v.snapshot(), 10);
 /// assert_eq!(stm.stats().commits(), 10);
 /// ```
+#[derive(Clone, Default)]
 pub struct Stm {
-    cm: Arc<dyn ContentionManager>,
     stats: Arc<StmStats>,
 }
 
 impl Stm {
-    /// Creates an `Stm` with the default (exponential-backoff)
-    /// contention manager.
+    /// Creates an `Stm` with fresh statistics.
     #[must_use]
     pub fn new() -> Self {
-        StmBuilder::new().build()
-    }
-
-    /// Starts building a customised `Stm`.
-    #[must_use]
-    pub fn builder() -> StmBuilder {
-        StmBuilder::new()
+        Stm::default()
     }
 
     /// Runs `f` transactionally until it commits, returning its result.
     ///
     /// `f` may run multiple times (once per attempt); it must be free of
     /// non-transactional side effects. Conflicts inside `f` should be
-    /// propagated with `?` — returning `Err` aborts the attempt,
-    /// backs off per the contention manager, and retries.
+    /// propagated with `?` — returning `Err` aborts the attempt, backs
+    /// off (capped exponential, `cm.rs`), and retries.
     ///
     /// # Panics
     /// Propagates panics from `f` after releasing all locks, so a
@@ -102,7 +95,7 @@ impl Stm {
                     trace.on_abort(reason, attempt, tx.conflict_addr());
                     // Unpinned while backing off: a sleeping loser must
                     // not hold the epoch (and hence reclamation) back.
-                    tx.unpinned(|| self.cm.backoff(attempt));
+                    tx.unpinned(|| crate::cm::backoff(attempt));
                     tx.restart();
                     trace.on_restart(attempt);
                 }
@@ -124,81 +117,19 @@ impl Stm {
     pub fn stats(&self) -> &StmStats {
         &self.stats
     }
-
-    /// The active contention manager's name.
-    #[must_use]
-    pub fn contention_manager(&self) -> &'static str {
-        self.cm.name()
-    }
-}
-
-impl Default for Stm {
-    fn default() -> Self {
-        Stm::new()
-    }
-}
-
-impl Clone for Stm {
-    /// Clones share the contention manager *and* the statistics — a
-    /// clone is another handle to the same logical runtime.
-    fn clone(&self) -> Self {
-        Stm {
-            cm: Arc::clone(&self.cm),
-            stats: Arc::clone(&self.stats),
-        }
-    }
 }
 
 impl std::fmt::Debug for Stm {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Stm")
-            .field("cm", &self.cm.name())
             .field("stats", &self.stats.snapshot())
             .finish()
-    }
-}
-
-/// Builder for [`Stm`].
-pub struct StmBuilder {
-    cm: Arc<dyn ContentionManager>,
-}
-
-impl StmBuilder {
-    /// Starts with the default exponential-backoff contention manager.
-    #[must_use]
-    pub fn new() -> Self {
-        StmBuilder {
-            cm: Arc::new(Backoff::default()),
-        }
-    }
-
-    /// Selects a contention manager.
-    #[must_use]
-    pub fn contention_manager(mut self, cm: impl ContentionManager + 'static) -> Self {
-        self.cm = Arc::new(cm);
-        self
-    }
-
-    /// Finalises the runtime.
-    #[must_use]
-    pub fn build(self) -> Stm {
-        Stm {
-            cm: self.cm,
-            stats: Arc::new(StmStats::new()),
-        }
-    }
-}
-
-impl Default for StmBuilder {
-    fn default() -> Self {
-        StmBuilder::new()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cm::{Aggressive, Polite};
     use crate::TVar;
 
     #[test]
@@ -233,14 +164,6 @@ mod tests {
         let v = TVar::new(0);
         stm2.atomically(|tx| tx.write(&v, 1));
         assert_eq!(stm.stats().commits(), 1);
-    }
-
-    #[test]
-    fn builder_selects_cm() {
-        let stm = Stm::builder().contention_manager(Polite).build();
-        assert_eq!(stm.contention_manager(), "polite");
-        let stm = Stm::builder().contention_manager(Aggressive).build();
-        assert_eq!(stm.contention_manager(), "aggressive");
     }
 
     #[test]

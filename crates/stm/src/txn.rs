@@ -457,7 +457,7 @@ impl Transaction {
         (self.n_reads, self.n_writes)
     }
 
-    /// Runs `f` (e.g. contention-manager backoff) with the epoch
+    /// Runs `f` (the retry loop's back-off) with the epoch
     /// momentarily unpinned, so a sleeping transaction does not hold
     /// reclamation back for the whole wait. Only called between
     /// attempts, after `abort` emptied the read set — the only

@@ -9,7 +9,7 @@
 //! queue) run under the deterministic model checker without source
 //! changes.
 //!
-//! The repo-wide lint (`cargo xtask lint`) bans direct
+//! The repo-wide analyzer (`cargo xtask analyze`, rule R1) bans direct
 //! `std::sync::atomic` / `std::sync::Mutex` / `std::thread` imports in
 //! production code outside this crate so the switch stays complete.
 //!

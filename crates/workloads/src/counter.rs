@@ -3,9 +3,9 @@
 //!
 //! * [`ConflictCounter`] — every task increments the *same* `TVar`: the
 //!   maximally contended workload (scalability ≈ none; every pair of
-//!   concurrent updates conflicts). Used by the contention-manager
-//!   ablation bench and as a worst-case sanity check for the tuner —
-//!   a good controller should keep such a workload at 1–2 threads.
+//!   concurrent updates conflicts). A worst-case sanity check for the
+//!   tuner — a good controller should keep such a workload at 1–2
+//!   threads.
 //! * [`StripedCounter`] — tasks increment one of `N` stripes chosen by
 //!   round-robin per worker: conflict probability ~1/N, so scalability
 //!   grows with the stripe count. Sweeping `N` produces a family of

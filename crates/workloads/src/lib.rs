@@ -13,12 +13,7 @@
 //!   scalable; Fig. 1's peak-at-7-threads workload).
 //!
 //! Two counter micro-workloads ([`counter`]) cover the contention
-//! extremes for ablation studies, and three further STAMP ports extend
-//! the spectrum beyond the paper's evaluation set: [`labyrinth`]
-//! (maze routing — long transactions, large write footprints),
-//! [`kmeans`] (online clustering — short transactions with a
-//! cluster-count contention dial) and [`genome`] (sequencing —
-//! dedup + overlap matching with a serial reconstruction oracle).
+//! extremes for ablation studies.
 //!
 //! Substrates built for these (and reusable on their own):
 //!
@@ -62,10 +57,7 @@
 
 pub mod btree;
 pub mod counter;
-pub mod genome;
 pub mod intruder;
-pub mod kmeans;
-pub mod labyrinth;
 pub mod mapapi;
 pub mod pers;
 pub mod pqueue;
@@ -75,10 +67,7 @@ pub mod vacation;
 
 pub use btree::TBTreeMap;
 pub use counter::{ConflictCounter, StripedCounter};
-pub use genome::{GenomeConfig, GenomeWorkload};
 pub use intruder::{IntruderConfig, IntruderWorkload, IntruderWorkloadOn};
-pub use kmeans::{KMeansConfig, KMeansWorkload};
-pub use labyrinth::{LabyrinthConfig, LabyrinthWorkload, Maze};
 pub use mapapi::{BTreeFamily, MapFamily, SnapshotFamily, TOrdMap};
 pub use rbtree::{OpMix, RbTreeConfig, RbTreeWorkload, RbTreeWorkloadOn};
 pub use tmap::TMap;

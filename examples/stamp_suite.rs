@@ -5,17 +5,14 @@
 //! ```
 //!
 //! Every workload in the repository — the paper's three (red-black
-//! tree, Vacation, Intruder) plus the extension ports (Labyrinth,
-//! KMeans, Genome) and the two counter micros — tuned live by RUBIC for
-//! half a second each, with throughput, chosen level, and STM abort
-//! rate side by side. A compact tour of how differently the controller
-//! treats workloads across the contention spectrum.
+//! tree, Vacation, Intruder) and the two counter micros — tuned live by
+//! RUBIC for half a second each, with throughput, chosen level, and STM
+//! abort rate side by side. A compact tour of how differently the
+//! controller treats workloads across the contention spectrum.
 
 use std::time::Duration;
 
 use rubic::prelude::*;
-use rubic::workloads::genome::{GenomeConfig, GenomeWorkload};
-use rubic::workloads::labyrinth::{LabyrinthConfig, LabyrinthWorkload};
 
 struct Row {
     name: &'static str,
@@ -83,33 +80,17 @@ fn main() {
 
     let stm = Stm::default();
     rows.push(run_one(
-        "labyrinth",
-        stm.clone(),
-        LabyrinthWorkload::new(LabyrinthConfig::small(), stm),
-        pool,
-    ));
-
-    let stm = Stm::default();
-    rows.push(run_one(
-        "kmeans (high)",
-        stm.clone(),
-        KMeansWorkload::new(KMeansConfig::high_contention(), stm),
-        pool,
-    ));
-
-    let stm = Stm::default();
-    rows.push(run_one(
-        "genome",
-        stm.clone(),
-        GenomeWorkload::new(GenomeConfig::small(), stm),
-        pool,
-    ));
-
-    let stm = Stm::default();
-    rows.push(run_one(
         "conflict counter",
         stm.clone(),
         ConflictCounter::new(stm),
+        pool,
+    ));
+
+    let stm = Stm::default();
+    rows.push(run_one(
+        "striped counter (16)",
+        stm.clone(),
+        StripedCounter::new(16, stm),
         pool,
     ));
 

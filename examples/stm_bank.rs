@@ -96,11 +96,10 @@ fn main() {
     println!("final total: {final_total} (expected {expected_total})");
     assert_eq!(final_total, expected_total);
     println!(
-        "stm: {} commits, {} aborts (abort rate {:.2}%), contention manager: {}",
+        "stm: {} commits, {} aborts (abort rate {:.2}%)",
         stm.stats().commits(),
         stm.stats().aborts(),
-        stm.stats().abort_rate() * 100.0,
-        stm.contention_manager()
+        stm.stats().abort_rate() * 100.0
     );
     println!("every audit observed the invariant — opacity held.");
 }

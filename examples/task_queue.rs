@@ -6,14 +6,13 @@
 //! cargo run --release --example task_queue
 //! ```
 //!
-//! A producer streams 50 000 hashing jobs into a bounded channel; the
-//! pool's workers drain it while RUBIC tunes how many of them are
-//! active. The pool stops itself when the queue reports drained.
+//! A producer streams 50 000 hashing jobs into a bounded sharded queue;
+//! the pool's workers drain it while RUBIC tunes how many of them are
+//! active. The driver stops the pool when the queue reports drained.
 
 use std::time::{Duration, Instant};
 
 use rubic::prelude::*;
-use rubic::runtime::queue::ChannelWorkload;
 
 const JOBS: u64 = 50_000;
 
@@ -21,7 +20,7 @@ fn main() {
     let hw = std::thread::available_parallelism().map_or(2, |n| n.get() as u32);
     let pool_size = hw * 2;
 
-    let (workload, sender) = ChannelWorkload::new(256, |job: u64| {
+    let (workload, sender) = ShardedWorkload::new(pool_size as usize, 256, |job: u64| {
         // A few microseconds of real work per job.
         let mut x = job | 1;
         for _ in 0..2_000 {
@@ -48,13 +47,8 @@ fn main() {
 
     println!("streaming {JOBS} jobs through a {pool_size}-worker malleable pool...");
     let start = Instant::now();
-    let producer = std::thread::spawn(move || {
-        for job in 0..JOBS {
-            sender.send(job).expect("pool hung up early");
-        }
-        // Dropping the sender closes the queue.
-    });
-    producer.join().expect("producer panicked");
+    sender.send_batch(0..JOBS).expect("pool hung up early");
+    drop(sender); // closes the queue
     handle.wait_drained();
     let elapsed = start.elapsed();
     let report = pool.stop();

@@ -10,7 +10,7 @@ use std::time::Duration;
 
 use proptest::prelude::*;
 use rubic_controllers::{Controller, Sample};
-use rubic_runtime::{ChannelWorkload, MalleablePool, PoolConfig, ShardedWorkload};
+use rubic_runtime::{MalleablePool, PoolConfig, ShardedWorkload};
 
 /// Replays a fixed level schedule, one entry per monitor round, then
 /// holds the last entry. This turns the controller seam into a test
@@ -105,45 +105,6 @@ proptest! {
         let unique: HashSet<u64> = got.iter().copied().collect();
         prop_assert_eq!(unique.len() as u64, n_items, "duplicate execution");
         prop_assert_eq!(handle.processed(), n_items);
-    }
-
-    /// Channel queue under the same schedules: the baseline path must
-    /// deliver identical exactly-once behaviour.
-    #[test]
-    fn channel_exactly_once_under_level_changes(
-        size in 2u32..=4,
-        head in proptest::collection::vec(1u32..=4, 1..6),
-        tail in proptest::collection::vec(1u32..=4, 0..6),
-        n_items in 200u64..500,
-    ) {
-        let schedule = extreme_schedule(head, tail, size);
-        let seen: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
-        let seen2 = Arc::clone(&seen);
-        let (workload, tx) = ChannelWorkload::new(128, move |n: u64| {
-            seen2.lock().unwrap().push(n);
-            std::thread::sleep(Duration::from_micros(30));
-        });
-        let handle = workload.handle();
-        let pool = MalleablePool::start(
-            PoolConfig::new(size)
-                .initial_level(schedule[0])
-                .monitor_period(Duration::from_millis(1)),
-            workload,
-            Box::new(Scripted::new(schedule, size)),
-        );
-        let producer = std::thread::spawn(move || {
-            for n in 0..n_items {
-                tx.send(n).unwrap();
-            }
-        });
-        producer.join().unwrap();
-        handle.wait_drained();
-        let _ = pool.stop();
-
-        let got = seen.lock().unwrap();
-        prop_assert_eq!(got.len() as u64, n_items, "lost or duplicated items");
-        let unique: HashSet<u64> = got.iter().copied().collect();
-        prop_assert_eq!(unique.len() as u64, n_items, "duplicate execution");
     }
 
     /// Workers above every level the schedule ever admits stay parked

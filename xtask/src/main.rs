@@ -5,39 +5,16 @@
 //!   consistency A3, plus the R1–R5 hygiene rules). Exits non-zero on
 //!   any finding. `--json` writes the machine-readable report
 //!   (`rubic-analyze/v1`) to FILE, or stdout when FILE is omitted.
-//! * `cargo xtask lint` — the historical R1–R5 subset only (kept for
-//!   muscle memory and pre-push hooks; `analyze` is a superset).
-
-mod lint;
 
 fn main() {
     let mut args = std::env::args().skip(1);
     match args.next().as_deref() {
         Some("analyze") => analyze(&mut args),
-        Some("lint") => {
-            let root = workspace_root();
-            match lint::run(&root) {
-                Ok(stats) => {
-                    println!(
-                        "xtask lint: OK ({} files, {} ordering sites, {} unsafe blocks checked)",
-                        stats.files, stats.ordering_sites, stats.unsafe_blocks
-                    );
-                }
-                Err(violations) => {
-                    for v in &violations {
-                        eprintln!("{v}");
-                    }
-                    eprintln!("xtask lint: {} violation(s)", violations.len());
-                    std::process::exit(1);
-                }
-            }
-        }
         other => {
             eprintln!(
                 "usage: cargo xtask <command>\n\ncommands:\n  analyze  full static analysis \
                  (txn purity, feature gates, trace schema, hygiene rules)\n           \
-                 options: --json [FILE] machine-readable report\n  lint     the R1-R5 hygiene \
-                 subset only (analyze is a superset)"
+                 options: --json [FILE] machine-readable report"
             );
             if let Some(o) = other {
                 eprintln!("\nunknown command: {o}");

@@ -30,7 +30,7 @@ use std::sync::Arc;
 
 use rubic_stm::{TVar, Transaction, TxResult, TxValue};
 
-use crate::mapapi::TOrdMap;
+use crate::mapapi::{Edit, TOrdMap};
 use crate::tmap::TKey;
 
 use node::{Node, NodeVar, MAX_LEAF, MAX_SEPS, MIN_LEAF, MIN_SEPS};
@@ -503,45 +503,45 @@ impl<K: TKey, V: TxValue> TOrdMap<K, V> for TBTreeMap<K, V> {
         Ok(self.get(tx, key)?.is_some())
     }
 
-    fn insert(&self, tx: &mut Transaction, key: K, value: V) -> TxResult<Option<V>> {
+    fn edit<R>(
+        &self,
+        tx: &mut Transaction,
+        key: &K,
+        f: impl FnOnce(Option<&V>) -> (Edit<V>, R),
+    ) -> TxResult<R> {
         let mut path = Vec::new();
-        let (leaf, mut entries) = self.descend(tx, &key, &mut path)?;
-        match entries.binary_search_by(|(k, _)| k.cmp(&key)) {
-            Ok(i) => {
+        let (leaf, mut entries) = self.descend(tx, key, &mut path)?;
+        let found = entries.binary_search_by(|(k, _)| k.cmp(key));
+        let (decision, out) = f(found.ok().map(|i| &entries[i].1));
+        match (decision, found) {
+            (Edit::Put(value), Ok(i)) => {
                 // Replacement never changes occupancy: one leaf write.
-                let old = std::mem::replace(&mut entries[i].1, value);
+                entries[i].1 = value;
                 tx.write(&leaf, Node::Leaf(entries))?;
-                Ok(Some(old))
             }
-            Err(i) => {
-                entries.insert(i, (key, value));
+            (Edit::Put(value), Err(i)) => {
+                entries.insert(i, (key.clone(), value));
                 if entries.len() <= MAX_LEAF {
                     tx.write(&leaf, Node::Leaf(entries))?;
                 } else {
                     self.split_up(tx, &leaf, entries, path)?;
                 }
-                Ok(None)
             }
+            (Edit::Remove, Ok(i)) => {
+                entries.remove(i);
+                let mut underfull = entries.len() < MIN_LEAF && !path.is_empty();
+                tx.write(&leaf, Node::Leaf(entries))?;
+                while underfull {
+                    let (pvar, idx) = path.pop().expect("underfull implies a parent");
+                    underfull = self.rebalance(tx, &pvar, idx)? && !path.is_empty();
+                }
+                self.collapse_root(tx)?;
+            }
+            // Zero writes, so keeps and no-op removals on disjoint keys
+            // never conflict with each other.
+            (Edit::Keep, _) | (Edit::Remove, Err(_)) => {}
         }
-    }
-
-    fn remove(&self, tx: &mut Transaction, key: &K) -> TxResult<Option<V>> {
-        let mut path = Vec::new();
-        let (leaf, mut entries) = self.descend(tx, key, &mut path)?;
-        let Ok(i) = entries.binary_search_by(|(k, _)| k.cmp(key)) else {
-            // Absent key: zero writes, so no-op removals on disjoint
-            // keys never conflict with each other.
-            return Ok(None);
-        };
-        let (_, removed) = entries.remove(i);
-        let mut underfull = entries.len() < MIN_LEAF && !path.is_empty();
-        tx.write(&leaf, Node::Leaf(entries))?;
-        while underfull {
-            let (pvar, idx) = path.pop().expect("underfull implies a parent");
-            underfull = self.rebalance(tx, &pvar, idx)? && !path.is_empty();
-        }
-        self.collapse_root(tx)?;
-        Ok(Some(removed))
+        Ok(out)
     }
 
     fn len(&self, tx: &mut Transaction) -> TxResult<usize> {

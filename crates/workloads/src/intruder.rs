@@ -32,7 +32,7 @@ use rand::{Rng, SeedableRng};
 use rubic_runtime::Workload;
 use rubic_stm::{Stm, TVar};
 
-use crate::mapapi::{MapFamily, SnapshotFamily, TOrdMap};
+use crate::mapapi::{Edit, MapFamily, SnapshotFamily, TOrdMap};
 use crate::pqueue::PQueue;
 
 /// The attack strings injected into flows and searched by the detector
@@ -275,20 +275,20 @@ impl<F: MapFamily> IntruderWorkloadOn<F> {
     /// fragment completes its flow.
     fn reassemble(&self, packet: &Packet) -> Option<Vec<u8>> {
         self.stm.atomically(|tx| {
-            let mut shared = self.sessions.get(tx, &packet.flow_id)?.unwrap_or_default();
-            // The map still holds the old buffer, so this copies it once.
-            let buf = Arc::make_mut(&mut shared);
-            buf.num_fragments = packet.num_fragments;
-            if !buf.received.iter().any(|(id, _)| *id == packet.fragment_id) {
-                buf.received.push((packet.fragment_id, packet.data.clone()));
-            }
-            if buf.complete() {
-                self.sessions.remove(tx, &packet.flow_id)?;
-                Ok(Some(buf.assemble()))
-            } else {
-                self.sessions.insert(tx, packet.flow_id, shared)?;
-                Ok(None)
-            }
+            self.sessions.edit(tx, &packet.flow_id, |open| {
+                let mut shared = open.cloned().unwrap_or_default();
+                // The map still holds the old buffer, so this copies it once.
+                let buf = Arc::make_mut(&mut shared);
+                buf.num_fragments = packet.num_fragments;
+                if !buf.received.iter().any(|(id, _)| *id == packet.fragment_id) {
+                    buf.received.push((packet.fragment_id, packet.data.clone()));
+                }
+                if buf.complete() {
+                    (Edit::Remove, Some(buf.assemble()))
+                } else {
+                    (Edit::Put(shared), None)
+                }
+            })
         })
     }
 }

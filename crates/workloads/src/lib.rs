@@ -68,7 +68,7 @@ pub mod vacation;
 pub use btree::TBTreeMap;
 pub use counter::{ConflictCounter, StripedCounter};
 pub use intruder::{IntruderConfig, IntruderWorkload, IntruderWorkloadOn};
-pub use mapapi::{BTreeFamily, MapFamily, SnapshotFamily, TOrdMap};
+pub use mapapi::{BTreeFamily, Edit, MapFamily, SnapshotFamily, TOrdMap};
 pub use rbtree::{OpMix, RbTreeConfig, RbTreeWorkload, RbTreeWorkloadOn};
 pub use tmap::TMap;
 pub use vacation::{Manager, ManagerOn, VacationConfig, VacationWorkload, VacationWorkloadOn};

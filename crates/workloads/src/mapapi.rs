@@ -19,6 +19,7 @@
 use rubic_stm::{Transaction, TxResult, TxValue};
 
 use crate::btree::TBTreeMap;
+pub use crate::pers::Edit;
 use crate::tmap::{TKey, TMap};
 
 /// The transactional ordered-map operations contract.
@@ -49,36 +50,36 @@ pub trait TOrdMap<K: TKey, V: TxValue>: Clone + Send + Sync + 'static {
     /// Propagates transactional conflicts.
     fn contains(&self, tx: &mut Transaction, key: &K) -> TxResult<bool>;
 
+    /// The one read-modify-write primitive: runs `f` **once** on the
+    /// entry under `key` as `tx` sees it (`None` when absent) and
+    /// applies what it decides — [`Edit::Keep`], [`Edit::Put`] or
+    /// [`Edit::Remove`] — in a single descent. `Keep`, and `Remove` of
+    /// an absent key, write nothing, so they conflict with no other
+    /// update. Returns whatever else `f` returned.
+    ///
+    /// # Errors
+    /// Propagates transactional conflicts.
+    fn edit<R>(
+        &self,
+        tx: &mut Transaction,
+        key: &K,
+        f: impl FnOnce(Option<&V>) -> (Edit<V>, R),
+    ) -> TxResult<R>;
+
     /// Inserts `key → value`; returns the previous value if present.
     ///
     /// # Errors
     /// Propagates transactional conflicts.
-    fn insert(&self, tx: &mut Transaction, key: K, value: V) -> TxResult<Option<V>>;
+    fn insert(&self, tx: &mut Transaction, key: K, value: V) -> TxResult<Option<V>> {
+        self.edit(tx, &key, |held| (Edit::Put(value), held.cloned()))
+    }
 
     /// Removes `key`; returns the removed value if present.
     ///
     /// # Errors
     /// Propagates transactional conflicts.
-    fn remove(&self, tx: &mut Transaction, key: &K) -> TxResult<Option<V>>;
-
-    /// Reads `key`, applies `f`, writes the result back; inserts
-    /// `default` first when absent. Returns the new value.
-    ///
-    /// # Errors
-    /// Propagates transactional conflicts.
-    fn update_or(
-        &self,
-        tx: &mut Transaction,
-        key: K,
-        default: V,
-        f: impl FnOnce(&V) -> V,
-    ) -> TxResult<V> {
-        let new_value = match self.get(tx, &key)? {
-            Some(v) => f(&v),
-            None => default,
-        };
-        self.insert(tx, key, new_value.clone())?;
-        Ok(new_value)
+    fn remove(&self, tx: &mut Transaction, key: &K) -> TxResult<Option<V>> {
+        self.edit(tx, key, |held| (Edit::Remove, held.cloned()))
     }
 
     /// Number of entries within `tx`.
@@ -170,8 +171,23 @@ mod tests {
         assert_eq!(stm.atomically(|tx| m.insert(tx, 2, 20)), None);
         assert_eq!(stm.atomically(|tx| m.insert(tx, 1, 10)), None);
         assert_eq!(stm.atomically(|tx| m.insert(tx, 2, 22)), Some(20));
-        assert_eq!(stm.atomically(|tx| m.update_or(tx, 3, 1, |v| v + 1)), 1);
-        assert_eq!(stm.atomically(|tx| m.update_or(tx, 3, 1, |v| v + 1)), 2);
+        // `edit`, arm by arm: put on a miss, put on a hit, keep, remove.
+        let bump = |held: Option<&u64>| (Edit::Put(held.map_or(1, |v| v + 1)), held.copied());
+        assert_eq!(stm.atomically(|tx| m.edit(tx, &3, bump)), None);
+        assert_eq!(stm.atomically(|tx| m.edit(tx, &3, bump)), Some(1));
+        let writes = stm.stats().writes();
+        let peek = |held: Option<&u64>| (Edit::Keep, held.copied());
+        assert_eq!(stm.atomically(|tx| m.edit(tx, &3, peek)), Some(2));
+        assert_eq!(stm.atomically(|tx| m.edit(tx, &4, peek)), None);
+        let take = |held: Option<&u64>| (Edit::Remove, held.copied());
+        assert_eq!(stm.atomically(|tx| m.edit(tx, &4, take)), None);
+        assert_eq!(
+            stm.stats().writes(),
+            writes,
+            "keep and a miss write nothing"
+        );
+        assert_eq!(stm.atomically(|tx| m.insert(tx, 4, 40)), None);
+        assert_eq!(stm.atomically(|tx| m.edit(tx, &4, take)), Some(40));
         assert_eq!(stm.atomically(|tx| m.get(tx, &1)), Some(10));
         assert!(stm.atomically(|tx| m.contains(tx, &2)));
         assert_eq!(stm.atomically(|tx| m.len(tx)), 3);

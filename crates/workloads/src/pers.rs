@@ -21,7 +21,10 @@
 //! on that one root-to-leaf path, splitting a full node in two on the
 //! way up (insert) or refilling an underfull one from a sibling —
 //! borrow when the sibling can spare entries, merge when it cannot —
-//! and dropping a root left with a single child (remove).
+//! and dropping a root left with a single child (remove). All three are
+//! one routine, [`PMap::edit`]: descend once, show the entry found to a
+//! closure, rebuild the path as it decides ([`Edit`]) — or allocate
+//! nothing when it keeps the map as it is.
 //!
 //! **A value's `Clone` is on the copy path of its leaf neighbours.** A
 //! path copy clones every `(K, V)` of the touched leaf, so values kept
@@ -41,6 +44,17 @@ use std::sync::Arc;
 const LEAF_MAX: usize = 32;
 /// Most children a branch holds; a non-root branch holds at least half.
 const BRANCH_MAX: usize = 16;
+
+/// What a [`PMap::edit`] closure decides for the entry under its key.
+#[derive(Debug, Clone)]
+pub enum Edit<V> {
+    /// Leave the map as it is.
+    Keep,
+    /// Store this value under the key, inserting or replacing.
+    Put(V),
+    /// Drop the entry (a no-op when the key is absent).
+    Remove,
+}
 
 /// One node's sorted entries, in one allocation.
 type Entries<K, X> = Arc<[(K, X)]>;
@@ -126,45 +140,15 @@ fn pack<T>(
     (left, Some(entries.collect()))
 }
 
-/// Path-copy insert: the rebuilt node, plus its new right sibling when
-/// it had to split.
-fn ins<K: Ord + Clone, V: Clone>(
-    node: &Node<K, V>,
-    key: K,
-    value: V,
-    replaced: &mut Option<V>,
-) -> (Node<K, V>, Option<Node<K, V>>) {
-    match node {
-        Leaf(e) => {
-            let (at, del) = match e.binary_search_by(|(k, _)| k.cmp(&key)) {
-                Ok(i) => {
-                    *replaced = Some(e[i].1.clone());
-                    (i, 1)
-                }
-                Err(i) => (i, 0),
-            };
-            let total = e.len() + 1 - del;
-            let (l, r) = pack(splice(e, at, del, [(key, value)]), total, LEAF_MAX);
-            (Leaf(l), r.map(Leaf))
-        }
-        Branch(e) => {
-            let i = child_of(e, &key).unwrap_or(0);
-            let (child, sibling) = ins(&e[i].1, key, value, replaced);
-            let total = e.len() + usize::from(sibling.is_some());
-            let new = iter::once(keyed(child)).chain(sibling.map(keyed));
-            let (l, r) = pack(splice(e, i, 1, new), total, BRANCH_MAX);
-            (Branch(l), r.map(Branch))
-        }
-    }
-}
+/// A rebuilt node and, when it had to split, its new right sibling. The
+/// node may be one entry under its minimum after a removal; the caller
+/// repairs that.
+type Rebuilt<K, V> = (Node<K, V>, Option<Node<K, V>>);
 
 /// Refills an underfull node from its sibling (`l` left of `r`): one
 /// merged node when the sibling is at its minimum, otherwise the
 /// entries of both shared evenly between two.
-fn rebalance<K: Clone, V: Clone>(
-    l: &Node<K, V>,
-    r: &Node<K, V>,
-) -> (Node<K, V>, Option<Node<K, V>>) {
+fn rebalance<K: Clone, V: Clone>(l: &Node<K, V>, r: &Node<K, V>) -> Rebuilt<K, V> {
     fn share<T: Clone>(a: &[T], b: &[T], max: usize) -> (Arc<[T]>, Option<Arc<[T]>>) {
         // An underfull node and a sibling at its minimum hold `max - 1`.
         let both = a.iter().cloned().chain(b.iter().cloned());
@@ -183,31 +167,65 @@ fn rebalance<K: Clone, V: Clone>(
     }
 }
 
-/// Path-copy removal in one descent: `None` (and nothing allocated)
-/// when `key` is absent, otherwise the rebuilt node — possibly one
-/// entry under its minimum, which the caller repairs — and the value.
-fn del<K: Ord + Clone, V: Clone>(node: &Node<K, V>, key: &K) -> Option<(Node<K, V>, V)> {
+/// The one path-copy routine: descends to `key`'s leaf, runs `f` once on
+/// the entry found there and rebuilds the path as `f` decided. `None`
+/// (and nothing allocated) when the tree stays as it is.
+fn edit<K: Ord + Clone, V: Clone, R>(
+    node: &Node<K, V>,
+    key: &K,
+    f: impl FnOnce(Option<&V>) -> (Edit<V>, R),
+) -> (Option<Rebuilt<K, V>>, R) {
     match node {
         Leaf(e) => {
-            let i = e.binary_search_by(|(k, _)| k.cmp(key)).ok()?;
-            let rest = splice(e, i, 1, iter::empty()).collect();
-            Some((Leaf(rest), e[i].1.clone()))
+            let found = e.binary_search_by(|(k, _)| k.cmp(key));
+            let (decision, out) = f(found.ok().map(|i| &e[i].1));
+            let rebuilt = match (decision, found) {
+                (Edit::Put(value), _) => {
+                    let (at, del) = match found {
+                        Ok(i) => (i, 1),
+                        Err(i) => (i, 0),
+                    };
+                    let new = [(key.clone(), value)];
+                    let (l, r) = pack(splice(e, at, del, new), e.len() + 1 - del, LEAF_MAX);
+                    Some((Leaf(l), r.map(Leaf)))
+                }
+                (Edit::Remove, Ok(i)) => {
+                    Some((Leaf(splice(e, i, 1, iter::empty()).collect()), None))
+                }
+                (Edit::Keep, _) | (Edit::Remove, Err(_)) => None,
+            };
+            (rebuilt, out)
         }
         Branch(e) => {
-            let i = child_of(e, key)?;
-            let (child, removed) = del(&e[i].1, key)?;
-            let rebuilt = if child.len() >= child.max_len() / 2 {
-                splice(e, i, 1, [keyed(child)]).collect()
-            } else {
-                // Every branch has at least two children.
-                let (at, (l, r)) = if i > 0 {
-                    (i - 1, rebalance(&e[i - 1].1, &child))
-                } else {
-                    (0, rebalance(&child, &e[1].1))
-                };
-                splice(e, at, 2, iter::once(keyed(l)).chain(r.map(keyed))).collect()
+            // A key under every branch key can only belong leftmost.
+            let i = child_of(e, key).unwrap_or(0);
+            let (rebuilt, out) = edit(&e[i].1, key, f);
+            let Some((child, sibling)) = rebuilt else {
+                return (None, out);
             };
-            Some((Branch(rebuilt), removed))
+            // Arrays, not `once(..).chain(option)`: every entry of the
+            // copy pays for each `Chain` its `next` goes through.
+            let rebuilt = match sibling {
+                Some(sibling) => {
+                    let new = [keyed(child), keyed(sibling)];
+                    let (l, r) = pack(splice(e, i, 1, new), e.len() + 1, BRANCH_MAX);
+                    (Branch(l), r.map(Branch))
+                }
+                None if child.len() >= child.max_len() / 2 => {
+                    (Branch(splice(e, i, 1, [keyed(child)]).collect()), None)
+                }
+                None => {
+                    // Every branch has at least two children.
+                    let (at, (l, r)) = if i > 0 {
+                        (i - 1, rebalance(&e[i - 1].1, &child))
+                    } else {
+                        (0, rebalance(&child, &e[1].1))
+                    };
+                    let new = iter::once(keyed(l)).chain(r.map(keyed));
+                    (Branch(splice(e, at, 2, new).collect()), None)
+                }
+            };
+            (Some(rebuilt), out)
         }
     }
 }
@@ -316,17 +334,42 @@ impl<K: Ord + Clone, V: Clone> PMap<K, V> {
         }
     }
 
+    /// Runs `f` once on the entry under `key` (`None` when absent) and
+    /// applies what it decides, in one descent and one path copy.
+    /// Returns the new map — `None`, with nothing allocated, when `f`
+    /// said [`Edit::Keep`] or asked to remove an absent key — and
+    /// whatever else `f` returned.
+    #[must_use]
+    pub fn edit<R>(
+        &self,
+        key: &K,
+        f: impl FnOnce(Option<&V>) -> (Edit<V>, R),
+    ) -> (Option<Self>, R) {
+        let mut len = self.len;
+        let (rebuilt, out) = edit(&self.root, key, |held| {
+            let (decision, out) = f(held);
+            match (&decision, held) {
+                (Edit::Put(_), None) => len += 1,
+                (Edit::Remove, Some(_)) => len -= 1,
+                _ => {}
+            }
+            (decision, out)
+        });
+        let root = rebuilt.map(|rebuilt| match rebuilt {
+            (l, Some(r)) => Branch(Arc::new([keyed(l), keyed(r)])),
+            // A root branch left with a single child hands over to it.
+            (Branch(e), None) if e.len() == 1 => e[0].1.clone(),
+            (root, None) => root,
+        });
+        (root.map(|root| PMap { root, len }), out)
+    }
+
     /// Inserts `key → value`; returns the new map and the previous
     /// value, if the key was present.
     #[must_use]
     pub fn insert(&self, key: K, value: V) -> (Self, Option<V>) {
-        let mut replaced = None;
-        let root = match ins(&self.root, key, value, &mut replaced) {
-            (root, None) => root,
-            (l, Some(r)) => Branch(Arc::new([keyed(l), keyed(r)])),
-        };
-        let len = self.len + usize::from(replaced.is_none());
-        (PMap { root, len }, replaced)
+        let (next, replaced) = self.edit(&key, |held| (Edit::Put(value), held.cloned()));
+        (next.expect("a put rebuilds the path"), replaced)
     }
 
     /// Removes `key` in one descent; returns the new map and the
@@ -334,16 +377,8 @@ impl<K: Ord + Clone, V: Clone> PMap<K, V> {
     /// the map is `self` again (same root, nothing allocated).
     #[must_use]
     pub fn remove(&self, key: &K) -> (Self, Option<V>) {
-        let Some((mut root, removed)) = del(&self.root, key) else {
-            return (self.clone(), None);
-        };
-        if let Branch(e) = &root {
-            if let [(_, only)] = &e[..] {
-                root = only.clone();
-            }
-        }
-        let len = self.len - 1;
-        (PMap { root, len }, Some(removed))
+        let (next, removed) = self.edit(key, |held| (Edit::Remove, held.cloned()));
+        (next.unwrap_or_else(|| self.clone()), removed)
     }
 
     /// In-order `(key, value)` pairs.
@@ -680,5 +715,22 @@ mod tests {
         assert!(worst_remove <= 2 * LEAF_MAX, "remove cloned {worst_remove}");
         let miss = clones_in(&mut || drop(m.remove(&20_000)));
         assert_eq!(miss, 0, "a missing key copies nothing");
+        // `edit` hands the entry over by reference: a replacement clones
+        // the leaf's other entries only, a keep or a miss nothing.
+        let mut worst_replace = 0;
+        for k in m.keys() {
+            let put = |held: Option<&Counted>| (Edit::Put(Counted(held.unwrap().0 + 1)), ());
+            let n = clones_in(&mut || m = m.edit(&k, put).0.unwrap());
+            worst_replace = worst_replace.max(n);
+            let keep = |held: Option<&Counted>| (Edit::Keep, held.is_some());
+            assert_eq!(clones_in(&mut || assert!(m.edit(&k, keep).0.is_none())), 0);
+        }
+        assert!(worst_replace < LEAF_MAX, "edit cloned {worst_replace}");
+        for decision in [Edit::Keep, Edit::Remove] {
+            let absent = |held: Option<&Counted>| (decision.clone(), held.is_none());
+            let n = clones_in(&mut || assert!(matches!(m.edit(&20_000, absent), (None, true))));
+            assert_eq!(n, 0, "{decision:?} on a missing key copies nothing");
+        }
+        check(&m);
     }
 }

@@ -26,7 +26,7 @@ use rand::{Rng, SeedableRng};
 use rubic_runtime::Workload;
 use rubic_stm::Stm;
 
-use crate::mapapi::{MapFamily, SnapshotFamily, TOrdMap};
+use crate::mapapi::{Edit, MapFamily, SnapshotFamily, TOrdMap};
 
 /// Operation mix for [`RbTreeWorkload`], in parts per thousand.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -156,12 +156,10 @@ impl<F: MapFamily> RbTreeWorkloadOn<F> {
         while inserted < cfg.initial_size {
             let key = rng.gen_range(0..cfg.key_range);
             let fresh = stm.atomically(|tx| {
-                if map.contains(tx, &key)? {
-                    Ok(false)
-                } else {
-                    map.insert(tx, key, key * 2 + 1)?;
-                    Ok(true)
-                }
+                map.edit(tx, &key, |held| match held {
+                    Some(_) => (Edit::Keep, false),
+                    None => (Edit::Put(key * 2 + 1), true),
+                })
             });
             if fresh {
                 inserted += 1;

@@ -32,7 +32,7 @@
 use rubic_stm::{TVar, Transaction, TxResult, TxValue};
 
 use crate::mapapi::TOrdMap;
-use crate::pers::PMap;
+use crate::pers::{Edit, PMap};
 
 /// Key bound for transactional maps.
 pub trait TKey: Ord + Clone + Send + Sync + 'static {}
@@ -94,47 +94,37 @@ impl<K: TKey, V: TxValue> TMap<K, V> {
     /// # Errors
     /// Propagates transactional conflicts.
     pub fn insert(&self, tx: &mut Transaction, key: K, value: V) -> TxResult<Option<V>> {
-        let snap = tx.read(&self.cell)?;
-        let (next, old) = snap.insert(key, value);
-        tx.write(&self.cell, next)?;
-        Ok(old)
+        self.edit(tx, &key, |held| (Edit::Put(value), held.cloned()))
     }
 
-    /// Removes `key`; returns the removed value if present.
+    /// Removes `key`; returns the removed value if present. A no-op
+    /// removal writes nothing (and takes part in none of the W/W
+    /// serialisation a write implies) — a big deal for delete-heavy
+    /// mixes on sparse key ranges.
     ///
     /// # Errors
     /// Propagates transactional conflicts.
     pub fn remove(&self, tx: &mut Transaction, key: &K) -> TxResult<Option<V>> {
-        let (next, old) = tx.read(&self.cell)?.remove(key);
-        if old.is_some() {
-            // No write (and none of the W/W serialisation it implies)
-            // for a no-op removal — a big deal for delete-heavy mixes
-            // on sparse key ranges.
-            tx.write(&self.cell, next)?;
-        }
-        Ok(old)
+        self.edit(tx, key, |held| (Edit::Remove, held.cloned()))
     }
 
-    /// Reads `key`, applies `f`, writes the result back; inserts
-    /// `default` first when absent. Returns the new value.
+    /// Runs `f` once on the entry under `key` and applies what it
+    /// decides (see [`TOrdMap::edit`]): one read of the cell, one
+    /// descent, one path copy, and a write only when the map changed.
     ///
     /// # Errors
     /// Propagates transactional conflicts.
-    pub fn update_or(
+    pub fn edit<R>(
         &self,
         tx: &mut Transaction,
-        key: K,
-        default: V,
-        f: impl FnOnce(&V) -> V,
-    ) -> TxResult<V> {
-        let snap = tx.read(&self.cell)?;
-        let new_value = match snap.get(&key) {
-            Some(v) => f(v),
-            None => default,
-        };
-        let (next, _) = snap.insert(key, new_value.clone());
-        tx.write(&self.cell, next)?;
-        Ok(new_value)
+        key: &K,
+        f: impl FnOnce(Option<&V>) -> (Edit<V>, R),
+    ) -> TxResult<R> {
+        let (next, out) = tx.read(&self.cell)?.edit(key, f);
+        if let Some(next) = next {
+            tx.write(&self.cell, next)?;
+        }
+        Ok(out)
     }
 
     /// Number of entries within `tx`.
@@ -187,24 +177,13 @@ impl<K: TKey, V: TxValue> TOrdMap<K, V> for TMap<K, V> {
         TMap::contains(self, tx, key)
     }
 
-    fn insert(&self, tx: &mut Transaction, key: K, value: V) -> TxResult<Option<V>> {
-        TMap::insert(self, tx, key, value)
-    }
-
-    fn remove(&self, tx: &mut Transaction, key: &K) -> TxResult<Option<V>> {
-        TMap::remove(self, tx, key)
-    }
-
-    fn update_or(
+    fn edit<R>(
         &self,
         tx: &mut Transaction,
-        key: K,
-        default: V,
-        f: impl FnOnce(&V) -> V,
-    ) -> TxResult<V> {
-        // The inherent version reads the snapshot once instead of the
-        // trait default's get-then-insert double read.
-        TMap::update_or(self, tx, key, default, f)
+        key: &K,
+        f: impl FnOnce(Option<&V>) -> (Edit<V>, R),
+    ) -> TxResult<R> {
+        TMap::edit(self, tx, key, f)
     }
 
     fn len(&self, tx: &mut Transaction) -> TxResult<usize> {
@@ -286,11 +265,14 @@ mod tests {
     }
 
     #[test]
-    fn update_or_inserts_then_updates() {
+    fn edit_reads_the_transactions_own_writes() {
         let stm = Stm::default();
         let m: TMap<u32, u64> = TMap::new();
-        assert_eq!(stm.atomically(|tx| m.update_or(tx, 5, 1, |v| v + 1)), 1);
-        assert_eq!(stm.atomically(|tx| m.update_or(tx, 5, 1, |v| v + 1)), 2);
+        let bump = |held: Option<&u64>| (Edit::Put(held.map_or(1, |v| v + 1)), ());
+        stm.atomically(|tx| {
+            m.edit(tx, &5, bump)?;
+            m.edit(tx, &5, bump)
+        });
         assert_eq!(stm.atomically(|tx| m.get(tx, &5)), Some(2));
     }
 

@@ -30,7 +30,7 @@ use rand::{Rng, SeedableRng};
 use rubic_runtime::Workload;
 use rubic_stm::{Stm, Transaction, TxResult};
 
-use crate::mapapi::{MapFamily, SnapshotFamily, TOrdMap};
+use crate::mapapi::{Edit, MapFamily, SnapshotFamily, TOrdMap};
 
 /// One of the three reservable resource types.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,7 +48,7 @@ impl ResourceKind {
 }
 
 /// Availability record for one reservable item.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Resource {
     /// Total units (e.g. seats).
     pub total: u32,
@@ -67,7 +67,7 @@ impl Resource {
 }
 
 /// A customer's held reservation.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Booking {
     /// Resource type.
     pub kind: ResourceKind,
@@ -77,11 +77,70 @@ pub struct Booking {
     pub price: u64,
 }
 
-/// A customer record: the list of reservations they hold.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// A customer record: the reservations they hold, as a persistent cons
+/// list. A push is one small allocation whatever the list holds and the
+/// new list shares every older booking with the version still published
+/// in the customers table, so cloning a record is O(1) and the record
+/// sits in the table by value.
+#[derive(Clone, Default)]
 pub struct Customer {
-    /// Held reservations.
-    pub bookings: Vec<Booking>,
+    newest: Option<Arc<Held>>,
+    len: usize,
+}
+
+/// One cell of a [`Customer`]'s list.
+struct Held {
+    booking: Booking,
+    older: Option<Arc<Held>>,
+}
+
+impl Customer {
+    /// Adds a reservation at the front.
+    pub fn push(&mut self, booking: Booking) {
+        let older = self.newest.take();
+        self.newest = Some(Arc::new(Held { booking, older }));
+        self.len += 1;
+    }
+
+    /// Number of reservations held.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True when no reservation is held.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The reservations, newest first.
+    pub fn iter(&self) -> impl Iterator<Item = &Booking> {
+        let mut next = self.newest.as_deref();
+        std::iter::from_fn(move || {
+            let held = next?;
+            next = held.older.as_deref();
+            Some(&held.booking)
+        })
+    }
+}
+
+impl std::fmt::Debug for Customer {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl Drop for Held {
+    /// Frees the cells only this one kept alive in a loop: the derived
+    /// drop would recurse once per booking. `Arc::into_inner` hands the
+    /// cell to exactly one of the owners racing to let go of it.
+    fn drop(&mut self) {
+        let mut next = self.older.take();
+        while let Some(mut held) = next.and_then(Arc::into_inner) {
+            next = held.older.take();
+        }
+    }
 }
 
 /// Benchmark parameters (STAMP flag names in brackets).
@@ -136,10 +195,9 @@ pub struct ManagerOn<F: MapFamily> {
     cars: F::Map<u64, Resource>,
     flights: F::Map<u64, Resource>,
     rooms: F::Map<u64, Resource>,
-    /// Behind an `Arc`: a map update clones the neighbours of the entry
-    /// it touches, and a booking list must not be deep-copied because a
-    /// stranger in the same node booked.
-    customers: F::Map<u64, Arc<Customer>>,
+    /// By value: a map update clones the neighbours of the entry it
+    /// touches, and cloning a [`Customer`] copies one pointer.
+    customers: F::Map<u64, Customer>,
 }
 
 /// The historical default: snapshot-cell tables.
@@ -178,21 +236,10 @@ impl<F: MapFamily> ManagerOn<F> {
         units: u32,
         price: u64,
     ) -> TxResult<()> {
-        let table = self.table(kind);
-        let updated = match table.get(tx, &id)? {
-            Some(r) => Resource {
-                total: r.total + units,
-                used: r.used,
-                price,
-            },
-            None => Resource {
-                total: units,
-                used: 0,
-                price,
-            },
-        };
-        table.insert(tx, id, updated)?;
-        Ok(())
+        self.table(kind).edit(tx, &id, |row| {
+            let (total, used) = row.map_or((units, 0), |r| (r.total + units, r.used));
+            (Edit::Put(Resource { total, used, price }), ())
+        })
     }
 
     /// Retires up to `units` unreserved units of item `id`; removes the
@@ -208,29 +255,21 @@ impl<F: MapFamily> ManagerOn<F> {
         id: u64,
         units: u32,
     ) -> TxResult<bool> {
-        let table = self.table(kind);
-        let Some(r) = table.get(tx, &id)? else {
-            return Ok(false);
-        };
-        let removable = units.min(r.free());
-        if removable == 0 {
-            return Ok(false);
-        }
-        let total = r.total - removable;
-        if total == 0 {
-            table.remove(tx, &id)?;
-        } else {
-            table.insert(
-                tx,
-                id,
-                Resource {
-                    total,
-                    used: r.used,
-                    price: r.price,
-                },
-            )?;
-        }
-        Ok(true)
+        self.table(kind).edit(tx, &id, |row| {
+            let Some(r) = row else {
+                return (Edit::Keep, false);
+            };
+            let removable = units.min(r.free());
+            if removable == 0 {
+                return (Edit::Keep, false);
+            }
+            let total = r.total - removable;
+            if total == 0 {
+                (Edit::Remove, true)
+            } else {
+                (Edit::Put(Resource { total, ..*r }), true)
+            }
+        })
     }
 
     /// Item price, if the row exists.
@@ -246,6 +285,44 @@ impl<F: MapFamily> ManagerOn<F> {
         self.table(kind).get(tx, &id)
     }
 
+    /// Marks one unit of item `id` used and returns the price charged,
+    /// or `None` (without writing) when the item is missing or fully
+    /// booked.
+    fn take_unit(
+        &self,
+        tx: &mut Transaction,
+        kind: ResourceKind,
+        id: u64,
+    ) -> TxResult<Option<u64>> {
+        self.table(kind).edit(tx, &id, |row| match row {
+            Some(r) if r.free() > 0 => {
+                let used = r.used + 1;
+                (Edit::Put(Resource { used, ..*r }), Some(r.price))
+            }
+            _ => (Edit::Keep, None),
+        })
+    }
+
+    /// Adds `bookings` to `customer`'s record, creating it on demand:
+    /// one read and one write of the customers table however many there
+    /// are, none when there are none.
+    fn book(
+        &self,
+        tx: &mut Transaction,
+        customer: u64,
+        bookings: impl IntoIterator<Item = Booking>,
+    ) -> TxResult<()> {
+        let mut bookings = bookings.into_iter().peekable();
+        if bookings.peek().is_none() {
+            return Ok(());
+        }
+        self.customers.edit(tx, &customer, |held| {
+            let mut record = held.cloned().unwrap_or_default();
+            bookings.for_each(|b| record.push(b));
+            (Edit::Put(record), ())
+        })
+    }
+
     /// Reserves one unit of item `id` for `customer`, creating the
     /// customer record on demand. Returns `false` (without changing
     /// anything) when the item is missing or fully booked.
@@ -259,30 +336,10 @@ impl<F: MapFamily> ManagerOn<F> {
         customer: u64,
         id: u64,
     ) -> TxResult<bool> {
-        let table = self.table(kind);
-        let Some(r) = table.get(tx, &id)? else {
+        let Some(price) = self.take_unit(tx, kind, id)? else {
             return Ok(false);
         };
-        if r.free() == 0 {
-            return Ok(false);
-        }
-        table.insert(
-            tx,
-            id,
-            Resource {
-                total: r.total,
-                used: r.used + 1,
-                price: r.price,
-            },
-        )?;
-        let mut record = self.customers.get(tx, &customer)?.unwrap_or_default();
-        // The table still holds the old record, so this copies it once.
-        Arc::make_mut(&mut record).bookings.push(Booking {
-            kind,
-            id,
-            price: r.price,
-        });
-        self.customers.insert(tx, customer, record)?;
+        self.book(tx, customer, [Booking { kind, id, price }])?;
         Ok(true)
     }
 
@@ -292,26 +349,22 @@ impl<F: MapFamily> ManagerOn<F> {
     /// # Errors
     /// Propagates transactional conflicts.
     pub fn delete_customer(&self, tx: &mut Transaction, customer: u64) -> TxResult<Option<u64>> {
-        let Some(record) = self.customers.get(tx, &customer)? else {
+        let taken = |held: Option<&Customer>| (Edit::Remove, held.cloned());
+        let Some(record) = self.customers.edit(tx, &customer, taken)? else {
             return Ok(None);
         };
         let mut bill = 0u64;
-        for booking in &record.bookings {
+        for booking in record.iter() {
             bill += booking.price;
-            let table = self.table(booking.kind);
-            if let Some(r) = table.get(tx, &booking.id)? {
-                table.insert(
-                    tx,
-                    booking.id,
-                    Resource {
-                        total: r.total,
-                        used: r.used.saturating_sub(1),
-                        price: r.price,
-                    },
-                )?;
-            }
+            self.table(booking.kind)
+                .edit(tx, &booking.id, |row| match row {
+                    Some(r) => {
+                        let used = r.used.saturating_sub(1);
+                        (Edit::Put(Resource { used, ..*r }), ())
+                    }
+                    None => (Edit::Keep, ()),
+                })?;
         }
-        self.customers.remove(tx, &customer)?;
         Ok(Some(bill))
     }
 
@@ -336,7 +389,7 @@ impl<F: MapFamily> ManagerOn<F> {
         self.customers
             .snapshot_entries()
             .iter()
-            .map(|(_, c)| c.bookings.len() as u64)
+            .map(|(_, c)| c.len() as u64)
             .sum()
     }
 }
@@ -392,23 +445,23 @@ impl<F: MapFamily> VacationWorkloadOn<F> {
         (self.cfg.relations * u64::from(self.cfg.query_range_pct) / 100).max(1)
     }
 
-    fn session_make_reservation(&self, rng: &mut SmallRng) {
+    fn session_make_reservation(&self, state: &mut VacationWorkerState) {
+        let VacationWorkerState { rng, queries, .. } = state;
         let range = self.query_range();
         let customer = rng.gen_range(0..range);
         // Collect the queries up front (STAMP builds the query arrays
         // before the transaction).
-        let queries: Vec<(ResourceKind, u64)> = (0..self.cfg.queries_per_task)
-            .map(|_| {
-                (
-                    ResourceKind::ALL[rng.gen_range(0..3)],
-                    rng.gen_range(0..range),
-                )
-            })
-            .collect();
+        queries.clear();
+        queries.extend((0..self.cfg.queries_per_task).map(|_| {
+            (
+                ResourceKind::ALL[rng.gen_range(0..3)],
+                rng.gen_range(0..range),
+            )
+        }));
         self.stm.atomically(|tx| {
             // Highest-priced available item per type (STAMP semantics).
             let mut best: [Option<(u64, u64)>; 3] = [None, None, None];
-            for &(kind, id) in &queries {
+            for &(kind, id) in queries.iter() {
                 if let Some(r) = self.manager.query(tx, kind, id)? {
                     if r.free() > 0 {
                         let slot = &mut best[kind as usize];
@@ -418,12 +471,16 @@ impl<F: MapFamily> VacationWorkloadOn<F> {
                     }
                 }
             }
+            // One unit of each, then the customer record once.
+            let mut booked = [None; 3];
             for kind in ResourceKind::ALL {
                 if let Some((id, _)) = best[kind as usize] {
-                    self.manager.reserve(tx, kind, customer, id)?;
+                    let price = self.manager.take_unit(tx, kind, id)?;
+                    booked[kind as usize] = price.map(|price| Booking { kind, id, price });
                 }
             }
-            Ok(())
+            self.manager
+                .book(tx, customer, booked.into_iter().flatten())
         });
     }
 
@@ -433,19 +490,19 @@ impl<F: MapFamily> VacationWorkloadOn<F> {
             .atomically(|tx| self.manager.delete_customer(tx, customer));
     }
 
-    fn session_update_tables(&self, rng: &mut SmallRng) {
-        let ops: Vec<(ResourceKind, u64, bool, u64)> = (0..self.cfg.queries_per_task)
-            .map(|_| {
-                (
-                    ResourceKind::ALL[rng.gen_range(0..3)],
-                    rng.gen_range(0..self.cfg.relations),
-                    rng.gen_bool(0.5),
-                    rng.gen_range(1..=5) * 10 + 50,
-                )
-            })
-            .collect();
+    fn session_update_tables(&self, state: &mut VacationWorkerState) {
+        let VacationWorkerState { rng, ops, .. } = state;
+        ops.clear();
+        ops.extend((0..self.cfg.queries_per_task).map(|_| {
+            (
+                ResourceKind::ALL[rng.gen_range(0..3)],
+                rng.gen_range(0..self.cfg.relations),
+                rng.gen_bool(0.5),
+                rng.gen_range(1..=5) * 10 + 50,
+            )
+        }));
         self.stm.atomically(|tx| {
-            for &(kind, id, add, price) in &ops {
+            for &(kind, id, add, price) in ops.iter() {
                 if add {
                     self.manager.add_resource(tx, kind, id, 100, price)?;
                 } else {
@@ -460,6 +517,10 @@ impl<F: MapFamily> VacationWorkloadOn<F> {
 /// Per-worker state for Vacation.
 pub struct VacationWorkerState {
     rng: SmallRng,
+    /// A reservation session's `(type, id)` queries, refilled per task.
+    queries: Vec<(ResourceKind, u64)>,
+    /// An update session's `(type, id, add, price)` operations, likewise.
+    ops: Vec<(ResourceKind, u64, bool, u64)>,
 }
 
 impl<F: MapFamily> Workload for VacationWorkloadOn<F> {
@@ -470,17 +531,19 @@ impl<F: MapFamily> Workload for VacationWorkloadOn<F> {
             rng: SmallRng::seed_from_u64(
                 self.cfg.seed ^ (tid as u64).wrapping_mul(0xD134_2543_DE82_EF95),
             ),
+            queries: Vec::new(),
+            ops: Vec::new(),
         }
     }
 
     fn run_task(&self, state: &mut VacationWorkerState) {
         let dice = state.rng.gen_range(0..100);
         if dice < self.cfg.user_pct {
-            self.session_make_reservation(&mut state.rng);
+            self.session_make_reservation(state);
         } else if dice < self.cfg.user_pct + (100 - self.cfg.user_pct) / 2 {
             self.session_delete_customer(&mut state.rng);
         } else {
-            self.session_update_tables(&mut state.rng);
+            self.session_update_tables(state);
         }
     }
 
@@ -560,13 +623,66 @@ mod tests {
         assert!(stm.atomically(|tx| m.reserve(tx, ResourceKind::Car, 42, 1)));
         let after = m.customers.snapshot_entries();
         assert_eq!(before.len(), after.len());
+        let same = |a: &Option<Arc<Held>>, b: &Option<Arc<Held>>| match (a, b) {
+            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+            _ => false,
+        };
         for ((id, old), (_, new)) in before.iter().zip(&after) {
             if *id == 42 {
-                assert_eq!((old.bookings.len(), new.bookings.len()), (1, 2));
+                assert_eq!((old.len(), new.len()), (1, 2));
+                let pushed = new.newest.as_ref().expect("two bookings");
+                assert!(same(&old.newest, &pushed.older), "old list is not the tail");
             } else {
-                assert!(Arc::ptr_eq(old, new), "customer {id} was deep-copied");
+                assert!(same(&old.newest, &new.newest), "customer {id} was copied");
             }
         }
+    }
+
+    #[test]
+    fn customer_lists_newest_first_and_shares_on_clone() {
+        let mut c = Customer::default();
+        assert!(c.is_empty());
+        for id in 0..3 {
+            c.push(Booking {
+                kind: ResourceKind::Room,
+                id,
+                price: 10 * id,
+            });
+        }
+        let earlier = c.clone();
+        c.push(Booking {
+            kind: ResourceKind::Car,
+            id: 9,
+            price: 1,
+        });
+        assert_eq!((earlier.len(), c.len()), (3, 4));
+        assert_eq!(c.iter().map(|b| b.id).collect::<Vec<_>>(), [9, 2, 1, 0]);
+        assert_eq!(earlier.iter().map(|b| b.id).collect::<Vec<_>>(), [2, 1, 0]);
+    }
+
+    #[test]
+    fn dropping_a_million_bookings_does_not_overflow_the_stack() {
+        let mut c = Customer::default();
+        for id in 0..1_000_000 {
+            c.push(Booking {
+                kind: ResourceKind::Flight,
+                id,
+                price: 60,
+            });
+        }
+        // A second owner of the older half: the first drop stops at the
+        // shared cell, the second frees the rest.
+        let shared = c.clone();
+        for id in 0..500_000 {
+            c.push(Booking {
+                kind: ResourceKind::Car,
+                id,
+                price: 70,
+            });
+        }
+        drop(c);
+        assert_eq!(shared.len(), 1_000_000);
+        drop(shared);
     }
 
     #[test]

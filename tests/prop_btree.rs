@@ -10,14 +10,16 @@ use std::sync::{Arc, Mutex};
 
 use proptest::prelude::*;
 use rubic::stm::Stm;
-use rubic::workloads::{TBTreeMap, TMap, TOrdMap};
+use rubic::workloads::{Edit, TBTreeMap, TMap, TOrdMap};
 
 #[derive(Debug, Clone)]
 enum MapOp {
     Insert(u64, u64),
     Remove(u64),
     Get(u64),
-    UpdateOr(u64, u64),
+    /// `edit` with the arm the generator chose: 0 keeps, 1 puts `held +
+    /// v` (or `v` on a miss), 2 removes. Observes the value held before.
+    Edit(u64, u8, u64),
 }
 
 fn map_op() -> impl Strategy<Value = MapOp> {
@@ -25,7 +27,11 @@ fn map_op() -> impl Strategy<Value = MapOp> {
         (any::<u64>(), any::<u64>()).prop_map(|(k, v)| MapOp::Insert(k % 300, v)),
         any::<u64>().prop_map(|k| MapOp::Remove(k % 300)),
         any::<u64>().prop_map(|k| MapOp::Get(k % 300)),
-        (any::<u64>(), any::<u64>()).prop_map(|(k, v)| MapOp::UpdateOr(k % 300, v % 1000)),
+        (any::<u64>(), 0u8..3, any::<u64>()).prop_map(|(k, arm, v)| MapOp::Edit(
+            k % 300,
+            arm,
+            v % 1000
+        )),
     ]
 }
 
@@ -36,7 +42,16 @@ fn apply<M: TOrdMap<u64, u64>>(stm: &Stm, map: &M, op: &MapOp) -> Option<u64> {
         MapOp::Insert(k, v) => stm.atomically(|tx| map.insert(tx, k, v)),
         MapOp::Remove(k) => stm.atomically(|tx| map.remove(tx, &k)),
         MapOp::Get(k) => stm.atomically(|tx| map.get(tx, &k)),
-        MapOp::UpdateOr(k, v) => Some(stm.atomically(|tx| map.update_or(tx, k, v, |cur| cur + v))),
+        MapOp::Edit(k, arm, v) => stm.atomically(|tx| {
+            map.edit(tx, &k, |held| {
+                let decision = match arm {
+                    0 => Edit::Keep,
+                    1 => Edit::Put(held.map_or(v, |cur| cur + v)),
+                    _ => Edit::Remove,
+                };
+                (decision, held.copied())
+            })
+        }),
     }
 }
 
@@ -46,12 +61,36 @@ fn apply_oracle(model: &mut BTreeMap<u64, u64>, op: &MapOp) -> Option<u64> {
         MapOp::Insert(k, v) => model.insert(k, v),
         MapOp::Remove(k) => model.remove(&k),
         MapOp::Get(k) => model.get(&k).copied(),
-        MapOp::UpdateOr(k, v) => {
-            let new = model.get(&k).map_or(v, |cur| cur + v);
-            model.insert(k, new);
-            Some(new)
+        MapOp::Edit(k, arm, v) => {
+            let held = model.get(&k).copied();
+            match arm {
+                0 => {}
+                1 => drop(model.insert(k, held.map_or(v, |cur| cur + v))),
+                _ => drop(model.remove(&k)),
+            }
+            held
         }
     }
+}
+
+/// Every op observes what the `BTreeMap` model observes, and the
+/// backend's invariants hold after each one.
+fn matches_btreemap<M: TOrdMap<u64, u64>>(map: &M, ops: &[MapOp]) -> Result<(), TestCaseError> {
+    let stm = Stm::default();
+    let mut model: BTreeMap<u64, u64> = BTreeMap::new();
+    for op in ops {
+        let got = apply(&stm, map, op);
+        let expected = apply_oracle(&mut model, op);
+        prop_assert_eq!(got, expected);
+        match map.check_invariants() {
+            Ok(len) => prop_assert_eq!(len, model.len()),
+            Err(e) => prop_assert!(false, "invariant violated: {}", e),
+        }
+    }
+    let entries = map.snapshot_entries();
+    let expected: Vec<(u64, u64)> = model.into_iter().collect();
+    prop_assert_eq!(entries, expected);
+    Ok(())
 }
 
 proptest! {
@@ -64,21 +103,13 @@ proptest! {
     /// a 300-key churn forces at fanout 16.
     #[test]
     fn tbtree_matches_btreemap(ops in proptest::collection::vec(map_op(), 1..400)) {
-        let stm = Stm::default();
-        let map: TBTreeMap<u64, u64> = TBTreeMap::new();
-        let mut model: BTreeMap<u64, u64> = BTreeMap::new();
-        for op in &ops {
-            let got = apply(&stm, &map, op);
-            let expected = apply_oracle(&mut model, op);
-            prop_assert_eq!(got, expected);
-            match map.check_invariants() {
-                Ok(len) => prop_assert_eq!(len, model.len()),
-                Err(e) => prop_assert!(false, "invariant violated: {}", e),
-            }
-        }
-        let entries = map.snapshot_entries();
-        let expected: Vec<(u64, u64)> = model.into_iter().collect();
-        prop_assert_eq!(entries, expected);
+        matches_btreemap(&TBTreeMap::new(), &ops)?;
+    }
+
+    /// The same model check on the other `MapFamily` member.
+    #[test]
+    fn tmap_matches_btreemap(ops in proptest::collection::vec(map_op(), 1..400)) {
+        matches_btreemap(&TMap::new(), &ops)?;
     }
 
     /// The snapshot-cell map and the per-node B-tree agree op-for-op on
@@ -100,7 +131,7 @@ proptest! {
 }
 
 /// Linearizability of concurrent histories, counter-style: every
-/// committed `update_or` increment must be reflected exactly once in
+/// committed `edit` increment must be reflected exactly once in
 /// the final state, regardless of interleaving, splits, or aborted
 /// attempts. Four threads hammer overlapping key ranges; per-key sums
 /// must equal the per-key totals each thread committed.
@@ -127,7 +158,11 @@ fn concurrent_increments_linearize() {
                     let inc = (x >> 32) % 5 + 1;
                     // `atomically` retries to commit, so each call
                     // lands exactly once.
-                    stm.atomically(|tx| map.update_or(tx, key, inc, |cur| cur + inc));
+                    stm.atomically(|tx| {
+                        map.edit(tx, &key, |held| {
+                            (Edit::Put(held.map_or(inc, |v| v + inc)), ())
+                        })
+                    });
                     local[key as usize] += inc;
                 }
                 local

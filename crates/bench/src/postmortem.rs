@@ -6,7 +6,8 @@
 //! scans every measured point for *noisy* results — relative standard
 //! deviation (`stddev / mean`) above `--stddev-ratio` (default 0.25) —
 //! and, if any exist, freezes the session's flight recorder into a
-//! `rubic-postmortem/v1` bundle next to the `BENCH_*.json` report so
+//! post-mortem bundle (`rubic_trace::BUNDLE_SCHEMA`) next to the
+//! `BENCH_*.json` report so
 //! the run's tail of events, histograms, and contention table can be
 //! inspected alongside the suspect numbers.
 //!

@@ -12,7 +12,7 @@
 
 use crate::{clamp_level, improved, Controller, Sample};
 
-/// AIMD controller: `+step` on improvement, `level × α` on loss.
+/// AIMD controller: `+1` on improvement, `level × α` on loss.
 ///
 /// ```
 /// use rubic_controllers::{Aimd, Controller, Sample};
@@ -23,7 +23,6 @@ use crate::{clamp_level, improved, Controller, Sample};
 #[derive(Debug, Clone)]
 pub struct Aimd {
     alpha: f64,
-    step: u32,
     tolerance: f64,
     max_level: u32,
     t_p: f64,
@@ -43,22 +42,10 @@ impl Aimd {
         );
         Aimd {
             alpha,
-            step: 1,
             tolerance: 0.0,
             max_level: max_level.max(1),
             t_p: 0.0,
         }
-    }
-
-    /// Overrides the additive step; returns `self`.
-    ///
-    /// # Panics
-    /// Panics if `step` is zero.
-    #[must_use]
-    pub fn with_step(mut self, step: u32) -> Self {
-        assert!(step >= 1, "step must be at least 1");
-        self.step = step;
-        self
     }
 
     /// Sets the throughput-comparison tolerance; returns `self`.
@@ -80,7 +67,7 @@ impl Controller for Aimd {
         let (proposal, phase) = if improved(sample.throughput, self.t_p, self.tolerance) {
             self.t_p = sample.throughput;
             (
-                f64::from(sample.level) + f64::from(self.step),
+                f64::from(sample.level) + 1.0,
                 crate::trc::phase::GROWTH_LINEAR,
             )
         } else {

@@ -111,7 +111,7 @@ pub mod prelude {
     };
     pub use rubic_runtime::{
         MalleablePool, PoolConfig, PoolView, RunReport, ShardSender, ShardedHandle,
-        ShardedWorkload, WorkerPlacement, Workload,
+        ShardedWorkload, Workload,
     };
     pub use rubic_sim::{curves, Experiment, Machine, ProcessSpec, SimConfig, WorkloadSpec};
     pub use rubic_stm::{Stm, StmError, TVar, Transaction, TxResult};

@@ -22,6 +22,9 @@
 //! (§3.1's "no atomic instructions are necessary" — we use relaxed
 //! single-writer stores, the Rust-sound equivalent).
 //!
+//! Thread placement is the OS scheduler's: nothing here pins a worker,
+//! and the pool carries no socket model (the simulator does).
+//!
 //! The paper raises the monitor's scheduler priority so it keeps running
 //! under oversubscription; raising priority needs privileges we don't
 //! assume, but the monitor does no task work and sleeps between samples,
@@ -57,14 +60,12 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod placement;
 pub mod pool;
 pub mod semaphore;
 pub mod sharded;
 mod signal;
 mod trc;
 
-pub use placement::WorkerPlacement;
 pub use pool::{MalleablePool, PoolConfig, PoolView, RunReport, Workload};
 pub use semaphore::Semaphore;
 pub use sharded::{ShardSender, ShardedHandle, ShardedWorkload};

@@ -1,4 +1,8 @@
 //! The malleable worker pool and its monitoring thread.
+//!
+//! A worker is admitted on `tid < level` and nothing else (Algorithm 1);
+//! which core or socket it runs on is left to the OS scheduler — the
+//! pool pins nothing and models no topology (DESIGN.md §17).
 
 use std::time::{Duration, Instant};
 
@@ -10,7 +14,6 @@ use crossbeam_utils::CachePadded;
 use rubic_controllers::{Controller, Sample};
 use rubic_metrics::LevelTrace;
 
-use crate::placement::WorkerPlacement;
 use crate::semaphore::Semaphore;
 use crate::signal::DrainSignal;
 
@@ -59,11 +62,11 @@ pub trait Workload: Send + Sync + 'static {
         0
     }
 
-    /// Cumulative `(local, remote)` steal counts, if the workload
-    /// tracks steal locality (see
-    /// [`ShardedWorkload`](crate::ShardedWorkload)). Read once by
-    /// [`MalleablePool::stop`] to fill the [`RunReport`]'s
-    /// steal-locality fields; the default reports nothing.
+    /// Vestigial: the pool has no socket model (DESIGN.md §17) and
+    /// nothing calls this. It stays, always `None`, only because the
+    /// forwarding wrappers under `benchmark/` — frozen outside
+    /// benchmark PRs — still override it; delete it with them.
+    #[doc(hidden)]
     fn steal_locality(&self) -> Option<(u64, u64)> {
         None
     }
@@ -89,11 +92,6 @@ pub struct PoolConfig {
     /// [`RunReport`]. An abort storm that commits nothing looks exactly
     /// like this. Default 100 rounds (1 s at the paper's 10 ms period).
     pub stall_rounds: u32,
-    /// Worker-to-socket assignment (default: flat — one socket, the
-    /// pre-topology behaviour). Determines the fill order as the level
-    /// rises (tid order is activation order) and which steals count as
-    /// local vs. cross-socket.
-    pub placement: WorkerPlacement,
     /// Label used in thread names and reports.
     pub name: String,
 }
@@ -109,7 +107,6 @@ impl PoolConfig {
             period: Duration::from_millis(10),
             task_budget: None,
             stall_rounds: 100,
-            placement: WorkerPlacement::flat(size.max(1)),
             name: "rubic-pool".to_string(),
         }
     }
@@ -140,23 +137,6 @@ impl PoolConfig {
     #[must_use]
     pub fn stall_rounds(mut self, rounds: u32) -> Self {
         self.stall_rounds = rounds.max(1);
-        self
-    }
-
-    /// Sets the worker-to-socket assignment.
-    ///
-    /// # Panics
-    /// Panics if the placement does not cover exactly `size` workers.
-    #[must_use]
-    pub fn placement(mut self, placement: WorkerPlacement) -> Self {
-        assert_eq!(
-            placement.size(),
-            self.size as usize,
-            "placement covers {} workers, pool has {}",
-            placement.size(),
-            self.size
-        );
-        self.placement = placement;
         self
     }
 
@@ -211,8 +191,6 @@ struct Shared {
     panics: AtomicU64,
     /// Stall warnings raised by the monitor's livelock watchdog.
     stalls: AtomicU64,
-    /// Worker-to-socket assignment (immutable for the pool's lifetime).
-    placement: WorkerPlacement,
     /// Fired exactly once when `running` flips to false, so
     /// [`MalleablePool::wait_budget_exhausted`] can block on a condvar
     /// instead of sleep-polling.
@@ -234,7 +212,6 @@ impl Shared {
                 .map(|b| CachePadded::new(AtomicI64::new(i64::try_from(b).unwrap_or(i64::MAX)))),
             panics: AtomicU64::new(0),
             stalls: AtomicU64::new(0),
-            placement: cfg.placement.clone(),
             stopped: DrainSignal::default(),
         }
     }
@@ -295,24 +272,6 @@ impl PoolView {
     pub fn is_running(&self) -> bool {
         self.shared.running.load(Ordering::Acquire)
     }
-
-    /// The socket worker `tid` is assigned to.
-    #[must_use]
-    pub fn socket_of(&self, tid: usize) -> u32 {
-        self.shared.placement.socket_of(tid)
-    }
-
-    /// Sockets in the pool's worker placement (1 = flat).
-    #[must_use]
-    pub fn sockets(&self) -> u32 {
-        self.shared.placement.sockets()
-    }
-
-    /// True when workers `a` and `b` share a socket.
-    #[must_use]
-    pub fn same_socket(&self, a: usize, b: usize) -> bool {
-        self.shared.placement.same_socket(a, b)
-    }
 }
 
 impl std::fmt::Debug for PoolView {
@@ -334,10 +293,6 @@ pub struct MalleablePool {
     monitor: Option<JoinHandle<LevelTrace>>,
     started: Instant,
     name: String,
-    /// Type-erased accessor for the workload's steal-locality counters
-    /// (the pool is not generic over `W` and does not retain the
-    /// workload; this closure holds the only handle `stop` needs).
-    steal_stats: Box<dyn Fn() -> Option<(u64, u64)> + Send + Sync>,
 }
 
 impl MalleablePool {
@@ -379,14 +334,12 @@ impl MalleablePool {
                 .expect("failed to spawn monitor thread")
         };
 
-        let stats_src = Arc::clone(&workload);
         MalleablePool {
             shared,
             workers,
             monitor: Some(monitor),
             started: Instant::now(),
             name: cfg.name,
-            steal_stats: Box::new(move || stats_src.steal_locality()),
         }
     }
 
@@ -446,7 +399,6 @@ impl MalleablePool {
             .iter()
             .map(|s| s.aborts.load(Ordering::Relaxed)) // ordering: workers joined
             .collect();
-        let (steals_local, steals_remote) = (self.steal_stats)().unwrap_or((0, 0));
         RunReport {
             name: std::mem::take(&mut self.name),
             total_tasks: per_worker.iter().sum(),
@@ -456,8 +408,6 @@ impl MalleablePool {
             elapsed,
             worker_panics: self.shared.panics.load(Ordering::Relaxed), // ordering: workers joined
             stall_warnings: self.shared.stalls.load(Ordering::Relaxed), // ordering: monitor joined
-            steals_local,
-            steals_remote,
             trace,
         }
     }
@@ -501,11 +451,6 @@ pub struct RunReport {
     /// Times the livelock watchdog fired (no completed task for
     /// `stall_rounds` consecutive monitor rounds).
     pub stall_warnings: u64,
-    /// Steals whose thief and victim shared a socket (0 unless the
-    /// workload reports locality via [`Workload::steal_locality`]).
-    pub steals_local: u64,
-    /// Steals that crossed sockets — the placement-pathology signal.
-    pub steals_remote: u64,
     /// `(round, level, throughput)` trace recorded by the monitor.
     pub trace: LevelTrace,
 }
@@ -839,10 +784,6 @@ impl<W: Workload> Workload for Arc<W> {
 
     fn drain_aborts(&self, state: &mut W::WorkerState) -> u64 {
         W::drain_aborts(self, state)
-    }
-
-    fn steal_locality(&self) -> Option<(u64, u64)> {
-        W::steal_locality(self)
     }
 }
 

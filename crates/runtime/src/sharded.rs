@@ -13,11 +13,12 @@
 //!   to [`DEFAULT_BATCH`] items per lock acquisition, amortizing the
 //!   queue's atomics over the batch.
 //! * A worker whose shard runs dry **steals**: it takes half a victim
-//!   shard's items (up to one batch). Victims whose owning worker is
-//!   *gated* (`tid >= level`, parked by the controller) are drained
-//!   first and completely — a level decrease can therefore never strand
-//!   tasks behind a parked worker. The gating state comes from the
-//!   pool through [`Workload::attach`].
+//!   shard's items (up to one batch). The scan is two passes: victims
+//!   whose owning worker is *gated* (`tid >= level`, parked by the
+//!   controller) are drained first and completely, then active ones —
+//!   a level decrease can therefore never strand tasks behind a parked
+//!   worker. The gating state comes from the pool through
+//!   [`Workload::attach`]; it is the only thing the order depends on.
 //! * A parked or exiting worker returns its locally buffered items to
 //!   its shard ([`Workload::on_park`]), keeping them steal-visible.
 //! * Drain detection is event-driven: the worker (or producer) that
@@ -79,11 +80,6 @@ struct Gauges {
     closed: AtomicBool,
     steals: AtomicU64,
     gated_steals: AtomicU64,
-    /// Steals whose thief and victim-shard owner share a socket (all
-    /// steals, on a flat placement).
-    local_steals: AtomicU64,
-    /// Steals that crossed sockets.
-    remote_steals: AtomicU64,
     /// Workers currently sleeping in the idle wait.
     sleepers: AtomicUsize,
     idle_m: Mutex<()>,
@@ -149,18 +145,6 @@ impl<T> Core<T> {
         match self.view.get() {
             Some(view) => s >= view.level() as usize,
             None => false,
-        }
-    }
-
-    /// `true` if shard `s` is local to the thief: the thief's socket
-    /// matches the shard's primary owner's socket (owner `s`, matching
-    /// [`shard_gated`](Core::shard_gated)'s convention). Without an
-    /// attached view — or under the default flat placement — everything
-    /// is local, reproducing the pre-topology steal order exactly.
-    fn shard_local(&self, thief_tid: usize, s: usize) -> bool {
-        match self.view.get() {
-            Some(view) => view.same_socket(thief_tid, s),
-            None => true,
         }
     }
 
@@ -370,21 +354,6 @@ impl ShardedHandle {
         self.g.gated_steals.load(Ordering::Relaxed) // ordering: monitoring read
     }
 
-    /// Steals whose thief and victim shared a socket (every steal, on
-    /// the default flat placement).
-    #[must_use]
-    pub fn local_steals(&self) -> u64 {
-        self.g.local_steals.load(Ordering::Relaxed) // ordering: monitoring read
-    }
-
-    /// Steals that crossed sockets — sustained growth here under a
-    /// compact placement means work keeps landing far from where it is
-    /// consumed.
-    #[must_use]
-    pub fn remote_steals(&self) -> u64 {
-        self.g.remote_steals.load(Ordering::Relaxed) // ordering: monitoring read
-    }
-
     /// True once every producer hung up and every accepted item was
     /// handed to the handler.
     #[must_use]
@@ -527,26 +496,18 @@ where
             return true;
         }
 
-        // 2. Steal. Four passes over the other shards, all starting at
-        // the rotating cursor. Gating stays the primary key (a gated
+        // 2. Steal. Two passes over the other shards, both starting at
+        // the rotating cursor: gated victims, then active ones. A gated
         // victim's owner cannot come back for its items until the level
-        // rises, so those shards must drain first — that is a
-        // correctness-adjacent priority, not a preference); locality is
-        // the secondary key within each gating class: exhaust
-        // same-socket victims before paying the interconnect to cross.
-        // Gated victims are drained fully (up to a batch); active
-        // victims yield half their items, leaving the owner the rest.
-        // On a flat placement every shard is local, so the remote
-        // passes match nothing and the pre-topology order is preserved.
+        // rises, so those shards must drain first — a
+        // correctness-adjacent priority, not a preference. Gated
+        // victims are drained fully (up to a batch); active victims
+        // yield half their items, leaving the owner the rest.
         state.rr = state.rr.wrapping_add(1);
-        for (gated_pass, local_pass) in [(true, true), (true, false), (false, true), (false, false)]
-        {
+        for gated_pass in [true, false] {
             for off in 0..n {
                 let s = (state.rr + off) % n;
-                if s == own
-                    || core.shard_gated(s) != gated_pass
-                    || core.shard_local(state.tid, s) != local_pass
-                {
+                if s == own || core.shard_gated(s) != gated_pass {
                     continue;
                 }
                 let visible = core.shards[s].len.load(Ordering::Relaxed); // ordering: advisory mirror
@@ -565,14 +526,7 @@ where
                         // ordering: stat counter
                         core.g.gated_steals.fetch_add(1, Ordering::Relaxed);
                     }
-                    if local_pass {
-                        // ordering: stat counter
-                        core.g.local_steals.fetch_add(1, Ordering::Relaxed);
-                    } else {
-                        // ordering: stat counter
-                        core.g.remote_steals.fetch_add(1, Ordering::Relaxed);
-                    }
-                    crate::trc::task_steal(state.tid, s, got, visible, gated_pass, !local_pass);
+                    crate::trc::task_steal(state.tid, s, got, visible, gated_pass);
                     return true;
                 }
             }
@@ -639,13 +593,6 @@ where
 
     fn attach(&self, view: PoolView) {
         let _ = self.core.view.set(view);
-    }
-
-    fn steal_locality(&self) -> Option<(u64, u64)> {
-        Some((
-            self.core.g.local_steals.load(Ordering::Relaxed), // ordering: monitoring read
-            self.core.g.remote_steals.load(Ordering::Relaxed), // ordering: monitoring read
-        ))
     }
 
     fn on_park(&self, state: &mut ShardWorker<T>) {
@@ -759,68 +706,6 @@ mod tests {
         );
         assert_eq!(report.per_worker[2], 0, "gated worker ran tasks");
         assert_eq!(report.per_worker[3], 0, "gated worker ran tasks");
-    }
-
-    #[test]
-    fn locality_counters_split_steals_by_socket() {
-        // Compact placement, 4 workers on 2 sockets: tids {0,1} on
-        // socket 0, {2,3} on socket 1. Only worker 0 active, so it must
-        // steal shard 1 (intra-socket) and shards 2-3 (cross-socket)
-        // dry — both locality counters should move, and the pool report
-        // should carry the same totals.
-        let (workload, tx) = ShardedWorkload::new(4, 1024, |_n: u64| {});
-        let handle = workload.handle();
-        let pool = crate::MalleablePool::start(
-            PoolConfig::new(4)
-                .initial_level(1)
-                .monitor_period(Duration::from_millis(2))
-                .placement(crate::WorkerPlacement::compact(4, 2)),
-            workload,
-            Box::new(Fixed::new(1, 4)),
-        );
-        tx.send_batch(0..800u64).unwrap();
-        drop(tx);
-        handle.wait_drained();
-        let report = pool.stop();
-        assert_eq!(handle.processed(), 800);
-        assert!(
-            handle.local_steals() > 0,
-            "shard 1 shares worker 0's socket and held ~200 items"
-        );
-        assert!(
-            handle.remote_steals() > 0,
-            "shards 2-3 sit across the socket boundary and held ~400 items"
-        );
-        assert_eq!(
-            handle.local_steals() + handle.remote_steals(),
-            handle.steals(),
-            "every steal is either local or remote"
-        );
-        assert_eq!(report.steals_local, handle.local_steals());
-        assert_eq!(report.steals_remote, handle.remote_steals());
-    }
-
-    #[test]
-    fn flat_placement_counts_every_steal_as_local() {
-        // The default (flat) placement is the pre-topology behaviour:
-        // one socket, so the remote counter never moves.
-        let (workload, tx) = ShardedWorkload::new(4, 1024, |_n: u64| {});
-        let handle = workload.handle();
-        let pool = crate::MalleablePool::start(
-            PoolConfig::new(4)
-                .initial_level(1)
-                .monitor_period(Duration::from_millis(2)),
-            workload,
-            Box::new(Fixed::new(1, 4)),
-        );
-        tx.send_batch(0..400u64).unwrap();
-        drop(tx);
-        handle.wait_drained();
-        let report = pool.stop();
-        assert!(handle.steals() > 0, "worker 0 had three shards to drain");
-        assert_eq!(handle.remote_steals(), 0);
-        assert_eq!(handle.local_steals(), handle.steals());
-        assert_eq!(report.steals_remote, 0);
     }
 
     #[test]

@@ -82,9 +82,8 @@ mod enabled {
 
     /// A dry worker moved `n` tasks from `victim`'s shard to its own
     /// local buffer; `victim_len` is the shard length before the steal.
-    /// The flags byte is a bitfield: bit 0 set when the victim's owner
-    /// sat above the level (gated), bit 1 set when the steal crossed
-    /// sockets under the pool's worker placement.
+    /// Bit 0 of the flags byte is set when the victim's owner sat above
+    /// the level (gated).
     #[inline]
     pub(crate) fn task_steal(
         thief: usize,
@@ -92,12 +91,11 @@ mod enabled {
         n: usize,
         victim_len: usize,
         gated: bool,
-        cross_socket: bool,
     ) {
         if is_enabled() {
             emit(
                 EventKind::TaskSteal,
-                u8::from(gated) | (u8::from(cross_socket) << 1),
+                u8::from(gated),
                 ((thief as u64) << 32) | (victim as u64 & 0xFFFF_FFFF),
                 n as u64,
                 victim_len as u64,
@@ -151,7 +149,6 @@ mod disabled {
         _n: usize,
         _victim_len: usize,
         _gated: bool,
-        _cross_socket: bool,
     ) {
     }
 

@@ -9,6 +9,11 @@
 //! windows, publish storms) that otherwise need minutes of stress
 //! running to surface.
 //!
+//! Everything the feature adds lives in this file — the hook, the
+//! seeded implementation, and the `*_unmanaged` methods that let a
+//! harness drive a [`Transaction`](crate::Transaction) by hand — so
+//! the engine itself (`txn.rs`) carries no `cfg`.
+//!
 //! The built-in hook, [`SeededChaos`], derives every decision from a
 //! single `u64` seed via per-thread SplitMix64 streams, and records the
 //! decision sequence. Re-running with the same seed replays the same
@@ -67,20 +72,18 @@ pub(crate) fn hit(point: ChaosPoint) {
     let _ = point;
 }
 
-/// Asks the installed hook whether the current attempt should be killed
-/// at `point`. A `true` return makes the engine abort the attempt with
-/// [`crate::AbortReason::Chaos`] — this is how fault-injection tests
-/// exercise the abort-attribution path end to end. Always `false` (and
-/// free) when the `chaos` feature is off.
+/// [`hit`], then asks the installed hook whether the current attempt
+/// should be killed at `point`. A `true` return makes the engine abort
+/// the attempt with [`crate::AbortReason::Chaos`] — this is how
+/// fault-injection tests exercise the abort-attribution path end to
+/// end. Always `false` (and free) when the `chaos` feature is off.
 #[inline(always)]
-pub(crate) fn abort_requested(point: ChaosPoint) -> bool {
+pub(crate) fn kill_requested(point: ChaosPoint) -> bool {
+    hit(point);
     #[cfg(feature = "chaos")]
     return enabled::query_abort(point);
     #[cfg(not(feature = "chaos"))]
-    {
-        let _ = point;
-        false
-    }
+    false
 }
 
 #[cfg(feature = "chaos")]
@@ -89,6 +92,7 @@ pub use enabled::{install, ChaosAction, ChaosGuard, ChaosHook, Decision, SeededC
 #[cfg(feature = "chaos")]
 mod enabled {
     use super::ChaosPoint;
+    use crate::txn::{Transaction, TxResult};
     use rubic_sync::{Arc, Mutex, MutexGuard, RwLock};
     use std::collections::HashMap;
 
@@ -161,6 +165,43 @@ mod enabled {
                 true
             }
             _ => false,
+        }
+    }
+
+    impl Transaction {
+        /// Begins an *unmanaged* transaction: no retry loop, no stats, no
+        /// contention management — the caller drives `commit`/`abort` by
+        /// hand. This exists so harness tests can pin a transaction at an
+        /// arbitrary protocol state (e.g. holding a write lock) while other
+        /// threads run; real code should use [`crate::Stm::atomically`].
+        ///
+        /// Only available with the test-only `chaos` feature.
+        #[must_use]
+        pub fn begin_unmanaged() -> Self {
+            Self::begin()
+        }
+
+        /// Commits an unmanaged transaction (chaos feature only); see
+        /// [`begin_unmanaged`](Self::begin_unmanaged).
+        ///
+        /// # Errors
+        /// [`crate::StmError::Conflict`] if validation fails; the caller
+        /// must then [`abort_unmanaged`](Self::abort_unmanaged).
+        pub fn commit_unmanaged(&mut self) -> TxResult<()> {
+            self.commit()
+        }
+
+        /// Aborts an unmanaged transaction, releasing every held lock
+        /// (chaos feature only); see
+        /// [`begin_unmanaged`](Self::begin_unmanaged).
+        pub fn abort_unmanaged(&mut self) {
+            self.abort()
+        }
+
+        /// Restarts an unmanaged transaction for another attempt (chaos
+        /// feature only); see [`begin_unmanaged`](Self::begin_unmanaged).
+        pub fn restart_unmanaged(&mut self) {
+            self.restart()
         }
     }
 

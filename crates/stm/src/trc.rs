@@ -109,31 +109,38 @@ mod enabled {
         }
     }
 
-    /// Current trace timestamp, or 0 when no session records (callers
-    /// use 0 as "don't measure").
-    #[inline]
-    pub(crate) fn stamp() -> u64 {
-        if is_enabled() {
-            now_ns()
-        } else {
-            0
+    /// When a write lock was acquired: a trace timestamp, or 0 when no
+    /// session was recording ("don't measure").
+    #[derive(Clone, Copy)]
+    pub(crate) struct LockStamp(u64);
+
+    impl LockStamp {
+        #[inline]
+        pub(crate) fn now() -> LockStamp {
+            LockStamp(if is_enabled() { now_ns() } else { 0 })
+        }
+
+        /// Emits a `LockHold` event for the lock at `addr`, held since
+        /// this stamp (skipped when it was taken outside a session).
+        #[inline]
+        pub(crate) fn released(self, addr: usize, on_abort: bool) {
+            if self.0 == 0 || !is_enabled() {
+                return;
+            }
+            emit(
+                EventKind::LockHold,
+                u8::from(on_abort),
+                now_ns().saturating_sub(self.0),
+                addr as u64,
+                0,
+            );
         }
     }
 
-    /// Emits a `LockHold` event for a lock held since `locked_at`
-    /// (skipped when the lock was taken outside a session).
+    /// Registers `label` as the name of the variable locked at `addr`.
     #[inline]
-    pub(crate) fn lock_hold(locked_at: u64, addr: usize, on_abort: bool) {
-        if locked_at == 0 || !is_enabled() {
-            return;
-        }
-        emit(
-            EventKind::LockHold,
-            u8::from(on_abort),
-            now_ns().saturating_sub(locked_at),
-            addr as u64,
-            0,
-        );
+    pub(crate) fn label(addr: usize, label: &str) {
+        rubic_trace::set_label(addr as u64, label);
     }
 
     /// Emits a `ClockExtend` event after a successful extension.
@@ -168,18 +175,22 @@ mod disabled {
         pub(crate) fn on_restart(&mut self, _attempt: u32) {}
     }
 
-    // `stamp`/`lock_hold` have no callers in a no-trace build (their
-    // call sites are cfg-gated out alongside the `locked_at` field they
-    // read); kept so the shim's surface matches the enabled module.
-    #[inline(always)]
-    #[allow(dead_code)]
-    pub(crate) fn stamp() -> u64 {
-        0
+    /// Zero-sized stand-in: a write slot carries no timestamp.
+    #[derive(Clone, Copy)]
+    pub(crate) struct LockStamp;
+
+    impl LockStamp {
+        #[inline(always)]
+        pub(crate) fn now() -> LockStamp {
+            LockStamp
+        }
+
+        #[inline(always)]
+        pub(crate) fn released(self, _addr: usize, _on_abort: bool) {}
     }
 
     #[inline(always)]
-    #[allow(dead_code)]
-    pub(crate) fn lock_hold(_locked_at: u64, _addr: usize, _on_abort: bool) {}
+    pub(crate) fn label(_addr: usize, _label: &str) {}
 
     #[inline(always)]
     pub(crate) fn clock_extend(_old_rv: u64, _new_rv: u64) {}

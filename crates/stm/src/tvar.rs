@@ -179,10 +179,7 @@ impl<T: TxValue> TVar<T> {
     #[must_use]
     pub fn labelled(value: T, label: &str) -> Self {
         let var = Self::new(value);
-        #[cfg(feature = "trace")]
-        rubic_trace::set_label(var.lock_addr() as u64, label);
-        #[cfg(not(feature = "trace"))]
-        let _ = label;
+        crate::trc::label(var.lock_addr(), label);
         var
     }
 

@@ -51,9 +51,15 @@
 //!   user value*; what it keeps is capacity, capped by [`RETAIN_CAP`]
 //!   and [`SPARE_CAP`]. A nested `atomically` finds the slot empty and
 //!   runs on a fresh context (whichever parks last stays).
+//! * The access protocol is spelled **once**: `read` is
+//!   `read_with(var, T::clone)`, and `read_with` and `write` both enter
+//!   through `sample_unlocked` (chaos hook, lock sample, lock-busy
+//!   conflict). This file holds no cargo-feature gate; what `trace` and
+//!   `chaos` add lives behind `trc.rs` and `chaos.rs`, whose disabled
+//!   halves are zero-sized no-ops.
 //! * The epoch is pinned **once per attempt** — [`Transaction`] owns the
 //!   pin (created at `begin`, repinned at `restart`, dropped at `park`)
-//!   instead of pinning inside every `read`/`read_with`/`commit`.
+//!   instead of pinning inside every `read_with`/`commit`.
 //! * Reads are invisible in the strict sense: a read-set entry is the
 //!   variable's lock-word pointer plus the observed version, kept alive
 //!   by the attempt's pin (`PinnedReads`) rather than by a counted
@@ -87,7 +93,7 @@ use crate::clock;
 use crate::index::VarIndex;
 use crate::trc;
 use crate::tvar::{PinnedReads, ReadBuf, TVar, TVarCore};
-use crate::vlock::LockWord;
+use crate::vlock::{LockWord, VLock};
 use crate::TxValue;
 
 /// Spare-list size cap: write slots recycled beyond this are dropped.
@@ -149,10 +155,9 @@ struct TypedSlot<T: TxValue> {
     var: Option<TVar<T>>,
     pending: Option<T>,
     prev: LockWord,
-    /// When this slot's lock was acquired (trace timestamp; 0 when no
-    /// session was recording). Feeds the lock-hold-time histogram.
-    #[cfg(feature = "trace")]
-    locked_at: u64,
+    /// When this slot's lock was acquired; feeds the lock-hold-time
+    /// histogram (zero-sized without the `trace` feature).
+    locked_at: trc::LockStamp,
 }
 
 impl<T: TxValue> TypedSlot<T> {
@@ -173,15 +178,13 @@ impl<T: TxValue> WriteSlot for TypedSlot<T> {
         let core = self.core();
         core.publish(value, guard);
         core.vlock().release_commit(wv);
-        #[cfg(feature = "trace")]
-        trc::lock_hold(self.locked_at, core.vlock().addr(), false);
+        self.locked_at.released(core.vlock().addr(), false);
     }
 
     fn release_abort(&self) {
         let lock = self.core().vlock();
         lock.release_abort(self.prev);
-        #[cfg(feature = "trace")]
-        trc::lock_hold(self.locked_at, lock.addr(), true);
+        self.locked_at.released(lock.addr(), true);
     }
 
     fn holds(&self, addr: usize) -> bool {
@@ -467,6 +470,23 @@ impl Transaction {
         self.pinned.unpinned(f)
     }
 
+    /// The step every first access to a variable starts with: consult
+    /// the chaos hook, sample the lock word, and conflict if a
+    /// concurrent writer owns it. Invisible reads cannot tell who owns
+    /// a lock, so there is nobody to arbitrate with: the attempt aborts
+    /// and the back-off spaces out the retry.
+    #[inline]
+    fn sample_unlocked(&mut self, lock: &VLock) -> TxResult<LockWord> {
+        if chaos::kill_requested(ChaosPoint::LockSample) {
+            return Err(self.fail_at(AbortReason::Chaos, lock.addr()));
+        }
+        let word = lock.sample();
+        if word.is_locked() {
+            return Err(self.fail_at(AbortReason::LockBusy, lock.addr()));
+        }
+        Ok(word)
+    }
+
     /// Records a first read of `var`.
     #[inline]
     fn record_read<T: TxValue>(&mut self, var: &TVar<T>, addr: usize, version: u64) {
@@ -482,60 +502,7 @@ impl Transaction {
     /// [`StmError::Conflict`] if the variable is locked by a concurrent
     /// writer or the snapshot cannot be made consistent.
     pub fn read<T: TxValue>(&mut self, var: &TVar<T>) -> TxResult<T> {
-        self.n_reads += 1;
-        let core = var.core();
-        let addr = core.vlock().addr();
-
-        // Read-your-writes.
-        if let Some(slot_idx) = self.ctx.write_index.get(addr) {
-            let slot = self.ctx.writes[slot_idx]
-                .as_any()
-                .downcast_ref::<TypedSlot<T>>()
-                .expect("write-slot type confusion");
-            return Ok(slot
-                .pending
-                .clone()
-                .expect("pending value missing before commit"));
-        }
-
-        loop {
-            chaos::hit(ChaosPoint::LockSample);
-            if chaos::abort_requested(ChaosPoint::LockSample) {
-                return Err(self.fail_at(AbortReason::Chaos, addr));
-            }
-            let w1 = core.vlock().sample();
-            if w1.is_locked() {
-                // Invisible reads cannot tell who owns the lock; treat it
-                // as a conflict and let the contention manager space out
-                // the retry (SwissTM would consult the CM here too).
-                return Err(self.fail_at(AbortReason::LockBusy, addr));
-            }
-            let value = core.load_clone(self.pinned.guard());
-            if core.vlock().sample() != w1 {
-                // A commit raced between our two samples; re-read.
-                continue;
-            }
-            if w1.version() > self.rv {
-                // The snapshot is newer than our read version: extend.
-                self.extend()?;
-                // The extension moved rv past `w1.version()` (the clock
-                // is >= any published stamp), but the variable may have
-                // changed again while we validated; re-check.
-                if core.vlock().sample() != w1 {
-                    continue;
-                }
-            }
-            // Record (first read only; repeated reads must agree).
-            match self.ctx.read_index.get(addr) {
-                Some(recorded) => {
-                    if recorded != w1.version() {
-                        return Err(self.fail_at(AbortReason::ReadValidation, addr));
-                    }
-                }
-                None => self.record_read(var, addr, w1.version()),
-            }
-            return Ok(value);
-        }
+        self.read_with(var, T::clone)
     }
 
     /// Transactionally reads `var` and applies `f` to the value *in
@@ -558,6 +525,7 @@ impl Transaction {
         let core = var.core();
         let addr = core.vlock().addr();
 
+        // Read-your-writes.
         if let Some(slot_idx) = self.ctx.write_index.get(addr) {
             let slot = self.ctx.writes[slot_idx]
                 .as_any()
@@ -570,24 +538,23 @@ impl Transaction {
         }
 
         loop {
-            chaos::hit(ChaosPoint::LockSample);
-            if chaos::abort_requested(ChaosPoint::LockSample) {
-                return Err(self.fail_at(AbortReason::Chaos, addr));
-            }
-            let w1 = core.vlock().sample();
-            if w1.is_locked() {
-                return Err(self.fail_at(AbortReason::LockBusy, addr));
-            }
+            let w1 = self.sample_unlocked(core.vlock())?;
             let result = core.with_value(self.pinned.guard(), &mut f);
             if core.vlock().sample() != w1 {
+                // A commit raced between our two samples; re-read.
                 continue;
             }
             if w1.version() > self.rv {
+                // The snapshot is newer than our read version: extend.
                 self.extend()?;
+                // The extension moved rv past `w1.version()` (the clock
+                // is >= any published stamp), but the variable may have
+                // changed again while we validated; re-check.
                 if core.vlock().sample() != w1 {
                     continue;
                 }
             }
+            // Record (first read only; repeated reads must agree).
             match self.ctx.read_index.get(addr) {
                 Some(recorded) => {
                     if recorded != w1.version() {
@@ -638,14 +605,7 @@ impl Transaction {
             return Ok(());
         }
 
-        chaos::hit(ChaosPoint::LockSample);
-        if chaos::abort_requested(ChaosPoint::LockSample) {
-            return Err(self.fail_at(AbortReason::Chaos, addr));
-        }
-        let w = core.vlock().sample();
-        if w.is_locked() {
-            return Err(self.fail_at(AbortReason::LockBusy, addr));
-        }
+        let w = self.sample_unlocked(core.vlock())?;
         // Write-after-read consistency: the version we read must still
         // be current, or our earlier read is stale.
         if let Some(recorded) = self.ctx.read_index.get(addr) {
@@ -656,8 +616,7 @@ impl Transaction {
         if !core.vlock().try_lock(w) {
             return Err(self.fail_at(AbortReason::LockBusy, addr));
         }
-        #[cfg(feature = "trace")]
-        let locked_at = trc::stamp();
+        let locked_at = trc::LockStamp::now();
         let slot: Box<dyn WriteSlot> = match self.take_spare_slot::<T>(addr) {
             Some(mut boxed) => {
                 let slot = boxed
@@ -669,17 +628,13 @@ impl Transaction {
                 }
                 slot.pending = Some(value);
                 slot.prev = w;
-                #[cfg(feature = "trace")]
-                {
-                    slot.locked_at = locked_at;
-                }
+                slot.locked_at = locked_at;
                 boxed
             }
             None => Box::new(TypedSlot {
                 var: Some(var.clone()),
                 pending: Some(value),
                 prev: w,
-                #[cfg(feature = "trace")]
                 locked_at,
             }),
         };
@@ -704,8 +659,7 @@ impl Transaction {
     /// variable's lock address* on failure so callers can attribute the
     /// abort (chaos kills carry address 0 — no variable is at fault).
     fn validate(&self) -> Result<(), (AbortReason, usize)> {
-        chaos::hit(ChaosPoint::PreValidate);
-        if chaos::abort_requested(ChaosPoint::PreValidate) {
+        if chaos::kill_requested(ChaosPoint::PreValidate) {
             return Err((AbortReason::Chaos, 0));
         }
         // Hoisted once: read-only validation must never probe the write
@@ -746,8 +700,7 @@ impl Transaction {
             // writing commit's validation pass does: this used to
             // return without advancing the seeded decision stream,
             // desynchronising replay for read-heavy and mixed runs.
-            chaos::hit(ChaosPoint::PreValidate);
-            if chaos::abort_requested(ChaosPoint::PreValidate) {
+            if chaos::kill_requested(ChaosPoint::PreValidate) {
                 return Err(self.fail(AbortReason::Chaos));
             }
             return Ok(());
@@ -769,45 +722,6 @@ impl Transaction {
         // the transaction object is reused, keeps the allocations).
         self.clear_access_sets(false);
         Ok(())
-    }
-
-    /// Begins an *unmanaged* transaction: no retry loop, no stats, no
-    /// contention management — the caller drives `commit`/`abort` by
-    /// hand. This exists so harness tests can pin a transaction at an
-    /// arbitrary protocol state (e.g. holding a write lock) while other
-    /// threads run; real code should use [`crate::Stm::atomically`].
-    ///
-    /// Only available with the test-only `chaos` feature.
-    #[cfg(feature = "chaos")]
-    #[must_use]
-    pub fn begin_unmanaged() -> Self {
-        Self::begin()
-    }
-
-    /// Commits an unmanaged transaction (chaos feature only); see
-    /// [`begin_unmanaged`](Self::begin_unmanaged).
-    ///
-    /// # Errors
-    /// [`StmError::Conflict`] if validation fails; the caller must then
-    /// [`abort_unmanaged`](Self::abort_unmanaged).
-    #[cfg(feature = "chaos")]
-    pub fn commit_unmanaged(&mut self) -> TxResult<()> {
-        self.commit()
-    }
-
-    /// Aborts an unmanaged transaction, releasing every held lock
-    /// (chaos feature only); see
-    /// [`begin_unmanaged`](Self::begin_unmanaged).
-    #[cfg(feature = "chaos")]
-    pub fn abort_unmanaged(&mut self) {
-        self.abort()
-    }
-
-    /// Restarts an unmanaged transaction for another attempt (chaos
-    /// feature only); see [`begin_unmanaged`](Self::begin_unmanaged).
-    #[cfg(feature = "chaos")]
-    pub fn restart_unmanaged(&mut self) {
-        self.restart()
     }
 
     /// Releases every held lock and recycles buffered state for reuse.
@@ -844,6 +758,16 @@ mod tests {
         assert_eq!(tx.read(&v).unwrap(), 9);
         tx.commit().unwrap();
         assert_eq!(v.snapshot(), 9);
+
+        // `read` is `read_with(.., T::clone)`: one call counts one read,
+        // whether it is served from the write set or from memory.
+        let mut tx = Transaction::begin();
+        tx.read(&v).unwrap();
+        assert_eq!(tx.op_counts(), (1, 0));
+        tx.write(&v, 3).unwrap();
+        assert_eq!(tx.read(&v).unwrap(), 3, "the pending value");
+        assert_eq!(tx.op_counts(), (2, 1));
+        tx.abort();
     }
 
     #[test]

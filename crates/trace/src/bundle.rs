@@ -33,7 +33,7 @@ use crate::report::{
 
 /// Bundle schema identifier written into `manifest.json`,
 /// `contention.json` and `histograms.json`. Bump on any layout change.
-pub const BUNDLE_SCHEMA: &str = "rubic-postmortem/v2";
+pub const BUNDLE_SCHEMA: &str = "rubic-postmortem/v3";
 
 /// Monotone bundle sequence number, process-wide, so concurrent or
 /// repeated dumps never collide on a directory name.
@@ -220,8 +220,8 @@ mod tests {
             commit_p50_ns: 100,
             commit_p99_ns: 900,
             level: 2,
-            steals_local: 4,
-            steals_remote: 1,
+            steals: 5,
+            steals_gated: 1,
             top_conflicts: Vec::new(),
             dropped: 0,
         }

@@ -25,7 +25,7 @@
 /// | `Decision` | phase | throughput `f64` bits | `level << 32 \| new level` | policy id |
 /// | `RubicState` | phase | `T_p` `f64` bits | `L_max` `f64` bits | `level << 32 \| new level` |
 /// | `Chaos` | chaos point | action code | spin count | 0 |
-/// | `TaskSteal` | bit 0: victim gated, bit 1: cross-socket | `thief << 32 \| victim` | tasks moved | victim shard length before |
+/// | `TaskSteal` | bit 0: victim gated | `thief << 32 \| victim` | tasks moved | victim shard length before |
 /// | `WorkerPark` | 0 park / 1 unpark | worker tid | level at transition | 0 |
 /// | `Anomaly` | anomaly kind | observed value | configured threshold | round (0 if n/a) |
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -362,7 +362,7 @@ mod tests {
 
     #[test]
     fn tail_kinds_have_stable_discriminants() {
-        // The numeric kinds of `rubic-postmortem/v2`: `Anomaly` closes
+        // The numeric kinds of the post-mortem schema: `Anomaly` closes
         // the table right after the pool's `WorkerPark`.
         assert_eq!(EventKind::WorkerPark as u8, 13);
         assert_eq!(EventKind::Anomaly as u8, 14);

@@ -147,8 +147,8 @@ pub(crate) struct Sink {
     level_timeline: Vec<LevelSample>,
     addr_stats: HashMap<u64, AddrAggregate>,
     addr_overflow: u64,
-    steals_local: u64,
-    steals_remote: u64,
+    steals: u64,
+    steals_gated: u64,
     anomalies: [u64; codes::ANOMALY_NAMES.len()],
     last_level: u32,
     baseline: SnapshotBaseline,
@@ -169,8 +169,8 @@ impl Sink {
             level_timeline: Vec::new(),
             addr_stats: HashMap::new(),
             addr_overflow: 0,
-            steals_local: 0,
-            steals_remote: 0,
+            steals: 0,
+            steals_gated: 0,
             anomalies: [0; codes::ANOMALY_NAMES.len()],
             last_level: 0,
             baseline: SnapshotBaseline::default(),
@@ -228,13 +228,9 @@ impl Sink {
             }
             EventKind::MonitorRound => self.last_level = (event.b >> 32) as u32,
             EventKind::TaskSteal => {
-                // Flags bitfield: bit 0 = victim gated, bit 1 = the
-                // steal crossed a socket boundary.
-                if event.code & 0b10 == 0 {
-                    self.steals_local += 1;
-                } else {
-                    self.steals_remote += 1;
-                }
+                self.steals += 1;
+                // Flags bit 0: the victim's owner was gated.
+                self.steals_gated += u64::from(event.code & 1);
             }
             EventKind::Anomaly => {
                 let idx = (event.code as usize).min(codes::ANOMALY_NAMES.len() - 1);
@@ -346,8 +342,8 @@ impl Sink {
             commit_p50_ns: self.commit_latency.p50(),
             commit_p99_ns: self.commit_latency.p99(),
             level: self.last_level,
-            steals_local: self.steals_local,
-            steals_remote: self.steals_remote,
+            steals: self.steals,
+            steals_gated: self.steals_gated,
             top_conflicts: self.contention_table(merged),
             dropped: self.dropped,
         }
@@ -651,12 +647,11 @@ pub struct MetricsSnapshot {
     pub commit_p99_ns: u64,
     /// Last applied parallelism level observed.
     pub level: u32,
-    /// Cumulative task steals whose thief and victim shared a socket
-    /// (`TaskSteal` events without the cross-socket flag).
-    pub steals_local: u64,
-    /// Cumulative task steals that crossed a socket boundary under the
-    /// pool's worker placement.
-    pub steals_remote: u64,
+    /// Cumulative task steals (`TaskSteal` events).
+    pub steals: u64,
+    /// Of those, steals from a shard whose owner was gated — the ones
+    /// the steal order puts first.
+    pub steals_gated: u64,
     /// Current top-K contention table.
     pub top_conflicts: Vec<ContentionEntry>,
     /// Cumulative ring-overflow drops.
@@ -702,8 +697,8 @@ impl MetricsSnapshot {
         s.push('}');
         let _ = write!(
             s,
-            ",\"steals\":{{\"local\":{},\"remote\":{}}}",
-            self.steals_local, self.steals_remote
+            ",\"steals\":{{\"total\":{},\"gated\":{}}}",
+            self.steals, self.steals_gated
         );
         s.push_str(",\"top_conflicts\":[");
         for (i, c) in self.top_conflicts.iter().enumerate() {
@@ -713,65 +708,6 @@ impl MetricsSnapshot {
             s.push_str(&contention_entry_json(c));
         }
         s.push_str("]}");
-        s
-    }
-
-    /// Prometheus-style text exposition (`# TYPE` lines + samples), the
-    /// scrape format the future `rubic-serve` SLO loop consumes.
-    #[must_use]
-    pub fn to_prometheus(&self) -> String {
-        use std::fmt::Write as _;
-        let mut s = String::with_capacity(1024);
-        let _ = writeln!(s, "# TYPE rubic_commits_total counter");
-        let _ = writeln!(s, "rubic_commits_total {}", self.commits);
-        let _ = writeln!(s, "# TYPE rubic_aborts_total counter");
-        for (i, &n) in self.aborts_by_reason.iter().enumerate() {
-            let _ = writeln!(
-                s,
-                "rubic_aborts_total{{reason=\"{}\"}} {}",
-                codes::ABORT_NAMES[i],
-                n
-            );
-        }
-        let _ = writeln!(s, "# TYPE rubic_throughput_ops gauge");
-        let _ = writeln!(s, "rubic_throughput_ops {}", json_f64(self.throughput));
-        let _ = writeln!(s, "# TYPE rubic_abort_rate gauge");
-        let _ = writeln!(s, "rubic_abort_rate {}", json_f64(self.abort_rate));
-        let _ = writeln!(s, "# TYPE rubic_commit_latency_ns summary");
-        let _ = writeln!(
-            s,
-            "rubic_commit_latency_ns{{quantile=\"0.5\"}} {}",
-            self.commit_p50_ns
-        );
-        let _ = writeln!(
-            s,
-            "rubic_commit_latency_ns{{quantile=\"0.99\"}} {}",
-            self.commit_p99_ns
-        );
-        let _ = writeln!(s, "# TYPE rubic_level gauge");
-        let _ = writeln!(s, "rubic_level {}", self.level);
-        let _ = writeln!(s, "# TYPE rubic_steals_total counter");
-        let _ = writeln!(
-            s,
-            "rubic_steals_total{{locality=\"local\"}} {}",
-            self.steals_local
-        );
-        let _ = writeln!(
-            s,
-            "rubic_steals_total{{locality=\"remote\"}} {}",
-            self.steals_remote
-        );
-        let _ = writeln!(s, "# TYPE rubic_conflicts_total counter");
-        for c in &self.top_conflicts {
-            let _ = writeln!(
-                s,
-                "rubic_conflicts_total{{tvar=\"{}\"}} {}",
-                escape_json(&c.display_name()),
-                c.count
-            );
-        }
-        let _ = writeln!(s, "# TYPE rubic_dropped_events_total counter");
-        let _ = writeln!(s, "rubic_dropped_events_total {}", self.dropped);
         s
     }
 }
@@ -1102,37 +1038,20 @@ mod tests {
         assert_eq!(line.matches('{').count(), line.matches('}').count());
         assert!(line.contains("\"lock-busy\":1"));
         assert!(line.contains("\"top_conflicts\":[{\"addr\":171,"));
-
-        let prom = snap.to_prometheus();
-        assert!(prom.contains("rubic_commits_total 10"));
-        assert!(prom.contains("rubic_aborts_total{reason=\"lock-busy\"} 1"));
-        assert!(prom.contains("rubic_level 4"));
-        assert!(prom.contains("rubic_conflicts_total{tvar=\"0xab\"} 1"));
-        for line in prom.lines() {
-            assert!(
-                line.starts_with("# TYPE rubic_") || line.starts_with("rubic_"),
-                "{line}"
-            );
-        }
     }
 
     #[test]
-    fn steal_locality_counters_split_on_the_flag_bit() {
+    fn steal_counters_split_on_the_gated_flag_bit() {
         let mut sink = Sink::new(SinkOptions::default());
-        // bit 0 = gated, bit 1 = cross-socket: gating must not affect
-        // the locality split.
         sink.add(ev(EventKind::TaskSteal, 0b00, 10, 1 << 32, 4, 8));
         sink.add(ev(EventKind::TaskSteal, 0b01, 20, 1 << 32, 4, 8));
-        sink.add(ev(EventKind::TaskSteal, 0b10, 30, 2 << 32, 4, 8));
-        sink.add(ev(EventKind::TaskSteal, 0b11, 40, 2 << 32, 4, 8));
+        sink.add(ev(EventKind::TaskSteal, 0b00, 30, 2 << 32, 4, 8));
+        sink.add(ev(EventKind::TaskSteal, 0b01, 40, 2 << 32, 4, 8));
         let snap = sink.take_snapshot(&ConflictSketch::new(4), 1_000);
-        assert_eq!(snap.steals_local, 2);
-        assert_eq!(snap.steals_remote, 2);
+        assert_eq!(snap.steals, 4);
+        assert_eq!(snap.steals_gated, 2);
         let line = snap.to_json_line();
-        assert!(line.contains("\"steals\":{\"local\":2,\"remote\":2}"));
-        let prom = snap.to_prometheus();
-        assert!(prom.contains("rubic_steals_total{locality=\"local\"} 2"));
-        assert!(prom.contains("rubic_steals_total{locality=\"remote\"} 2"));
+        assert!(line.contains("\"steals\":{\"total\":4,\"gated\":2}"));
     }
 
     #[test]

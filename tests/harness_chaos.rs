@@ -22,7 +22,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use rubic::prelude::*;
-use rubic_stm::chaos::{install, ChaosHook, ChaosPoint, Decision, SeededChaos};
+use rubic_stm::chaos::{install, ChaosAction, ChaosHook, ChaosPoint, Decision, SeededChaos};
 use rubic_stm::AbortReason;
 use rubic_suite::oracles::{ConservedSumBank, LockLeakDetector, MonotoneCounter, SnapshotChecker};
 
@@ -37,9 +37,13 @@ fn serial() -> std::sync::MutexGuard<'static, ()> {
 /// Runs a fixed single-threaded transactional workload under a seeded
 /// chaos hook and returns the full decision log.
 fn chaos_decisions(seed: u64) -> Vec<Decision> {
+    bank_decisions(SeededChaos::new(seed))
+}
+
+fn bank_decisions(hook: SeededChaos) -> Vec<Decision> {
     let stm = Stm::default();
     let bank = ConservedSumBank::new(4, 25);
-    let hook = Arc::new(SeededChaos::new(seed));
+    let hook = Arc::new(hook);
     {
         let _chaos = install(hook.clone());
         for i in 0..32usize {
@@ -123,6 +127,52 @@ fn chaos_read_only_commits_advance_the_decision_stream() {
         log,
         readonly_chaos_decisions(0x0C0F_FEE5),
         "same seed must replay the same read-only decision sequence"
+    );
+}
+
+/// `(len, FNV-1a over every decision's (point, stream, action))`.
+fn digest(log: &[Decision]) -> (usize, u64) {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut eat = |bytes: &[u8]| {
+        for &b in bytes {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    for d in log {
+        let (tag, arg) = match d.action {
+            ChaosAction::Pass => (0u8, 0u32),
+            ChaosAction::Yield => (1, 0),
+            ChaosAction::Spin(n) => (2, n),
+            ChaosAction::Kill => (3, 0),
+        };
+        eat(&[d.point.code(), tag]);
+        eat(&d.stream.to_le_bytes());
+        eat(&arg.to_le_bytes());
+    }
+    (log.len(), h)
+}
+
+#[test]
+fn chaos_decision_streams_match_golden_digests() {
+    let _serial = serial();
+    // The replay tests above compare a run with itself, so an engine
+    // change that reorders or drops a hook call passes them. These
+    // literals pin which protocol points the engine consults, and in
+    // what order, for fixed single-threaded workloads.
+    assert_eq!(
+        digest(&chaos_decisions(0x1BAD_B002)),
+        (197, 10_248_086_235_928_869_153)
+    );
+    assert_eq!(
+        digest(&readonly_chaos_decisions(0x0C0F_FEE5)),
+        (80, 12_684_557_771_174_709_923)
+    );
+    // With kills on, every `abort_at` query draws from the stream too,
+    // so this one also pins where the engine asks that question.
+    let killing = SeededChaos::with_abort_one_in(0x1BAD_B002, 5);
+    assert_eq!(
+        digest(&bank_decisions(killing)),
+        (358, 4_136_977_776_607_017_358)
     );
 }
 

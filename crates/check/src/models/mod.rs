@@ -27,9 +27,10 @@
 //!   torn lookup.
 //!
 //! The other two protocols (`rubic-runtime`'s semaphore admission and
-//! sharded-queue accounting) are exercised directly on the production
-//! types — they need no knobs — from `crates/check/tests/models.rs`
-//! under `--cfg rubic_check`.
+//! the sharded queue's per-worker drain accounting, with the producer
+//! finished before the workers start or racing them) are exercised
+//! directly on the production types — they need no knobs — from
+//! `crates/check/tests/models.rs` under `--cfg rubic_check`.
 
 pub mod btree;
 pub mod epoch;

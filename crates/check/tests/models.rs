@@ -255,3 +255,52 @@ fn real_sharded_queue_accounts_exactly_once() {
     });
     report.assert_ok();
 }
+
+/// The same accounting with the producer racing both workers and
+/// hanging up last: the drain condition (`producers == 0`, then
+/// `pushed == Σ taken` over the per-worker slots) is evaluated while
+/// pushes, takes and the final producer decrement interleave, so a
+/// check that trusted a stale `pushed`, or fired between a push and its
+/// count, would drop an item. One item of room per shard makes the
+/// producer park on `not_full`, so the blocked-producer count that
+/// gates the takers' notify is explored too — a missed wake shows up as
+/// a deadlock.
+#[test]
+fn real_sharded_queue_drains_exactly_once_under_a_live_producer() {
+    const ITEMS: u64 = 4;
+    let report = check(Config::pct(0x5AE, env_iters(96)), || {
+        let handled = Arc::new(AtomicU64::new(0));
+        let h2 = Arc::clone(&handled);
+        let (workload, sender) = ShardedWorkload::with_batch(2, 2, 1, move |_n: u64| {
+            h2.fetch_add(1, Ordering::Relaxed);
+        });
+        let handle = workload.handle();
+        let workload = Arc::new(workload);
+        let workers: Vec<_> = (0..2)
+            .map(|tid| {
+                let (w, h) = (Arc::clone(&workload), handle.clone());
+                thread::spawn(move || {
+                    let mut state = w.init_worker(tid);
+                    while !h.is_drained() {
+                        w.run_task(&mut state);
+                    }
+                })
+            })
+            .collect();
+        sender.send_batch(0..ITEMS).expect("queue open");
+        assert!(!handle.is_drained(), "drained while a producer is open");
+        drop(sender);
+        for w in workers {
+            w.join().expect("worker");
+        }
+
+        assert_eq!(
+            handled.load(Ordering::Relaxed),
+            ITEMS,
+            "every item must be handled exactly once"
+        );
+        assert_eq!(handle.processed(), ITEMS, "processed counter must agree");
+        assert_eq!(handle.queued(), 0, "drain fired with items still queued");
+    });
+    report.assert_ok();
+}

@@ -21,8 +21,15 @@
 //!   [`Workload::attach`]; it is the only thing the order depends on.
 //! * A parked or exiting worker returns its locally buffered items to
 //!   its shard ([`Workload::on_park`]), keeping them steal-visible.
+//! * **Drain accounting is per worker**, as the paper keeps its task
+//!   counters (Algorithm 1: thread-local, read at interval boundaries).
+//!   Producers count `pushed` once per chunk; each worker counts the
+//!   items it takes in its own cache-padded slot. The queue is drained
+//!   when no producer is left and `pushed` equals the slots' sum, which
+//!   a worker checks when its local buffer empties — never per item. A
+//!   task's own path writes only its worker's slot and buffer.
 //! * Drain detection is event-driven: the worker (or producer) that
-//!   observes "no producers and nothing queued" fires a condvar that
+//!   observes the drain fires a condvar that
 //!   [`ShardedHandle::wait_drained`] parks on.
 //!
 //! Items accepted by the queue are processed exactly once: every item
@@ -34,8 +41,8 @@ use std::time::Duration;
 
 use crossbeam_channel::SendError;
 use crossbeam_utils::CachePadded;
-use rubic_sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use rubic_sync::{Arc, Condvar, Mutex, OnceLock};
+use rubic_sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use rubic_sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 
 use crate::pool::{PoolView, Workload};
 use crate::signal::DrainSignal;
@@ -48,38 +55,70 @@ pub const DEFAULT_BATCH: usize = 32;
 /// updated while holding the lock and lets dry workers skip empty
 /// shards without touching their lock at all.
 struct Shard<T> {
-    q: Mutex<VecDeque<T>>,
+    q: Mutex<ShardQueue<T>>,
     len: AtomicUsize,
     not_full: Condvar,
+}
+
+/// The lock-protected half of a [`Shard`].
+struct ShardQueue<T> {
+    items: VecDeque<T>,
+    /// Producers parked on `not_full`. Takers notify only when it is
+    /// non-zero: `notify_all` makes a `futex` call even with no waiter,
+    /// which would cost every refill and steal a syscall.
+    blocked: usize,
 }
 
 impl<T> Default for Shard<T> {
     fn default() -> Self {
         Shard {
-            q: Mutex::new(VecDeque::new()),
+            q: Mutex::new(ShardQueue {
+                items: VecDeque::new(),
+                blocked: 0,
+            }),
             len: AtomicUsize::new(0),
             not_full: Condvar::new(),
         }
     }
 }
 
+/// One worker's queue counters, on a cache line of their own. Every
+/// counter only grows. A leased slot has a single writer — the
+/// [`ShardWorker`] holding the lease — and is bumped with a plain load
+/// and store; the overflow slot is shared and takes atomic increments.
+#[derive(Debug, Default)]
+struct Slot {
+    /// Held while a live [`ShardWorker`] writes this slot.
+    leased: AtomicBool,
+    /// Items moved out of a local buffer to run, counted *before* the
+    /// handler runs so a panicking task cannot wedge the drain.
+    taken: AtomicU64,
+    /// Items whose handler returned.
+    processed: AtomicU64,
+    steals: AtomicU64,
+    gated_steals: AtomicU64,
+}
+
 /// Counters and signals that do not depend on the item type, shared
-/// with the (non-generic) [`ShardedHandle`].
+/// with the (non-generic) [`ShardedHandle`]. The unpadded fields are
+/// written once (`closed`, the drain latch), per producer handle
+/// (`producers`) or per idle wait (the idle state) — never per item —
+/// so the lines they share stay clean in every worker's cache.
 #[derive(Debug, Default)]
 struct Gauges {
-    /// Items accepted but not yet handed to the handler. Incremented
-    /// *before* an item becomes visible in a shard, decremented when a
-    /// worker takes it out of its local buffer for processing — so
-    /// `producers == 0 && queued == 0` proves the queue is drained.
-    queued: CachePadded<AtomicU64>,
-    processed: CachePadded<AtomicU64>,
+    /// Items accepted by producers: one RMW per chunk, under the shard
+    /// lock that makes the chunk visible (so a taker's count never gets
+    /// ahead of it). Only producers write it, and it is final once
+    /// `producers == 0` is observed.
+    pushed: CachePadded<AtomicU64>,
+    /// One counter slot per shard (worker `tid < shards` leases slot
+    /// `tid`), then the shared overflow slot.
+    slots: Box<[CachePadded<Slot>]>,
     /// Open producer handles ([`ShardSender`] clones).
     producers: AtomicUsize,
     /// Set when the workload is dropped (the pool stopped); unblocks
     /// producers waiting on full shards.
     closed: AtomicBool,
-    steals: AtomicU64,
-    gated_steals: AtomicU64,
     /// Workers currently sleeping in the idle wait.
     sleepers: AtomicUsize,
     idle_m: Mutex<()>,
@@ -88,7 +127,53 @@ struct Gauges {
 }
 
 impl Gauges {
-    /// Wakes idle-sleeping workers (called after making work visible).
+    /// Leases slot `tid` when it exists and no live worker state holds
+    /// it; otherwise returns the shared overflow slot. Returns the slot
+    /// index and whether the caller is its only writer.
+    fn lease(&self, tid: usize) -> (usize, bool) {
+        let overflow = self.slots.len() - 1;
+        // ordering: Acquire on success pairs with the Release in
+        // `unlease`: the previous holder's plain counter stores
+        // happen-before this holder's first load of them, so the
+        // single-writer load + store loses no update across a
+        // hand-over. Relaxed on failure — the slot is taken.
+        if tid < overflow
+            && self.slots[tid]
+                .leased
+                .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
+                .is_ok()
+        {
+            (tid, true)
+        } else {
+            (overflow, false)
+        }
+    }
+
+    fn unlease(&self, slot: usize, exclusive: bool) {
+        if exclusive {
+            // ordering: Release publishes this holder's counter stores
+            // to the next one (see `lease`).
+            self.slots[slot].leased.store(false, Ordering::Release);
+        }
+    }
+
+    /// Sums one counter over every slot.
+    fn sum(&self, counter: impl Fn(&Slot) -> &AtomicU64) -> u64 {
+        self.slots
+            .iter()
+            // ordering: Relaxed — monotonic counters; `check_drained`
+            // says why a sweep of them is enough for the drain.
+            .map(|s| counter(s).load(Ordering::Relaxed))
+            .sum()
+    }
+
+    /// Wakes one idle-sleeping worker (called after making work
+    /// visible). What a call publishes — a producer chunk or a parked
+    /// worker's buffer — is at most a batch, which one worker takes
+    /// whole; other sleepers re-check on their 1 ms timeout. Waking all
+    /// of them per chunk turned a producer-bound drain into wake storms
+    /// once workers outnumber cores (`poolbench` tiny, 16 workers on 2
+    /// vCPUs).
     fn wake_idle(&self) {
         // ordering: SeqCst pairs with the SeqCst `sleepers` increment in
         // `idle_wait` — producer and sleeper each write their flag then
@@ -99,28 +184,61 @@ impl Gauges {
             // Acquire/release the idle mutex so a worker between its
             // emptiness re-check and its park cannot miss the notify.
             drop(self.idle_m.lock());
-            self.idle_cv.notify_all();
+            self.idle_cv.notify_one();
         }
     }
 
-    /// Fires the drain signal if every producer hung up and nothing is
-    /// queued or buffered. Returns true once drained.
+    /// Fires the drain signal if every producer hung up and every
+    /// accepted item was taken out of a buffer. Returns true once
+    /// drained.
+    ///
+    /// Soundness is a counting argument, not a snapshot. Once
+    /// `producers == 0` is observed, `pushed` is final; an item is
+    /// taken only after the push that counted it, so the slots' sum
+    /// never exceeds that final value; and every slot only grows, so a
+    /// sweep reads each slot at or below its true value. A sweep that
+    /// still sums to `pushed` has therefore seen every item taken.
     fn check_drained(&self) -> bool {
         if self.drain.is_fired() {
             return true;
         }
-        // ordering: drain detection is a lock-free conjunction over two
-        // counters updated by different threads; SeqCst on both loads and
-        // on every producer/queued update puts them in one total order so
-        // "producers == 0 && queued == 0" can never observe a stale mix
-        // (e.g. a hand-off where queued dips to 0 while a producer is
-        // mid-push). Verified by the sharded model under `rubic_check`.
-        if self.producers.load(Ordering::SeqCst) == 0 && self.queued.load(Ordering::SeqCst) == 0 {
+        // ordering: SeqCst fence, paired with the same fence in every
+        // other check: the caller's last update (a worker's `taken`
+        // store, the last producer's decrement) is ordered before the
+        // loads below, so of two threads that each finish their last
+        // update and then check, at least one sees the other's — the
+        // drain fires now, not on a later idle round.
+        fence(Ordering::SeqCst);
+        // ordering: Acquire pairs with the Release half of every
+        // producer's decrement (one RMW chain, so reading its final 0
+        // synchronizes with all of them): each producer's `pushed`
+        // updates are visible to the Relaxed load below.
+        if self.producers.load(Ordering::Acquire) != 0 {
+            return false;
+        }
+        // ordering: final by the Acquire above.
+        let pushed = self.pushed.load(Ordering::Relaxed);
+        if self.sum(|s| &s.taken) == pushed {
             self.drain.fire();
             self.idle_cv.notify_all();
             return true;
         }
         false
+    }
+}
+
+/// Adds one to a slot counter; `exclusive` says the caller holds the
+/// slot's lease.
+#[inline]
+fn bump(counter: &AtomicU64, exclusive: bool) {
+    // ordering: Relaxed — monotonic counters that publish no data. A
+    // leased slot has one writer at a time (hand-overs are ordered by
+    // the lease), so load + store cannot lose an update; the overflow
+    // slot is shared and needs the atomic increment.
+    if exclusive {
+        counter.store(counter.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
+    } else {
+        counter.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -148,41 +266,60 @@ impl<T> Core<T> {
         }
     }
 
-    /// Pushes `item` onto shard `s`, blocking while the shard is at
-    /// capacity. Fails once the queue is closed.
-    fn push_blocking(&self, s: usize, item: T) -> Result<(), SendError<T>> {
-        let shard = &self.shards[s];
-        let mut q = shard.q.lock();
-        while q.len() >= self.shard_cap {
-            if self.g.closed.load(Ordering::Acquire) {
-                return Err(SendError(item));
-            }
-            shard.not_full.wait(&mut q);
-        }
-        if self.g.closed.load(Ordering::Acquire) {
-            return Err(SendError(item));
-        }
-        q.push_back(item);
-        // ordering: the mirror is an advisory skip-hint read outside the
-        // lock; the deque itself is lock-protected, so Relaxed suffices.
-        shard.len.store(q.len(), Ordering::Relaxed);
-        drop(q);
-        self.g.wake_idle();
-        Ok(())
+    /// The shard the next producer push goes to.
+    fn next_shard(&self) -> usize {
+        // ordering: the cursor only spreads load; any distribution is
+        // correct, so Relaxed.
+        self.cursor.fetch_add(1, Ordering::Relaxed) % self.shards.len()
     }
 
-    /// Returns up to `max` items from shard `s` into `local`; `steal`
-    /// marks the transfer as cross-worker for the diagnostics. Returns
+    /// Locks shard `s` once `n` more items fit (a chunk larger than the
+    /// cap waits for an empty shard), parking on `not_full` meanwhile.
+    /// `None` once the queue is closed.
+    fn lock_room(&self, s: usize, n: usize) -> Option<MutexGuard<'_, ShardQueue<T>>> {
+        let shard = &self.shards[s];
+        let mut q = shard.q.lock();
+        loop {
+            if self.g.closed.load(Ordering::Acquire) {
+                return None;
+            }
+            if q.items.len() + n <= self.shard_cap.max(n) {
+                return Some(q);
+            }
+            q.blocked += 1;
+            shard.not_full.wait(&mut q);
+            q.blocked -= 1;
+        }
+    }
+
+    /// Publishes the `n` items a producer appended to shard `s` under
+    /// `q`: counts them, refreshes the length mirror, unlocks, and
+    /// wakes idle workers.
+    fn publish(&self, s: usize, q: MutexGuard<'_, ShardQueue<T>>, n: usize) {
+        // ordering: Relaxed — `pushed` needs no order of its own: the
+        // shard lock orders it before any take of these items, and the
+        // producer's Release decrement publishes it to the drain check.
+        self.g.pushed.fetch_add(n as u64, Ordering::Relaxed);
+        // ordering: the mirror is an advisory skip-hint read outside the
+        // lock; the deque itself is lock-protected, so Relaxed suffices.
+        self.shards[s].len.store(q.items.len(), Ordering::Relaxed);
+        drop(q);
+        self.g.wake_idle();
+    }
+
+    /// Returns up to `max` items from shard `s` into `local`. Returns
     /// the number of items moved.
     fn take_from(&self, s: usize, local: &mut VecDeque<T>, max: usize) -> usize {
         let shard = &self.shards[s];
         let mut q = shard.q.lock();
-        let take = q.len().min(max);
+        let take = q.items.len().min(max);
         if take > 0 {
-            local.extend(q.drain(..take));
-            shard.len.store(q.len(), Ordering::Relaxed); // ordering: advisory mirror
-                                                         // Free capacity: unblock producers waiting on this shard.
-            shard.not_full.notify_all();
+            local.extend(q.items.drain(..take));
+            shard.len.store(q.items.len(), Ordering::Relaxed); // ordering: advisory mirror
+            if q.blocked > 0 {
+                // Freed capacity: unblock producers waiting on it.
+                shard.not_full.notify_all();
+            }
         }
         take
     }
@@ -198,9 +335,9 @@ impl<T> Core<T> {
         let shard = &self.shards[own];
         let mut q = shard.q.lock();
         while let Some(item) = local.pop_back() {
-            q.push_front(item);
+            q.items.push_front(item);
         }
-        shard.len.store(q.len(), Ordering::Relaxed); // ordering: advisory mirror
+        shard.len.store(q.items.len(), Ordering::Relaxed); // ordering: advisory mirror
         drop(q);
         self.g.wake_idle();
     }
@@ -219,23 +356,13 @@ impl<T: Send + 'static> ShardSender<T> {
     /// # Errors
     /// Returns the item when the pool side of the queue is gone.
     pub fn send(&self, item: T) -> Result<(), SendError<T>> {
-        if self.core.g.closed.load(Ordering::Acquire) {
+        let s = self.core.next_shard();
+        let Some(mut q) = self.core.lock_room(s, 1) else {
             return Err(SendError(item));
-        }
-        // ordering: SeqCst — part of the drain-detection total order
-        // (see `Gauges::check_drained`).
-        self.core.g.queued.fetch_add(1, Ordering::SeqCst);
-        // ordering: the cursor only spreads load; any distribution is
-        // correct, so Relaxed.
-        let s = self.core.cursor.fetch_add(1, Ordering::Relaxed) % self.core.shards.len();
-        match self.core.push_blocking(s, item) {
-            Ok(()) => Ok(()),
-            Err(e) => {
-                // ordering: SeqCst — drain-detection total order.
-                self.core.g.queued.fetch_sub(1, Ordering::SeqCst);
-                Err(e)
-            }
-        }
+        };
+        q.items.push_back(item);
+        self.core.publish(s, q, 1);
+        Ok(())
     }
 
     /// Enqueues a batch, amortizing the queue's synchronization: items
@@ -247,59 +374,37 @@ impl<T: Send + 'static> ShardSender<T> {
     /// On a closed queue, returns the first unsent item; the remainder
     /// of the batch is dropped.
     pub fn send_batch(&self, items: impl IntoIterator<Item = T>) -> Result<(), SendError<T>> {
-        let n_shards = self.core.shards.len();
         let mut chunk: Vec<T> = Vec::with_capacity(self.core.batch);
         for item in items {
             chunk.push(item);
             if chunk.len() == self.core.batch {
-                self.flush_chunk(&mut chunk, n_shards)?;
+                self.flush_chunk(&mut chunk)?;
             }
         }
         if !chunk.is_empty() {
-            self.flush_chunk(&mut chunk, n_shards)?;
+            self.flush_chunk(&mut chunk)?;
         }
         Ok(())
     }
 
-    fn flush_chunk(&self, chunk: &mut Vec<T>, n_shards: usize) -> Result<(), SendError<T>> {
-        if self.core.g.closed.load(Ordering::Acquire) {
+    /// Moves `chunk` onto one shard under one lock acquisition, waiting
+    /// until the whole chunk fits.
+    fn flush_chunk(&self, chunk: &mut Vec<T>) -> Result<(), SendError<T>> {
+        let s = self.core.next_shard();
+        let n = chunk.len();
+        let Some(mut q) = self.core.lock_room(s, n) else {
             return Err(SendError(chunk.remove(0)));
-        }
-        // ordering: SeqCst — drain-detection total order; Relaxed cursor
-        // as in `send` (distribution only).
-        self.core
-            .g
-            .queued
-            .fetch_add(chunk.len() as u64, Ordering::SeqCst);
-        let s = self.core.cursor.fetch_add(1, Ordering::Relaxed) % n_shards;
-        let shard = &self.core.shards[s];
-        let mut q = shard.q.lock();
-        // Block on capacity exactly like the single-item path, but only
-        // once per chunk: wait until the whole chunk fits.
-        while q.len() + chunk.len() > self.core.shard_cap.max(chunk.len()) {
-            if self.core.g.closed.load(Ordering::Acquire) {
-                drop(q);
-                // ordering: SeqCst — drain-detection total order.
-                self.core
-                    .g
-                    .queued
-                    .fetch_sub(chunk.len() as u64, Ordering::SeqCst);
-                return Err(SendError(chunk.remove(0)));
-            }
-            shard.not_full.wait(&mut q);
-        }
-        q.extend(chunk.drain(..));
-        shard.len.store(q.len(), Ordering::Relaxed); // ordering: advisory mirror
-        drop(q);
-        self.core.g.wake_idle();
+        };
+        q.items.extend(chunk.drain(..));
+        self.core.publish(s, q, n);
         Ok(())
     }
 }
 
 impl<T> Clone for ShardSender<T> {
     fn clone(&self) -> Self {
-        // ordering: SeqCst — the producer count is the other half of the
-        // drain-detection conjunction (see `Gauges::check_drained`).
+        // ordering: SeqCst — the producer count is the first half of the
+        // drain condition (see `Gauges::check_drained`).
         self.core.g.producers.fetch_add(1, Ordering::SeqCst);
         ShardSender {
             core: Arc::clone(&self.core),
@@ -309,13 +414,13 @@ impl<T> Clone for ShardSender<T> {
 
 impl<T> Drop for ShardSender<T> {
     fn drop(&mut self) {
-        // ordering: SeqCst — drain-detection total order; the last
-        // producer's decrement must be globally ordered before its own
-        // `check_drained` loads.
+        // ordering: SeqCst — its Release half publishes this producer's
+        // `pushed` updates to the drain check's Acquire load (see
+        // `Gauges::check_drained`).
         if self.core.g.producers.fetch_sub(1, Ordering::SeqCst) == 1 {
             // Last producer gone: the queue may already be empty, and
-            // idle workers must re-examine the drain condition now
-            // rather than on their next timeout.
+            // an idle worker must re-examine the drain condition now
+            // rather than on its next timeout.
             self.core.g.check_drained();
             self.core.g.wake_idle();
         }
@@ -333,25 +438,29 @@ impl ShardedHandle {
     /// Items handed to the handler so far.
     #[must_use]
     pub fn processed(&self) -> u64 {
-        self.g.processed.load(Ordering::Relaxed) // ordering: monitoring read
+        self.g.sum(|s| &s.processed)
     }
 
-    /// Items accepted but not yet processed (approximate backlog).
+    /// Items accepted but not yet processed (approximate backlog; 0
+    /// once drained).
     #[must_use]
     pub fn queued(&self) -> u64 {
-        self.g.queued.load(Ordering::Relaxed) // ordering: monitoring read
+        let taken = self.g.sum(|s| &s.taken);
+        // ordering: monitoring read; the sweep and this load are not one
+        // snapshot, hence the saturation.
+        self.g.pushed.load(Ordering::Relaxed).saturating_sub(taken)
     }
 
     /// Cross-shard steal operations performed by dry workers.
     #[must_use]
     pub fn steals(&self) -> u64 {
-        self.g.steals.load(Ordering::Relaxed) // ordering: monitoring read
+        self.g.sum(|s| &s.steals)
     }
 
     /// Steals whose victim shard belonged to a gated (parked) worker.
     #[must_use]
     pub fn gated_steals(&self) -> u64 {
-        self.g.gated_steals.load(Ordering::Relaxed) // ordering: monitoring read
+        self.g.sum(|s| &s.gated_steals)
     }
 
     /// True once every producer hung up and every accepted item was
@@ -376,21 +485,37 @@ impl ShardedHandle {
     }
 }
 
-/// Per-worker queue state: the local batch buffer plus the steal
-/// cursor. Returned items flow back to the owning shard on drop (panic
-/// recovery: the pool rebuilds worker state after a caught panic, and
-/// the replaced state must not take buffered tasks with it).
+/// Per-worker queue state: the local batch buffer, the steal cursor and
+/// the lease on a counter slot. Returned items flow back to the owning
+/// shard on drop (panic recovery: the pool rebuilds worker state after a
+/// caught panic, and the replaced state must not take buffered tasks
+/// with it).
 pub struct ShardWorker<T> {
     core: Arc<Core<T>>,
     tid: usize,
     rr: usize,
     local: VecDeque<T>,
+    /// This worker's index into `Gauges::slots`.
+    slot: usize,
+    /// True when `slot` is leased to this state alone; false on the
+    /// shared overflow slot (a `tid` beyond the shard count, or a
+    /// second live state for the same `tid`).
+    exclusive: bool,
+}
+
+impl<T> ShardWorker<T> {
+    /// Adds one to a counter of this worker's slot.
+    #[inline]
+    fn count(&self, counter: impl Fn(&Slot) -> &AtomicU64) {
+        bump(counter(&self.core.g.slots[self.slot]), self.exclusive);
+    }
 }
 
 impl<T> Drop for ShardWorker<T> {
     fn drop(&mut self) {
         let own = self.tid % self.core.shards.len();
         self.core.give_back(own, &mut self.local);
+        self.core.g.unlease(self.slot, self.exclusive);
     }
 }
 
@@ -448,10 +573,6 @@ where
         handler: F,
     ) -> (Self, ShardSender<T>) {
         let shards = shards.max(1);
-        let g = Arc::new(Gauges {
-            producers: AtomicUsize::new(1),
-            ..Gauges::default()
-        });
         let core = Arc::new(Core {
             shards: (0..shards)
                 .map(|_| CachePadded::new(Shard::default()))
@@ -460,7 +581,11 @@ where
             batch: batch.max(1),
             cursor: CachePadded::new(AtomicUsize::new(0)),
             view: OnceLock::new(),
-            g,
+            g: Arc::new(Gauges {
+                slots: (0..=shards).map(|_| CachePadded::default()).collect(),
+                producers: AtomicUsize::new(1),
+                ..Gauges::default()
+            }),
         });
         (
             ShardedWorkload {
@@ -521,10 +646,9 @@ where
                 };
                 let got = core.take_from(s, &mut state.local, want);
                 if got > 0 {
-                    core.g.steals.fetch_add(1, Ordering::Relaxed); // ordering: stat counter
+                    state.count(|c| &c.steals);
                     if gated_pass {
-                        // ordering: stat counter
-                        core.g.gated_steals.fetch_add(1, Ordering::Relaxed);
+                        state.count(|c| &c.gated_steals);
                     }
                     crate::trc::task_steal(state.tid, s, got, visible, gated_pass);
                     return true;
@@ -566,10 +690,11 @@ impl<T, F> Drop for ShardedWorkload<T, F> {
         // for shard capacity so it can observe the closure.
         self.core.g.closed.store(true, Ordering::Release);
         for shard in &self.core.shards {
-            // Acquire the lock so a producer between its closed-check
-            // and its wait cannot miss the notification.
-            drop(shard.q.lock());
-            shard.not_full.notify_all();
+            // Under the lock: a producer between its closed-check and
+            // its wait has already counted itself in `blocked`.
+            if shard.q.lock().blocked > 0 {
+                shard.not_full.notify_all();
+            }
         }
         self.core.g.wake_idle();
     }
@@ -583,11 +708,14 @@ where
     type WorkerState = ShardWorker<T>;
 
     fn init_worker(&self, tid: usize) -> ShardWorker<T> {
+        let (slot, exclusive) = self.core.g.lease(tid);
         ShardWorker {
             core: Arc::clone(&self.core),
             tid,
             rr: tid,
             local: VecDeque::with_capacity(self.core.batch),
+            slot,
+            exclusive,
         }
     }
 
@@ -613,15 +741,19 @@ where
             return;
         }
         if let Some(item) = state.local.pop_front() {
-            // Account the item as "out of the queue" before running the
-            // handler: if the handler panics, the pool catches it and
-            // discards it as a failed task — it must not leave `queued`
-            // permanently non-zero and wedge `wait_drained`.
-            // ordering: SeqCst — drain-detection total order.
-            self.core.g.queued.fetch_sub(1, Ordering::SeqCst);
+            // Count the item as taken before running the handler: if the
+            // handler panics, the pool catches it and discards it as a
+            // failed task — it must not leave `pushed` ahead of the
+            // slots' sum and wedge `wait_drained`.
+            state.count(|c| &c.taken);
             (self.handler)(item);
-            self.core.g.processed.fetch_add(1, Ordering::Relaxed); // ordering: stat counter
-            self.core.g.check_drained();
+            state.count(|c| &c.processed);
+            // The buffer boundary is the one place a worker looks at
+            // shared drain state: whoever takes the last item ends here
+            // with an empty buffer.
+            if state.local.is_empty() {
+                self.core.g.check_drained();
+            }
         }
     }
 }
@@ -660,6 +792,42 @@ mod tests {
         let unique: HashSet<u64> = got.iter().copied().collect();
         assert_eq!(unique.len(), 1_000, "duplicate or lost items");
         assert_eq!(handle.processed(), 1_000);
+    }
+
+    /// Two live states for the same `tid` (what the pool's panic
+    /// recovery briefly holds): the first leases slot 0, the second
+    /// counts in the shared overflow slot, and the drain is still
+    /// exact. A lease comes back when its state drops.
+    #[test]
+    fn duplicate_tid_states_drain_exactly_once() {
+        const ITEMS: u64 = 4_000;
+        let seen: Arc<StdMutex<Vec<u64>>> = Arc::new(StdMutex::new(Vec::new()));
+        let seen2 = Arc::clone(&seen);
+        let (workload, tx) = ShardedWorkload::with_batch(2, 64, 8, move |n: u64| {
+            seen2.lock().unwrap().push(n);
+        });
+        let handle = workload.handle();
+        let states = [workload.init_worker(0), workload.init_worker(0)];
+        assert!(states[0].exclusive && !states[1].exclusive);
+        std::thread::scope(|scope| {
+            for mut state in states {
+                let (workload, handle) = (&workload, &handle);
+                scope.spawn(move || {
+                    while !handle.is_drained() {
+                        workload.run_task(&mut state);
+                    }
+                });
+            }
+            tx.send_batch(0..ITEMS).unwrap();
+            drop(tx);
+        });
+        let got = seen.lock().unwrap();
+        let unique: HashSet<u64> = got.iter().copied().collect();
+        assert_eq!(got.len() as u64, ITEMS, "lost or duplicated items");
+        assert_eq!(unique.len() as u64, ITEMS, "duplicate execution");
+        assert_eq!(handle.processed(), ITEMS);
+        assert_eq!(handle.queued(), 0);
+        assert!(workload.init_worker(0).exclusive, "lease not returned");
     }
 
     #[test]
@@ -841,7 +1009,7 @@ mod tests {
         tx.send_batch(0..100u64).unwrap();
         drop(tx);
         // The poisoned item aborts one task but must not stall the
-        // drain: queued was decremented before the handler ran.
+        // drain: it was counted as taken before the handler ran.
         handle.wait_drained();
         let report = pool.stop();
         assert_eq!(report.worker_panics, 1);

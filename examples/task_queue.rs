@@ -68,4 +68,5 @@ fn main() {
         println!("  t={:>4}ms  {}", chunk[0].round * 10, levels.join(" "));
     }
     assert_eq!(handle.processed(), JOBS);
+    assert_eq!(handle.queued(), 0);
 }

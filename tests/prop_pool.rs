@@ -1,8 +1,9 @@
 //! Property-based tests for the malleable pool's task distribution:
 //! every produced item is processed exactly once under randomized
 //! level-change schedules (including decrease-to-1 and
-//! increase-to-max mid-drain), and a worker the schedule never admits
-//! never executes a task.
+//! increase-to-max mid-drain) and whether or not the pool size matches
+//! the shard count, and a worker the schedule never admits never
+//! executes a task.
 
 use std::collections::HashSet;
 use std::sync::{Arc, Mutex};
@@ -105,6 +106,47 @@ proptest! {
         let unique: HashSet<u64> = got.iter().copied().collect();
         prop_assert_eq!(unique.len() as u64, n_items, "duplicate execution");
         prop_assert_eq!(handle.processed(), n_items);
+        prop_assert_eq!(handle.queued(), 0);
+    }
+
+    /// Pool size and shard count differ (2 shards / 4 workers, 4 shards /
+    /// 2 workers), so two workers share a shard, workers beyond the
+    /// shard count keep their drain counts in the shared overflow slot,
+    /// or shards have no worker of their own and drain only by steals.
+    /// Every item is still handled exactly once.
+    #[test]
+    fn sharded_exactly_once_when_pool_and_shards_differ(
+        (shards, size) in prop_oneof![Just((2usize, 4u32)), Just((4usize, 2u32))],
+        head in proptest::collection::vec(1u32..=4, 1..6),
+        tail in proptest::collection::vec(1u32..=4, 0..6),
+        n_items in 200u64..600,
+    ) {
+        let schedule = extreme_schedule(head, tail, size);
+        let seen: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
+        let seen2 = Arc::clone(&seen);
+        let (workload, tx) = ShardedWorkload::new(shards, 128, move |n: u64| {
+            seen2.lock().unwrap().push(n);
+            std::thread::sleep(Duration::from_micros(30));
+        });
+        let handle = workload.handle();
+        let pool = MalleablePool::start(
+            PoolConfig::new(size)
+                .initial_level(schedule[0])
+                .monitor_period(Duration::from_millis(1)),
+            workload,
+            Box::new(Scripted::new(schedule, size)),
+        );
+        let producer = std::thread::spawn(move || tx.send_batch(0..n_items));
+        producer.join().unwrap().unwrap();
+        handle.wait_drained();
+        let _ = pool.stop();
+
+        let got = seen.lock().unwrap();
+        prop_assert_eq!(got.len() as u64, n_items, "lost or duplicated items");
+        let unique: HashSet<u64> = got.iter().copied().collect();
+        prop_assert_eq!(unique.len() as u64, n_items, "duplicate execution");
+        prop_assert_eq!(handle.processed(), n_items);
+        prop_assert_eq!(handle.queued(), 0);
     }
 
     /// Workers above every level the schedule ever admits stay parked
@@ -133,6 +175,7 @@ proptest! {
         handle.wait_drained();
         let report = pool.stop();
         prop_assert_eq!(handle.processed(), n_items);
+        prop_assert_eq!(handle.queued(), 0);
         for tid in (admitted as usize)..(size as usize) {
             prop_assert_eq!(
                 report.per_worker[tid],

@@ -15,18 +15,15 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use rubic_bench::poolbench::{run_sweep, PoolSweepOptions};
-use rubic_bench::postmortem::{self, BenchTrace, PostmortemOptions};
 
 struct Args {
     opts: PoolSweepOptions,
     out: PathBuf,
-    pm: PostmortemOptions,
 }
 
 fn parse_args() -> Result<Args, String> {
     let mut opts = PoolSweepOptions::full();
     let mut out = PathBuf::from("BENCH_pool.json");
-    let mut pm = PostmortemOptions::default();
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -58,18 +55,14 @@ fn parse_args() -> Result<Args, String> {
             "--help" | "-h" => {
                 return Err(
                     "usage: poolbench [--smoke] [--reps N] [--items N] [--workers 1,2,4] \
-                     [--out PATH] [--postmortem DIR] [--stddev-ratio R]"
+                     [--out PATH]"
                         .into(),
                 );
             }
-            other => {
-                if !postmortem::parse_arg(other, &mut it, &mut pm)? {
-                    return Err(format!("unknown argument: {other}"));
-                }
-            }
+            other => return Err(format!("unknown argument: {other}")),
         }
     }
-    Ok(Args { opts, out, pm })
+    Ok(Args { opts, out })
 }
 
 fn main() -> ExitCode {
@@ -93,6 +86,5 @@ fn main() -> ExitCode {
         args.opts.items_stm,
         if args.opts.smoke { " (smoke)" } else { "" },
     );
-    let bench_trace = BenchTrace::start(&args.pm, "poolbench");
-    run_sweep(&args.opts).finish(bench_trace, &args.pm, &args.out)
+    run_sweep(&args.opts).finish(&args.out)
 }

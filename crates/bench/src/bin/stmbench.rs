@@ -17,19 +17,16 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Duration;
 
-use rubic_bench::postmortem::{self, BenchTrace, PostmortemOptions};
 use rubic_bench::stmbench::{run_sweep, SweepOptions, STRUCTURES};
 
 struct Args {
     opts: SweepOptions,
     out: PathBuf,
-    pm: PostmortemOptions,
 }
 
 fn parse_args() -> Result<Args, String> {
     let mut opts = SweepOptions::full();
     let mut out = PathBuf::from("BENCH_stm.json");
-    let mut pm = PostmortemOptions::default();
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -76,19 +73,14 @@ fn parse_args() -> Result<Args, String> {
             "--help" | "-h" => {
                 return Err(
                     "usage: stmbench [--smoke] [--reps N] [--duration-ms N] [--threads 1,2,4] \
-                     [--structure snapshot,btree] [--out PATH] \
-                     [--postmortem DIR] [--stddev-ratio R]"
+                     [--structure snapshot,btree] [--out PATH]"
                         .into(),
                 );
             }
-            other => {
-                if !postmortem::parse_arg(other, &mut it, &mut pm)? {
-                    return Err(format!("unknown argument: {other}"));
-                }
-            }
+            other => return Err(format!("unknown argument: {other}")),
         }
     }
-    Ok(Args { opts, out, pm })
+    Ok(Args { opts, out })
 }
 
 fn main() -> ExitCode {
@@ -112,6 +104,5 @@ fn main() -> ExitCode {
         args.opts.duration.as_millis(),
         if args.opts.smoke { " (smoke)" } else { "" },
     );
-    let bench_trace = BenchTrace::start(&args.pm, "stmbench");
-    run_sweep(&args.opts).finish(bench_trace, &args.pm, &args.out)
+    run_sweep(&args.opts).finish(&args.out)
 }

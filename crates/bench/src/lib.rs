@@ -18,7 +18,6 @@ pub mod extensions;
 pub mod figures;
 pub mod invivo;
 pub mod poolbench;
-pub mod postmortem;
 pub mod report;
 pub mod stmbench;
 pub mod topobench;

@@ -34,7 +34,6 @@ use rubic::controllers::{Controller, Fixed, Rubic, RubicConfig};
 use rubic::runtime::{MalleablePool, PoolConfig, ShardedWorkload};
 use rubic::stm::{Stm, TVar};
 
-use crate::postmortem::{BenchTrace, PostmortemOptions};
 use crate::report::{self, Document, Point, Stat, Value};
 
 /// Schema identifier written into every report.
@@ -279,15 +278,8 @@ impl PoolBenchReport {
 
     /// The `poolbench` binary's tail: validate, name the noisy points,
     /// write `out`.
-    pub fn finish(&self, trace: BenchTrace, pm: &PostmortemOptions, out: &Path) -> ExitCode {
-        report::finish(
-            "poolbench",
-            self.validate(),
-            &self.document(),
-            trace,
-            pm,
-            out,
-        )
+    pub fn finish(&self, out: &Path) -> ExitCode {
+        report::finish("poolbench", self.validate(), &self.document(), out)
     }
 }
 

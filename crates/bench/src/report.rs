@@ -12,8 +12,6 @@
 use std::path::Path;
 use std::process::ExitCode;
 
-use crate::postmortem::{self, BenchTrace, NoisyPoint, PostmortemOptions};
-
 /// Mean ± sample standard deviation over a set of repetitions.
 #[derive(Debug, Clone)]
 pub struct Stat {
@@ -178,33 +176,39 @@ impl Document<'_> {
     }
 }
 
+/// Relative standard deviation (`stddev / mean`) above which a point is
+/// named as noisy: far beyond run-to-run jitter on a healthy
+/// configuration, low enough to catch bimodal runs.
+const NOISY_RATIO: f64 = 0.25;
+
+/// Flags a statistic whose relative standard deviation exceeds
+/// [`NOISY_RATIO`]. Degenerate means (`<= 0`) never flag — validation
+/// rejects them separately.
+fn is_noisy(s: &Stat) -> bool {
+    s.mean > 0.0 && s.stddev / s.mean > NOISY_RATIO
+}
+
 /// What a bench binary does once its sweep returned: refuse a report
-/// that failed validation, name the noisy points (and, in a `trace`
-/// build with `--postmortem`, freeze the flight recorder beside them),
-/// then write the JSON. A malformed report is never written.
+/// that failed validation, name the noisy points, then write the JSON.
+/// A malformed report is never written.
 pub(crate) fn finish(
     bench: &str,
     validated: Result<(), String>,
     doc: &Document<'_>,
-    trace: BenchTrace,
-    pm: &PostmortemOptions,
     out: &Path,
 ) -> ExitCode {
     if let Err(msg) = validated {
         eprintln!("{bench}: report failed validation: {msg}");
         return ExitCode::FAILURE;
     }
-    let noisy: Vec<NoisyPoint> = doc
-        .points
-        .iter()
-        .filter(|p| postmortem::is_noisy(p.headline.mean, p.headline.stddev, pm.stddev_ratio))
-        .map(|p| NoisyPoint {
-            label: p.label.clone(),
-            mean: p.headline.mean,
-            stddev: p.headline.stddev,
-        })
-        .collect();
-    trace.finish(pm, &noisy, bench);
+    for p in doc.points.iter().filter(|p| is_noisy(p.headline)) {
+        eprintln!(
+            "{bench}: noisy point {} — stddev {:.1}% of mean (threshold {:.1}%)",
+            p.label,
+            100.0 * p.headline.stddev / p.headline.mean,
+            100.0 * NOISY_RATIO,
+        );
+    }
     if let Err(e) = std::fs::write(out, doc.to_json()) {
         eprintln!("{bench}: cannot write {}: {e}", out.display());
         return ExitCode::FAILURE;
@@ -227,6 +231,20 @@ mod tests {
         assert!((s.stddev - 1.0).abs() < 1e-12);
         let single = Stat::from_samples(vec![5.0]);
         assert_eq!(single.stddev, 0.0);
+    }
+
+    #[test]
+    fn noise_threshold() {
+        let stat = |mean: f64, stddev: f64| Stat {
+            mean,
+            stddev,
+            samples: Vec::new(),
+        };
+        assert!(!is_noisy(&stat(100.0, 10.0)));
+        assert!(is_noisy(&stat(100.0, 30.0)));
+        assert!(!is_noisy(&stat(0.0, 30.0)));
+        assert!(!is_noisy(&stat(-1.0, 30.0)));
+        assert!(is_noisy(&stat(100.0, 26.0)));
     }
 
     // The goldens below are the output of the three per-harness writers

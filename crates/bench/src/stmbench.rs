@@ -53,7 +53,6 @@ use rubic::workloads::rbtree::{OpMix, RbTreeConfig, RbTreeWorkloadOn};
 use rubic::workloads::vacation::{VacationConfig, VacationWorkloadOn};
 use rubic::workloads::{ConflictCounter, StripedCounter};
 
-use crate::postmortem::{BenchTrace, PostmortemOptions};
 use crate::report::{self, Document, Point, Stat, Value};
 
 /// Schema identifier written into every report.
@@ -424,15 +423,8 @@ impl BenchReport {
 
     /// The `stmbench` binary's tail: validate, name the noisy points,
     /// write `out`.
-    pub fn finish(&self, trace: BenchTrace, pm: &PostmortemOptions, out: &Path) -> ExitCode {
-        report::finish(
-            "stmbench",
-            self.validate(),
-            &self.document(),
-            trace,
-            pm,
-            out,
-        )
+    pub fn finish(&self, out: &Path) -> ExitCode {
+        report::finish("stmbench", self.validate(), &self.document(), out)
     }
 }
 

@@ -31,7 +31,6 @@ use std::process::ExitCode;
 use rubic::controllers::{MappingPolicy, Policy};
 use rubic_sim::{curves, run, Machine, ProcessSpec, SimConfig};
 
-use crate::postmortem::{BenchTrace, PostmortemOptions};
 use crate::report::{self, Document, Point, Stat, Value};
 
 /// Schema identifier written into every report.
@@ -382,18 +381,9 @@ impl TopoBenchReport {
     }
 
     /// The `topobench` binary's tail: validate, name the noisy points,
-    /// write `out`. The simulator emits no trace events, so there is no
-    /// post-mortem session to freeze.
+    /// write `out`.
     pub fn finish(&self, out: &Path) -> ExitCode {
-        let pm = PostmortemOptions::default();
-        report::finish(
-            "topobench",
-            self.validate(),
-            &self.document(),
-            BenchTrace::start(&pm, "topobench"),
-            &pm,
-            out,
-        )
+        report::finish("topobench", self.validate(), &self.document(), out)
     }
 }
 

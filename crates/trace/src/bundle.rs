@@ -1,68 +1,46 @@
 //! Self-contained post-mortem bundles.
 //!
-//! A dump — requested by an operator, a benchmark gate, or an anomaly
-//! watchdog — freezes the flight-recorder window and the session's
-//! cumulative aggregates into one directory an engineer (or a later
-//! tool) can read without the process that produced it:
+//! A dump — requested through [`TraceSession::dump_postmortem`] or by an
+//! anomaly watchdog — freezes the flight-recorder window and the
+//! session's cumulative aggregates into one directory an engineer (or a
+//! later tool) can read without the process that produced it:
 //!
 //! ```text
 //! <dir>/postmortem-<seq>-<trigger>/
-//!   manifest.json     schema version, trigger, config, feature extras
+//!   manifest.json     schema version, trigger, cumulative commits,
+//!                     aborts by reason, last level, steals, extras
 //!   events.jsonl      flight-recorder window (same format as to_jsonl)
 //!   decisions.jsonl   controller Decision/RubicState audit (decoded:
 //!                     policy, phase, throughput, T_p, L_max, levels)
 //!   histograms.json   commit / abort→restart / lock-hold quantiles
 //!   contention.json   top-K contention table (labels, per-reason)
-//!   snapshot.json     point-in-time MetricsSnapshot at dump time
 //! ```
 //!
 //! The bundle schema is versioned by [`BUNDLE_SCHEMA`]; every file that
 //! needs self-description carries it. The writer never panics on I/O —
 //! errors surface to the caller (the collector logs and drops them).
+//!
+//! [`TraceSession::dump_postmortem`]: crate::TraceSession::dump_postmortem
 
 use std::io;
 use std::path::{Path, PathBuf};
 
 use rubic_sync::atomic::{AtomicU64, Ordering};
 
-use crate::event::{codes, Event, EventKind};
+use crate::event::{codes, EventKind};
 use crate::hist::LogHistogram;
-use crate::report::{
-    contention_entry_json, escape_json, events_to_jsonl, json_f64, ContentionEntry, MetricsSnapshot,
-};
+use crate::recorder::now_ns;
+use crate::report::{escape_json, events_to_jsonl, json_f64, ContentionEntry, Sink};
+use crate::sketch::ConflictSketch;
 
 /// Bundle schema identifier written into `manifest.json`,
 /// `contention.json` and `histograms.json`. Bump on any layout change.
-pub const BUNDLE_SCHEMA: &str = "rubic-postmortem/v3";
+pub const BUNDLE_SCHEMA: &str = "rubic-postmortem/v4";
 
 /// Monotone bundle sequence number, process-wide, so concurrent or
 /// repeated dumps never collide on a directory name.
 // ordering: Relaxed — a pure ID allocator; no data is published through it.
 static BUNDLE_SEQ: AtomicU64 = AtomicU64::new(0);
-
-/// Everything a dump snapshots out of the session under the sink lock.
-pub(crate) struct BundleInput<'a> {
-    /// Trigger string (an `codes::ANOMALY_NAMES` entry or a caller tag).
-    pub(crate) trigger: &'a str,
-    /// Flight-recorder window, timestamp-sorted.
-    pub(crate) events: &'a [Event],
-    /// Cumulative commit latency.
-    pub(crate) commit_latency: &'a LogHistogram,
-    /// Cumulative abort→restart latency.
-    pub(crate) abort_restart_latency: &'a LogHistogram,
-    /// Cumulative lock-hold time.
-    pub(crate) lock_hold: &'a LogHistogram,
-    /// Top-K contention table at dump time.
-    pub(crate) contention: &'a [ContentionEntry],
-    /// Point-in-time metrics at dump time.
-    pub(crate) snapshot: &'a MetricsSnapshot,
-    /// Caller-supplied manifest extras (feature flags, seeds, config).
-    pub(crate) manifest: &'a [(String, String)],
-    /// Human-readable session-config description for the manifest.
-    pub(crate) config: String,
-    /// Cumulative ring-overflow drops at dump time.
-    pub(crate) dropped: u64,
-}
 
 fn hist_json(name: &str, h: &LogHistogram) -> String {
     format!(
@@ -74,6 +52,38 @@ fn hist_json(name: &str, h: &LogHistogram) -> String {
         h.p99(),
         h.max()
     )
+}
+
+/// Renders one contention-table row as a JSON object.
+fn contention_entry_json(c: &ContentionEntry) -> String {
+    use std::fmt::Write as _;
+    let mut s = String::with_capacity(256);
+    let _ = write!(s, "{{\"addr\":{},", c.addr);
+    match &c.label {
+        Some(l) => {
+            let _ = write!(s, "\"label\":\"{}\",", escape_json(l));
+        }
+        None => s.push_str("\"label\":null,"),
+    }
+    let _ = write!(
+        s,
+        "\"count\":{},\"err\":{},\"by_reason\":{{",
+        c.count, c.err
+    );
+    let mut first = true;
+    for (i, &n) in c.by_reason.iter().enumerate() {
+        if !first {
+            s.push(',');
+        }
+        first = false;
+        let _ = write!(s, "\"{}\":{}", codes::ABORT_NAMES[i], n);
+    }
+    let _ = write!(
+        s,
+        "}},\"lock_holds\":{},\"hold_p50_ns\":{},\"hold_p99_ns\":{}}}",
+        c.lock_holds, c.hold_p50_ns, c.hold_p99_ns
+    );
+    s
 }
 
 /// Sanitises a trigger string for use in a path component.
@@ -90,38 +100,50 @@ fn path_tag(trigger: &str) -> String {
         .collect()
 }
 
-/// Writes one bundle under `dir`, returning the created bundle
-/// directory path.
+/// Writes one bundle of `sink`'s current state under `dir`, returning
+/// the created bundle directory path. `merged` is the session's merged
+/// conflict sketch; `extras` are the caller's manifest key/value pairs.
 ///
 /// # Errors
 /// Any filesystem error creating the directory or writing a file.
-pub(crate) fn write_bundle(dir: &Path, input: &BundleInput<'_>) -> io::Result<PathBuf> {
+pub(crate) fn write_bundle(
+    dir: &Path,
+    trigger: &str,
+    sink: &Sink,
+    merged: &ConflictSketch,
+    extras: &[(String, String)],
+) -> io::Result<PathBuf> {
     use std::fmt::Write as _;
 
     // ordering: Relaxed — ID allocation only.
     let seq = BUNDLE_SEQ.fetch_add(1, Ordering::Relaxed);
-    let bundle = dir.join(format!("postmortem-{seq}-{}", path_tag(input.trigger)));
+    let bundle = dir.join(format!("postmortem-{seq}-{}", path_tag(trigger)));
     std::fs::create_dir_all(&bundle)?;
+    let events = sink.flight_events();
 
     // manifest.json
     let mut manifest = String::from("{\n");
     let _ = writeln!(manifest, "  \"schema\": \"{BUNDLE_SCHEMA}\",");
     let _ = writeln!(manifest, "  \"seq\": {seq},");
+    let _ = writeln!(manifest, "  \"trigger\": \"{}\",", escape_json(trigger));
+    let _ = writeln!(manifest, "  \"ts_ns\": {},", now_ns());
+    let _ = writeln!(manifest, "  \"dropped_events\": {},", sink.dropped);
+    let _ = writeln!(manifest, "  \"flight_events\": {},", events.len());
+    let _ = writeln!(manifest, "  \"commits\": {},", sink.commit_latency.count());
+    let aborts: Vec<String> = codes::ABORT_NAMES
+        .iter()
+        .zip(sink.abort_breakdown)
+        .map(|(name, n)| format!("\"{name}\": {n}"))
+        .collect();
+    let _ = writeln!(manifest, "  \"aborts\": {{{}}},", aborts.join(", "));
+    let _ = writeln!(manifest, "  \"level\": {},", sink.last_level);
     let _ = writeln!(
         manifest,
-        "  \"trigger\": \"{}\",",
-        escape_json(input.trigger)
+        "  \"steals\": {{\"total\": {}, \"gated\": {}}},",
+        sink.steals, sink.steals_gated
     );
-    let _ = writeln!(manifest, "  \"ts_ns\": {},", input.snapshot.ts_ns);
-    let _ = writeln!(
-        manifest,
-        "  \"config\": \"{}\",",
-        escape_json(&input.config)
-    );
-    let _ = writeln!(manifest, "  \"dropped_events\": {},", input.dropped);
-    let _ = writeln!(manifest, "  \"flight_events\": {},", input.events.len());
     manifest.push_str("  \"extras\": {");
-    for (i, (k, v)) in input.manifest.iter().enumerate() {
+    for (i, (k, v)) in extras.iter().enumerate() {
         if i > 0 {
             manifest.push(',');
         }
@@ -132,18 +154,18 @@ pub(crate) fn write_bundle(dir: &Path, input: &BundleInput<'_>) -> io::Result<Pa
             escape_json(v)
         );
     }
-    if !input.manifest.is_empty() {
+    if !extras.is_empty() {
         manifest.push_str("\n  ");
     }
     manifest.push_str("}\n}\n");
     std::fs::write(bundle.join("manifest.json"), manifest)?;
 
     // events.jsonl — the flight window.
-    std::fs::write(bundle.join("events.jsonl"), events_to_jsonl(input.events))?;
+    std::fs::write(bundle.join("events.jsonl"), events_to_jsonl(&events))?;
 
     // decisions.jsonl — the controller audit, decoded.
     let mut decisions = String::new();
-    for e in input.events {
+    for e in &events {
         match e.kind {
             EventKind::Decision => {
                 let _ = writeln!(
@@ -177,15 +199,15 @@ pub(crate) fn write_bundle(dir: &Path, input: &BundleInput<'_>) -> io::Result<Pa
     // histograms.json
     let hists = format!(
         "{{\"schema\": \"{BUNDLE_SCHEMA}\",{},{},{}}}\n",
-        hist_json("commit_latency_ns", input.commit_latency),
-        hist_json("abort_restart_ns", input.abort_restart_latency),
-        hist_json("lock_hold_ns", input.lock_hold),
+        hist_json("commit_latency_ns", &sink.commit_latency),
+        hist_json("abort_restart_ns", &sink.abort_restart_latency),
+        hist_json("lock_hold_ns", &sink.lock_hold),
     );
     std::fs::write(bundle.join("histograms.json"), hists)?;
 
     // contention.json
     let mut contention = format!("{{\"schema\": \"{BUNDLE_SCHEMA}\",\"entries\":[");
-    for (i, c) in input.contention.iter().enumerate() {
+    for (i, c) in sink.contention_table(merged).iter().enumerate() {
         if i > 0 {
             contention.push(',');
         }
@@ -195,104 +217,85 @@ pub(crate) fn write_bundle(dir: &Path, input: &BundleInput<'_>) -> io::Result<Pa
     contention.push_str("\n]}\n");
     std::fs::write(bundle.join("contention.json"), contention)?;
 
-    // snapshot.json
-    let mut snap = input.snapshot.to_json_line();
-    snap.push('\n');
-    std::fs::write(bundle.join("snapshot.json"), snap)?;
-
     Ok(bundle)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::Event;
 
-    fn snapshot() -> MetricsSnapshot {
-        MetricsSnapshot {
-            ts_ns: 1_000,
-            interval_ns: 1_000,
-            commits: 5,
-            interval_commits: 5,
-            throughput: 5_000_000.0,
-            aborts_by_reason: [1, 2, 0, 0, 0],
-            interval_aborts: 3,
-            abort_rate: 3.0 / 8.0,
-            commit_p50_ns: 100,
-            commit_p99_ns: 900,
-            level: 2,
-            steals: 5,
-            steals_gated: 1,
-            top_conflicts: Vec::new(),
-            dropped: 0,
+    fn ev(kind: EventKind, code: u8, ts_ns: u64, a: u64, b: u64, c: u64) -> Event {
+        Event {
+            ts_ns,
+            kind,
+            code,
+            tid: 1,
+            a,
+            b,
+            c,
         }
+    }
+
+    fn read(bundle: &Path, file: &str) -> String {
+        std::fs::read_to_string(bundle.join(file)).expect(file)
     }
 
     #[test]
     fn bundle_writes_all_files_with_valid_structure() {
         let tmp = std::env::temp_dir().join(format!("rubic-bundle-test-{}", std::process::id()));
-        let events = vec![
-            Event {
-                ts_ns: 10,
-                kind: EventKind::TxnAbort,
-                code: codes::ABORT_LOCK_BUSY,
-                tid: 0,
-                a: 5,
-                b: 1,
-                c: 0xAB,
-            },
-            Event {
-                ts_ns: 20,
-                kind: EventKind::Decision,
-                code: codes::PHASE_GROWTH_CUBIC,
-                tid: 1,
-                a: 123.5f64.to_bits(),
-                b: (2 << 32) | 3,
-                c: 0,
-            },
-            Event {
-                ts_ns: 30,
-                kind: EventKind::RubicState,
-                code: codes::PHASE_GROWTH_CUBIC,
-                tid: 1,
-                a: 9.5f64.to_bits(),
-                b: 4.0f64.to_bits(),
-                c: (2 << 32) | 3,
-            },
-        ];
-        let hist = LogHistogram::new();
-        let contention = vec![ContentionEntry {
-            addr: 0xAB,
-            label: Some("hot".into()),
-            count: 3,
-            err: 0,
-            by_reason: [0, 3, 0, 0, 0],
-            lock_holds: 3,
-            hold_p50_ns: 64,
-            hold_p99_ns: 128,
-        }];
-        let snap = snapshot();
-        let input = BundleInput {
-            trigger: "manual",
-            events: &events,
-            commit_latency: &hist,
-            abort_restart_latency: &hist,
-            lock_hold: &hist,
-            contention: &contention,
-            snapshot: &snap,
-            manifest: &[("features".to_string(), "trace,chaos".to_string())],
-            config: "ring_capacity=16384 drain_period=5ms".to_string(),
-            dropped: 0,
-        };
-        let bundle = write_bundle(&tmp, &input).expect("bundle written");
-        for file in [
-            "manifest.json",
-            "events.jsonl",
-            "decisions.jsonl",
-            "histograms.json",
-            "contention.json",
-            "snapshot.json",
-        ] {
-            let body = std::fs::read_to_string(bundle.join(file)).expect(file);
+        crate::labels::set_label(0xAB, "hot");
+        let mut sink = Sink::new();
+        sink.add(ev(
+            EventKind::TxnAbort,
+            codes::ABORT_LOCK_BUSY,
+            10,
+            5,
+            1,
+            0xAB,
+        ));
+        sink.add(ev(EventKind::LockHold, 0, 15, 64, 0xAB, 0));
+        sink.add(ev(
+            EventKind::Decision,
+            codes::PHASE_GROWTH_CUBIC,
+            20,
+            123.5f64.to_bits(),
+            (2 << 32) | 3,
+            0,
+        ));
+        sink.add(ev(
+            EventKind::RubicState,
+            codes::PHASE_GROWTH_CUBIC,
+            30,
+            9.5f64.to_bits(),
+            4.0f64.to_bits(),
+            (2 << 32) | 3,
+        ));
+        sink.add(ev(EventKind::LevelChange, 0, 40, 2, 3, 1));
+        sink.add(ev(EventKind::TxnCommit, 0, 50, 100, 0, 1));
+        let mut merged = ConflictSketch::new(4);
+        for _ in 0..3 {
+            merged.update(0xAB, codes::ABORT_LOCK_BUSY);
+        }
+        let extras = [("features".to_string(), "trace,chaos".to_string())];
+        let bundle = write_bundle(&tmp, "manual", &sink, &merged, &extras).expect("bundle written");
+        let mut files: Vec<String> = std::fs::read_dir(&bundle)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        files.sort();
+        assert_eq!(
+            files,
+            [
+                "contention.json",
+                "decisions.jsonl",
+                "events.jsonl",
+                "histograms.json",
+                "manifest.json"
+            ]
+        );
+        for file in &files {
+            let body = read(&bundle, file);
             assert!(!body.is_empty(), "{file} empty");
             // Balanced braces: cheap structural validity without a JSON
             // parser in the tree.
@@ -302,38 +305,49 @@ mod tests {
                 "{file}"
             );
         }
-        let manifest = std::fs::read_to_string(bundle.join("manifest.json")).unwrap();
+        let manifest = read(&bundle, "manifest.json");
         assert!(manifest.contains(BUNDLE_SCHEMA));
         assert!(manifest.contains("\"trigger\": \"manual\""));
         assert!(manifest.contains("\"features\": \"trace,chaos\""));
-        let contention_body = std::fs::read_to_string(bundle.join("contention.json")).unwrap();
-        assert!(contention_body.contains("\"label\":\"hot\""));
-        assert!(contention_body.contains("\"lock-busy\":3"));
-        let decisions = std::fs::read_to_string(bundle.join("decisions.jsonl")).unwrap();
+        assert!(manifest.contains("\"flight_events\": 6,"));
+        assert!(manifest.contains("\"commits\": 1,"));
+        assert!(manifest.contains(
+            "\"aborts\": {\"read-validation\": 0, \"lock-busy\": 1, \"cm-kill\": 0, \"chaos\": 0, \"explicit\": 0},"
+        ));
+        assert!(manifest.contains("\"level\": 3,"));
+        let contention = read(&bundle, "contention.json");
+        assert!(contention.contains("\"label\":\"hot\""));
+        assert!(contention.contains("\"lock-busy\":3"));
+        assert!(contention.contains("\"lock_holds\":1"));
+        let decisions = read(&bundle, "decisions.jsonl");
         assert_eq!(decisions.lines().count(), 2);
         assert!(decisions.contains("\"t_p\":9.5"));
         let _ = std::fs::remove_dir_all(&tmp);
     }
 
     #[test]
+    fn steal_counters_split_on_the_gated_flag_bit() {
+        let tmp = std::env::temp_dir().join(format!("rubic-bundle-steal-{}", std::process::id()));
+        let mut sink = Sink::new();
+        for (flags, ts) in [(0b00, 10), (0b01, 20), (0b00, 30), (0b01, 40)] {
+            sink.add(ev(EventKind::TaskSteal, flags, ts, 1 << 32, 4, 8));
+        }
+        let bundle = write_bundle(&tmp, "manual", &sink, &ConflictSketch::new(4), &[]).unwrap();
+        let manifest = read(&bundle, "manifest.json");
+        assert!(
+            manifest.contains("\"steals\": {\"total\": 4, \"gated\": 2},"),
+            "{manifest}"
+        );
+        let _ = std::fs::remove_dir_all(&tmp);
+    }
+
+    #[test]
     fn bundle_dirs_never_collide() {
         let tmp = std::env::temp_dir().join(format!("rubic-bundle-seq-{}", std::process::id()));
-        let hist = LogHistogram::new();
-        let snap = snapshot();
-        let input = BundleInput {
-            trigger: "manual",
-            events: &[],
-            commit_latency: &hist,
-            abort_restart_latency: &hist,
-            lock_hold: &hist,
-            contention: &[],
-            snapshot: &snap,
-            manifest: &[],
-            config: String::new(),
-            dropped: 0,
-        };
-        let a = write_bundle(&tmp, &input).unwrap();
-        let b = write_bundle(&tmp, &input).unwrap();
+        let sink = Sink::new();
+        let merged = ConflictSketch::new(4);
+        let a = write_bundle(&tmp, "manual", &sink, &merged, &[]).unwrap();
+        let b = write_bundle(&tmp, "manual", &sink, &merged, &[]).unwrap();
         assert_ne!(a, b);
         let _ = std::fs::remove_dir_all(&tmp);
     }

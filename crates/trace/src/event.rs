@@ -59,8 +59,8 @@ pub enum EventKind {
     TaskSteal = 12,
     /// A worker parked on the gate (code 0) or resumed from it (code 1).
     WorkerPark = 13,
-    /// An anomaly watchdog fired (abort storm, level oscillation,
-    /// latency breach); usually accompanied by a post-mortem dump.
+    /// An anomaly watchdog fired (abort storm or level oscillation);
+    /// usually accompanied by a post-mortem dump.
     Anomaly = 14,
 }
 
@@ -252,24 +252,10 @@ pub mod codes {
     /// Anomaly: the applied parallelism level flapped direction more
     /// often than the oscillation watchdog's threshold within its window.
     pub const ANOMALY_LEVEL_OSCILLATION: u8 = 1;
-    /// Anomaly: commit-latency p99 over the last drain window exceeded
-    /// the configured threshold.
-    pub const ANOMALY_P99_BREACH: u8 = 2;
-    /// Anomaly: an operator (or test) requested a dump explicitly.
-    pub const ANOMALY_MANUAL: u8 = 3;
-    /// Anomaly: a benchmark repetition set's stddev/mean ratio exceeded
-    /// the `--stddev-ratio` gate.
-    pub const ANOMALY_BENCH_STDDEV: u8 = 4;
 
     /// Names for the anomaly kinds, indexed by code. These double as
     /// post-mortem bundle trigger strings.
-    pub const ANOMALY_NAMES: [&str; 5] = [
-        "abort-storm",
-        "level-oscillation",
-        "p99-breach",
-        "manual",
-        "bench-stddev",
-    ];
+    pub const ANOMALY_NAMES: [&str; 2] = ["abort-storm", "level-oscillation"];
 
     /// Decodes an anomaly code.
     #[must_use]
@@ -356,7 +342,10 @@ mod tests {
             codes::anomaly_name(codes::ANOMALY_ABORT_STORM),
             "abort-storm"
         );
-        assert_eq!(codes::anomaly_name(codes::ANOMALY_P99_BREACH), "p99-breach");
+        assert_eq!(
+            codes::anomaly_name(codes::ANOMALY_LEVEL_OSCILLATION),
+            "level-oscillation"
+        );
         assert_eq!(codes::anomaly_name(99), "unknown");
     }
 

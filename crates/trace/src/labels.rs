@@ -35,7 +35,7 @@ pub fn set_label(addr: u64, label: &str) {
 
 /// The label registered for `addr`, if any.
 #[must_use]
-pub fn label(addr: u64) -> Option<String> {
+pub(crate) fn label(addr: u64) -> Option<String> {
     LABELS.lock().as_ref().and_then(|m| m.get(&addr).cloned())
 }
 

@@ -13,11 +13,9 @@
 //! slow path.)
 //!
 //! A background collector thread drains all rings every few milliseconds
-//! into the session's [`Sink`](crate::report::TraceReport) accumulators,
-//! so rings stay shallow and the drop-oldest policy rarely engages. The
-//! collector also runs the diagnosis housekeeping: the commit-latency
-//! p99-breach watchdog, the periodic [`MetricsSnapshot`] export, and the
-//! post-mortem requests raised via [`request_postmortem`].
+//! into the session's [`Sink`] accumulators, so rings stay shallow and
+//! the drop-oldest policy rarely engages, and after each drain writes
+//! the post-mortem bundles requested via [`request_postmortem`].
 //! [`TraceSession::finish`] stops the collector, performs a final drain,
 //! services any pending post-mortems, and returns the [`TraceReport`].
 
@@ -29,11 +27,20 @@ use std::time::{Duration, Instant};
 use rubic_sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use rubic_sync::{Arc, Mutex, OnceLock};
 
-use crate::bundle::{self, BundleInput};
+use crate::bundle;
 use crate::event::{codes, Event, EventKind};
-use crate::report::{MetricsSnapshot, Sink, SinkOptions, TraceReport};
+use crate::report::{Sink, TraceReport};
 use crate::ring::Ring;
 use crate::sketch::ConflictSketch;
+
+/// Per-thread ring capacity in events; the drop-oldest policy engages
+/// past this.
+const RING_CAPACITY: usize = 1 << 14;
+/// Per-thread conflict-sketch capacity `k` (overcount is bounded by
+/// `conflicts / k`).
+const SKETCH_CAPACITY: usize = 64;
+/// How often the collector thread drains the rings.
+const DRAIN_PERIOD: Duration = Duration::from_millis(5);
 
 /// True while a [`TraceSession`] is active. Checked (relaxed) on every
 /// `emit`; instrumented code can also consult it to skip timestamp
@@ -77,8 +84,6 @@ pub fn is_enabled() -> bool {
 
 struct SessionState {
     generation: u64,
-    ring_capacity: usize,
-    sketch_capacity: usize,
     rings: Mutex<Vec<Arc<Ring>>>,
     /// Per-thread conflict sketches, registered alongside the rings.
     sketches: Mutex<Vec<Arc<Mutex<ConflictSketch>>>>,
@@ -185,8 +190,8 @@ fn register_thread(generation: u64) -> Option<LocalRing> {
     if state.generation != generation {
         return None;
     }
-    let ring = Arc::new(Ring::new(state.ring_capacity));
-    let sketch = Arc::new(Mutex::new(ConflictSketch::new(state.sketch_capacity)));
+    let ring = Arc::new(Ring::new(RING_CAPACITY));
+    let sketch = Arc::new(Mutex::new(ConflictSketch::new(SKETCH_CAPACITY)));
     let mut rings = state.rings.lock();
     let tid = u16::try_from(rings.len()).unwrap_or(u16::MAX);
     rings.push(Arc::clone(&ring));
@@ -201,90 +206,15 @@ fn register_thread(generation: u64) -> Option<LocalRing> {
 }
 
 /// Construction parameters for a [`TraceSession`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct TraceConfig {
-    /// Per-thread ring capacity in events (rounded up to a power of
-    /// two). The drop-oldest policy engages past this.
-    pub ring_capacity: usize,
-    /// Retain the full event log (needed for the JSONL and
-    /// `chrome://tracing` exporters). Histograms, the abort breakdown
-    /// and the flight recorder are always accumulated regardless.
-    pub keep_events: bool,
-    /// How often the collector thread drains the rings.
-    pub drain_period: Duration,
-    /// Per-thread conflict-sketch capacity `k` (overcount is bounded by
-    /// `conflicts / k`).
-    pub sketch_capacity: usize,
-    /// Contention-table size in reports, snapshots and bundles.
-    pub top_k: usize,
-    /// Flight-recorder retention window.
-    pub flight_window: Duration,
-    /// Flight-recorder hard event cap (drop-oldest past this).
-    pub flight_capacity: usize,
     /// Where anomaly-triggered post-mortem bundles are written. `None`
     /// disables auto-dumps (anomaly events are still recorded).
     pub postmortem_dir: Option<PathBuf>,
-    /// Commit-latency p99 threshold for the collector's breach watchdog.
-    /// Checked per drain over the window since the last check, once the
-    /// window holds enough commits to make a p99 meaningful.
-    pub p99_threshold_ns: Option<u64>,
-    /// Cadence for automatic [`MetricsSnapshot`] capture. `None`
-    /// disables periodic snapshots ([`TraceSession::snapshot`] still
-    /// works on demand).
-    pub snapshot_period: Option<Duration>,
-    /// File the periodic snapshots are appended to as JSONL. `None`
-    /// captures (advancing interval baselines) without exporting.
-    pub snapshot_path: Option<PathBuf>,
     /// Extra key/value pairs recorded in every bundle's manifest
     /// (feature flags, seeds, workload parameters).
     pub manifest: Vec<(String, String)>,
 }
-
-impl Default for TraceConfig {
-    fn default() -> Self {
-        TraceConfig {
-            ring_capacity: 1 << 14,
-            keep_events: true,
-            drain_period: Duration::from_millis(5),
-            sketch_capacity: 64,
-            top_k: 16,
-            flight_window: Duration::from_secs(5),
-            flight_capacity: 1 << 16,
-            postmortem_dir: None,
-            p99_threshold_ns: None,
-            snapshot_period: None,
-            snapshot_path: None,
-            manifest: Vec::new(),
-        }
-    }
-}
-
-impl TraceConfig {
-    fn sink_options(&self) -> SinkOptions {
-        SinkOptions {
-            keep_events: self.keep_events,
-            flight_window_ns: u64::try_from(self.flight_window.as_nanos()).unwrap_or(u64::MAX),
-            flight_capacity: self.flight_capacity,
-            top_k: self.top_k,
-        }
-    }
-
-    fn describe(&self) -> String {
-        format!(
-            "ring_capacity={} keep_events={} drain_period={:?} sketch_capacity={} top_k={} flight_window={:?} flight_capacity={}",
-            self.ring_capacity,
-            self.keep_events,
-            self.drain_period,
-            self.sketch_capacity,
-            self.top_k,
-            self.flight_window,
-            self.flight_capacity,
-        )
-    }
-}
-
-/// Minimum commits in a watchdog window before its p99 is trusted.
-const P99_WINDOW_MIN_COMMITS: u64 = 32;
 
 /// An active recording: installs the global recorder on `start`, drains
 /// continuously on a collector thread, and yields a [`TraceReport`] on
@@ -333,14 +263,12 @@ impl TraceSession {
         let generation = GENERATION.fetch_add(1, Ordering::AcqRel) + 1;
         let state = Arc::new(SessionState {
             generation,
-            ring_capacity: cfg.ring_capacity,
-            sketch_capacity: cfg.sketch_capacity,
             rings: Mutex::new(Vec::new()),
             sketches: Mutex::new(Vec::new()),
             dumped: AtomicU64::new(0),
         });
         *STATE.lock() = Some(Arc::clone(&state));
-        let sink = Arc::new(Mutex::new(Sink::new(cfg.sink_options())));
+        let sink = Arc::new(Mutex::new(Sink::new()));
         let stop = Arc::new(AtomicBool::new(false));
         let collector = {
             let state = Arc::clone(&state);
@@ -350,11 +278,10 @@ impl TraceSession {
             rubic_sync::thread::Builder::new()
                 .name("rubic-trace-collector".into())
                 .spawn(move || {
-                    let mut last_snapshot = Instant::now();
                     while !stop.load(Ordering::Acquire) {
-                        rubic_sync::thread::sleep(cfg.drain_period);
+                        rubic_sync::thread::sleep(DRAIN_PERIOD);
                         drain_into(&state, &sink);
-                        housekeep(&state, &sink, &cfg, &mut last_snapshot);
+                        service_requests(&state, &sink, &cfg);
                     }
                 })
                 .expect("failed to spawn trace collector")
@@ -369,18 +296,6 @@ impl TraceSession {
         }
     }
 
-    /// Drains the rings and captures a point-in-time [`MetricsSnapshot`]
-    /// (advancing the interval baseline for throughput / abort-rate
-    /// deltas).
-    #[must_use]
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        drain_into(&self.state, &self.sink);
-        let merged = merged_sketch(&self.state);
-        let mut sink = self.sink.lock();
-        sink.dropped = total_dropped(&self.state);
-        sink.take_snapshot(&merged, now_ns())
-    }
-
     /// Drains the rings and writes a post-mortem bundle under `dir` with
     /// the given trigger tag, returning the bundle directory. Manual
     /// dumps bypass the once-per-trigger dedup applied to automatic
@@ -389,7 +304,6 @@ impl TraceSession {
     /// # Errors
     /// Any filesystem error creating or writing the bundle.
     pub fn dump_postmortem(&self, dir: &Path, trigger: &str) -> io::Result<PathBuf> {
-        drain_into(&self.state, &self.sink);
         write_dump(&self.state, &self.sink, &self.cfg, dir, trigger)
     }
 
@@ -399,13 +313,7 @@ impl TraceSession {
     pub fn finish(mut self) -> TraceReport {
         self.teardown();
         let merged = merged_sketch(&self.state);
-        let mut sink = std::mem::replace(
-            &mut *self.sink.lock(),
-            Sink::new(SinkOptions {
-                keep_events: false,
-                ..SinkOptions::default()
-            }),
-        );
+        let mut sink = std::mem::replace(&mut *self.sink.lock(), Sink::new());
         sink.dropped = total_dropped(&self.state);
         sink.into_report(&merged)
     }
@@ -421,8 +329,7 @@ impl TraceSession {
         // will bail on the ENABLED fast path; then service any requests
         // the collector never got to see.
         drain_into(&self.state, &self.sink);
-        let mut last_snapshot = Instant::now();
-        housekeep(&self.state, &self.sink, &self.cfg, &mut last_snapshot);
+        service_requests(&self.state, &self.sink, &self.cfg);
         *STATE.lock() = None;
         SESSION_ACTIVE.store(false, Ordering::Release);
     }
@@ -453,7 +360,7 @@ fn drain_into(state: &SessionState, sink: &Mutex<Sink>) {
 /// Merges every registered per-thread sketch into one session sketch.
 fn merged_sketch(state: &SessionState) -> ConflictSketch {
     let sketches: Vec<Arc<Mutex<ConflictSketch>>> = state.sketches.lock().clone();
-    let mut merged = ConflictSketch::new(state.sketch_capacity);
+    let mut merged = ConflictSketch::new(SKETCH_CAPACITY);
     for s in sketches {
         let s = s.lock();
         if !s.is_empty() {
@@ -467,57 +374,9 @@ fn total_dropped(state: &SessionState) -> u64 {
     state.rings.lock().iter().map(|r| r.dropped()).sum()
 }
 
-/// Collector housekeeping after each drain: p99-breach watchdog,
-/// periodic snapshot export, pending post-mortem requests.
-fn housekeep(
-    state: &SessionState,
-    sink: &Mutex<Sink>,
-    cfg: &TraceConfig,
-    last_snapshot: &mut Instant,
-) {
-    if let Some(threshold) = cfg.p99_threshold_ns {
-        let mut s = sink.lock();
-        let window = s.take_commit_window();
-        if window.count() >= P99_WINDOW_MIN_COMMITS && window.p99() > threshold {
-            s.add(Event {
-                ts_ns: now_ns(),
-                kind: EventKind::Anomaly,
-                code: codes::ANOMALY_P99_BREACH,
-                tid: u16::MAX,
-                a: window.p99(),
-                b: threshold,
-                c: window.count(),
-            });
-            drop(s);
-            // ordering: Relaxed — see POSTMORTEM_REQUESTS.
-            POSTMORTEM_REQUESTS.fetch_or(
-                1u64 << u64::from(codes::ANOMALY_P99_BREACH),
-                Ordering::Relaxed,
-            );
-        }
-    }
-
-    if let Some(period) = cfg.snapshot_period {
-        if last_snapshot.elapsed() >= period {
-            *last_snapshot = Instant::now();
-            let merged = merged_sketch(state);
-            let mut s = sink.lock();
-            s.dropped = total_dropped(state);
-            let snap = s.take_snapshot(&merged, now_ns());
-            drop(s);
-            if let Some(path) = &cfg.snapshot_path {
-                let mut line = snap.to_json_line();
-                line.push('\n');
-                if let Err(e) = append_to(path, &line) {
-                    eprintln!(
-                        "rubic-trace: snapshot export to {} failed: {e}",
-                        path.display()
-                    );
-                }
-            }
-        }
-    }
-
+/// Writes one bundle per trigger kind requested since the last pass
+/// (at most one per kind per session) when a `postmortem_dir` is set.
+fn service_requests(state: &SessionState, sink: &Mutex<Sink>, cfg: &TraceConfig) {
     // ordering: Relaxed — see POSTMORTEM_REQUESTS.
     let mask = POSTMORTEM_REQUESTS.swap(0, Ordering::Relaxed);
     if mask == 0 {
@@ -543,16 +402,9 @@ fn housekeep(
     }
 }
 
-fn append_to(path: &Path, data: &str) -> io::Result<()> {
-    use std::io::Write as _;
-    let mut f = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)?;
-    f.write_all(data.as_bytes())
-}
-
-/// Freezes the session's current view and writes one bundle.
+/// Drains the rings, then freezes the session's current view into one
+/// bundle. Draining here means a bundle written for a request holds
+/// every event emitted before the request was raised.
 fn write_dump(
     state: &SessionState,
     sink: &Mutex<Sink>,
@@ -560,25 +412,11 @@ fn write_dump(
     dir: &Path,
     trigger: &str,
 ) -> io::Result<PathBuf> {
+    drain_into(state, sink);
     let merged = merged_sketch(state);
     let mut s = sink.lock();
     s.dropped = total_dropped(state);
-    let snapshot = s.take_snapshot(&merged, now_ns());
-    let events = s.flight_events();
-    let contention = s.contention_table(&merged);
-    let input = BundleInput {
-        trigger,
-        events: &events,
-        commit_latency: s.commit_latency(),
-        abort_restart_latency: s.abort_restart_latency(),
-        lock_hold: s.lock_hold(),
-        contention: &contention,
-        snapshot: &snapshot,
-        manifest: &cfg.manifest,
-        config: cfg.describe(),
-        dropped: snapshot.dropped,
-    };
-    bundle::write_bundle(dir, &input)
+    bundle::write_bundle(dir, trigger, &s, &merged, &cfg.manifest)
 }
 
 #[cfg(test)]
@@ -598,7 +436,7 @@ mod tests {
         // No session: must not panic, must not register anything.
         emit(EventKind::TxnBegin, 0, 0, 0, 0);
         note_conflict(0xAB, 0);
-        request_postmortem(codes::ANOMALY_MANUAL);
+        request_postmortem(codes::ANOMALY_ABORT_STORM);
         assert!(!is_enabled());
     }
 
@@ -664,19 +502,6 @@ mod tests {
     }
 
     #[test]
-    fn histograms_only_mode_drops_event_log() {
-        let _serial = GLOBAL_SESSION.lock();
-        let session = TraceSession::start(TraceConfig {
-            keep_events: false,
-            ..TraceConfig::default()
-        });
-        emit(EventKind::TxnCommit, 0, 99, 0, 1);
-        let report = session.finish();
-        assert!(report.events.is_empty());
-        assert_eq!(report.commit_latency.count(), 1);
-    }
-
-    #[test]
     fn conflicts_flow_from_threads_to_contention_table() {
         let _serial = GLOBAL_SESSION.lock();
         let session = TraceSession::start(TraceConfig::default());
@@ -699,21 +524,6 @@ mod tests {
         assert_eq!(top.addr, 0xF00D);
         assert!(top.count >= 150, "merge lost counts: {}", top.count);
         assert_eq!(top.by_reason[codes::ABORT_LOCK_BUSY as usize], 150);
-    }
-
-    #[test]
-    fn snapshot_on_demand_sees_current_counts() {
-        let _serial = GLOBAL_SESSION.lock();
-        let session = TraceSession::start(TraceConfig::default());
-        emit(EventKind::TxnCommit, 0, 1_000, 0, 1);
-        emit(EventKind::TxnAbort, codes::ABORT_LOCK_BUSY, 100, 0, 0xAB);
-        note_conflict(0xAB, codes::ABORT_LOCK_BUSY);
-        let snap = session.snapshot();
-        assert_eq!(snap.commits, 1);
-        assert_eq!(snap.total_aborts(), 1);
-        assert_eq!(snap.top_conflicts.len(), 1);
-        assert_eq!(snap.top_conflicts[0].addr, 0xAB);
-        let _ = session.finish();
     }
 
     #[test]
@@ -750,55 +560,19 @@ mod tests {
     }
 
     #[test]
-    fn manual_dump_and_periodic_snapshot_export() {
+    fn manual_dumps_skip_the_per_trigger_dedup() {
         let _serial = GLOBAL_SESSION.lock();
-        let base = std::env::temp_dir().join(format!("rubic-rec-snap-{}", std::process::id()));
+        let base = std::env::temp_dir().join(format!("rubic-rec-manual-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&base);
-        std::fs::create_dir_all(&base).unwrap();
-        let snap_path = base.join("snapshots.jsonl");
-        let session = TraceSession::start(TraceConfig {
-            snapshot_period: Some(Duration::from_millis(10)),
-            snapshot_path: Some(snap_path.clone()),
-            ..TraceConfig::default()
-        });
+        let session = TraceSession::start(TraceConfig::default());
         emit(EventKind::TxnCommit, 0, 1_000, 0, 1);
-        rubic_sync::thread::sleep(Duration::from_millis(60));
-        let bundle_dir = session
-            .dump_postmortem(&base, "manual")
-            .expect("manual dump");
-        assert!(bundle_dir.join("snapshot.json").exists());
+        let first = session.dump_postmortem(&base, "manual").expect("dump");
+        let second = session.dump_postmortem(&base, "manual").expect("dump");
+        assert_ne!(first, second);
+        // The dump drained the ring first, so the commit is in the bundle.
+        let manifest = std::fs::read_to_string(first.join("manifest.json")).unwrap();
+        assert!(manifest.contains("\"commits\": 1,"), "{manifest}");
         let _ = session.finish();
-        let snaps = std::fs::read_to_string(&snap_path).expect("snapshot file written");
-        assert!(snaps.lines().count() >= 1, "{snaps}");
-        assert!(snaps
-            .lines()
-            .all(|l| l.starts_with('{') && l.ends_with('}')));
         let _ = std::fs::remove_dir_all(&base);
-    }
-
-    #[test]
-    fn p99_breach_watchdog_fires_anomaly() {
-        let _serial = GLOBAL_SESSION.lock();
-        let dir = std::env::temp_dir().join(format!("rubic-rec-p99-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let session = TraceSession::start(TraceConfig {
-            p99_threshold_ns: Some(1_000),
-            postmortem_dir: Some(dir.clone()),
-            drain_period: Duration::from_millis(2),
-            ..TraceConfig::default()
-        });
-        for _ in 0..P99_WINDOW_MIN_COMMITS + 8 {
-            emit(EventKind::TxnCommit, 0, 50_000, 0, 1);
-        }
-        rubic_sync::thread::sleep(Duration::from_millis(40));
-        let report = session.finish();
-        assert!(
-            report.anomalies[codes::ANOMALY_P99_BREACH as usize] >= 1,
-            "watchdog never fired: {:?}",
-            report.anomalies
-        );
-        let bundles = std::fs::read_dir(&dir).map_or(0, std::iter::Iterator::count);
-        assert_eq!(bundles, 1);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

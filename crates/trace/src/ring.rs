@@ -25,7 +25,7 @@ struct Slot {
 }
 
 /// A bounded lock-free event ring (drop-oldest on overflow).
-pub struct Ring {
+pub(crate) struct Ring {
     head: CachePadded<AtomicUsize>,
     tail: CachePadded<AtomicUsize>,
     dropped: CachePadded<AtomicU64>,
@@ -35,8 +35,7 @@ pub struct Ring {
 impl Ring {
     /// Creates a ring holding `capacity` events, rounded up to a power
     /// of two (minimum 8).
-    #[must_use]
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         let cap = capacity.max(8).next_power_of_two();
         Ring {
             head: CachePadded::new(AtomicUsize::new(0)),
@@ -51,32 +50,9 @@ impl Ring {
         }
     }
 
-    /// Number of slots.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
     /// Events discarded by the drop-oldest overflow policy so far.
-    #[must_use]
-    pub fn dropped(&self) -> u64 {
+    pub(crate) fn dropped(&self) -> u64 {
         self.dropped.load(Ordering::Relaxed) // ordering: monitoring read of a counter
-    }
-
-    /// Events currently buffered (approximate under concurrency).
-    #[must_use]
-    pub fn len(&self) -> usize {
-        // ordering: advisory occupancy estimate — documented as
-        // approximate; no caller derives ownership from it.
-        let tail = self.tail.load(Ordering::Relaxed);
-        let head = self.head.load(Ordering::Relaxed);
-        tail.wrapping_sub(head)
-    }
-
-    /// True when nothing is buffered (approximate under concurrency).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Enqueues `words`, discarding the oldest buffered event first if
@@ -84,7 +60,7 @@ impl Ring {
     // The Vyukov sequence comparison relies on wrapping signed
     // differences between free-running counters.
     #[allow(clippy::cast_possible_wrap)]
-    pub fn push(&self, words: [u64; 5]) {
+    pub(crate) fn push(&self, words: [u64; 5]) {
         let cap = self.slots.len();
         // ordering: Vyukov protocol — head/tail are mere position hints;
         // the per-slot `seq` Acquire/Release pair is the only edge that
@@ -139,7 +115,7 @@ impl Ring {
     /// Dequeues the oldest buffered event, or `None` when empty.
     // Same wrapping signed-difference idiom as `push`.
     #[allow(clippy::cast_possible_wrap)]
-    pub fn pop(&self) -> Option<[u64; 5]> {
+    pub(crate) fn pop(&self) -> Option<[u64; 5]> {
         let cap = self.slots.len();
         // ordering: position hint only, same discipline as `push` — the
         // slot's `seq` Acquire load decides whether the record is ready.
@@ -209,9 +185,9 @@ mod tests {
 
     #[test]
     fn capacity_rounds_up() {
-        assert_eq!(Ring::new(0).capacity(), 8);
-        assert_eq!(Ring::new(9).capacity(), 16);
-        assert_eq!(Ring::new(64).capacity(), 64);
+        assert_eq!(Ring::new(0).slots.len(), 8);
+        assert_eq!(Ring::new(9).slots.len(), 16);
+        assert_eq!(Ring::new(64).slots.len(), 64);
     }
 
     #[test]
@@ -238,17 +214,6 @@ mod tests {
             assert_eq!(r.pop(), Some(ev(i)));
         }
         assert_eq!(r.pop(), None);
-    }
-
-    #[test]
-    fn len_tracks_occupancy() {
-        let r = Ring::new(8);
-        assert!(r.is_empty());
-        r.push(ev(1));
-        r.push(ev(2));
-        assert_eq!(r.len(), 2);
-        r.pop();
-        assert_eq!(r.len(), 1);
     }
 
     #[test]
@@ -295,14 +260,16 @@ mod tests {
             })
         };
         let mut popped = Vec::new();
-        loop {
+        while !producer.is_finished() {
             match r.pop() {
                 Some(w) => popped.push(w[0]),
-                None if producer.is_finished() && r.is_empty() => break,
                 None => std::hint::spin_loop(),
             }
         }
         producer.join().unwrap();
+        while let Some(w) = r.pop() {
+            popped.push(w[0]);
+        }
         assert!(
             popped.windows(2).all(|w| w[0] < w[1]),
             "drop-oldest must preserve order of survivors"

@@ -98,10 +98,11 @@ fn main() {
     println!();
     print!("{}", report.summary());
 
-    // Cross-check: the trace's abort-reason breakdown must account for
-    // exactly the aborts the two STM instances counted, reason by
-    // reason (ring overflow would show up as `dropped`, so only assert
-    // when nothing was dropped).
+    // Cross-check: the trace's abort-reason breakdown against the aborts
+    // the two STM instances counted, reason by reason. Ring overflow can
+    // only hide aborts from the trace, never invent them: per reason the
+    // trace sees at most what the STMs counted, the shortfall is bounded
+    // by the dropped events, and with no drops the two agree exactly.
     let stm_total = vac_delta.aborts + intr_delta.aborts;
     println!();
     println!(
@@ -110,24 +111,27 @@ fn main() {
         stm_total,
         report.dropped
     );
-    if report.dropped == 0 {
-        assert_eq!(
-            report.total_aborts(),
-            stm_total,
-            "trace abort breakdown must sum to the STM stats total"
+    let mut missing = 0;
+    for reason in AbortReason::ALL {
+        let idx = reason.code() as usize;
+        let seen = report.abort_breakdown[idx];
+        let counted = vac_delta.abort_reasons[idx] + intr_delta.abort_reasons[idx];
+        assert!(
+            seen <= counted,
+            "{}: trace saw {seen} aborts > STM stats {counted}",
+            reason.name()
         );
-        for reason in AbortReason::ALL {
-            let idx = reason.code() as usize;
-            let stats_n = vac_delta.abort_reasons[idx] + intr_delta.abort_reasons[idx];
-            assert_eq!(
-                report.abort_breakdown[idx],
-                stats_n,
-                "per-reason mismatch for {}",
-                reason.name()
-            );
-        }
-        println!("cross-check OK: per-reason counts match the STM stats exactly");
+        missing += counted - seen;
     }
+    assert!(
+        missing <= report.dropped,
+        "trace missed {missing} aborts but dropped only {} events",
+        report.dropped
+    );
+    println!(
+        "cross-check OK: per reason trace <= STM stats, {missing} missed <= {} dropped",
+        report.dropped
+    );
 
     let jsonl = report.to_jsonl();
     let chrome = report.to_chrome_trace();
@@ -162,9 +166,7 @@ fn storm_postmortem(dir: &std::path::Path) {
 
     let session = TraceSession::start(TraceConfig {
         postmortem_dir: Some(dir.to_path_buf()),
-        drain_period: Duration::from_millis(2),
         manifest: vec![("mode".into(), "storm-smoke".into())],
-        ..TraceConfig::default()
     });
 
     // Injected one-in-3 kills guarantee a storm even on a single-CPU
@@ -185,7 +187,6 @@ fn storm_postmortem(dir: &std::path::Path) {
         });
     }
     rubic::trace::request_postmortem(codes::ANOMALY_ABORT_STORM);
-    std::thread::sleep(Duration::from_millis(50));
     let report = session.finish();
     let delta = stm.stats().snapshot().delta_since(&before);
 
@@ -250,10 +251,19 @@ fn storm_postmortem(dir: &std::path::Path) {
         manifest.contains("storm-smoke"),
         "config manifest extras missing"
     );
+    assert!(
+        manifest.contains("\"aborts\": {"),
+        "cumulative abort counts missing from manifest"
+    );
     balanced(&manifest, "manifest.json");
-    for name in ["histograms.json", "contention.json", "snapshot.json"] {
+    for name in ["histograms.json", "contention.json"] {
         balanced(&read(name), name);
     }
+    assert!(
+        !bundle.join("snapshot.json").exists(),
+        "a {} bundle holds five files",
+        rubic::trace::BUNDLE_SCHEMA
+    );
     for name in ["events.jsonl", "decisions.jsonl"] {
         for line in read(name).lines() {
             assert!(

@@ -25,6 +25,24 @@ fn serial() -> std::sync::MutexGuard<'static, ()> {
         .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
+/// Reconciles the trace's abort breakdown with the STM's own counts.
+/// Ring overflow can only hide aborts from the trace, never invent
+/// them: per reason the trace sees at most what the STM counted, the
+/// shortfall is bounded by the dropped events, and with no drops the
+/// two agree exactly.
+fn assert_aborts_reconcile(trace: &[u64], stm: &[u64], dropped: u64) {
+    let mut missing = 0;
+    for (code, (&seen, &counted)) in trace.iter().zip(stm).enumerate() {
+        let name = codes::abort_name(code as u8);
+        assert!(seen <= counted, "{name}: trace saw {seen} > STM {counted}");
+        missing += counted - seen;
+    }
+    assert!(
+        missing <= dropped,
+        "trace missed {missing} aborts but dropped only {dropped} events"
+    );
+}
+
 /// Records a short RUBIC-tuned red-black-tree run and returns the
 /// report plus the STM stats delta over exactly the session window.
 fn traced_rbt_run() -> (TraceReport, rubic::stm::StatsSnapshot) {
@@ -66,18 +84,12 @@ fn session_over_pool_records_the_whole_stack() {
     );
 
     // Abort attribution must reconcile with the STM's own counters,
-    // reason by reason, unless the ring dropped events.
-    if report.dropped == 0 {
-        assert_eq!(report.total_aborts(), delta.aborts);
-        for reason in AbortReason::ALL {
-            assert_eq!(
-                report.abort_breakdown[reason.code() as usize],
-                delta.abort_reasons[reason.code() as usize],
-                "mismatch for {}",
-                reason.name()
-            );
-        }
-    }
+    // reason by reason.
+    assert_aborts_reconcile(
+        &report.abort_breakdown,
+        &delta.abort_reasons,
+        report.dropped,
+    );
 }
 
 #[test]
@@ -219,13 +231,11 @@ mod chaos_interleaving {
             delta.abort_reasons[chaos_idx] > 0,
             "one-in-4 injection over 200 txns must kill some attempts"
         );
-        if report.dropped == 0 {
-            assert_eq!(
-                report.abort_breakdown[chaos_idx],
-                delta.abort_reasons[chaos_idx]
-            );
-            assert_eq!(report.total_aborts(), delta.aborts);
-        }
+        assert_aborts_reconcile(
+            &report.abort_breakdown,
+            &delta.abort_reasons,
+            report.dropped,
+        );
         // The injection points themselves are also traced.
         assert!(
             report.events.iter().any(|e| e.kind == EventKind::Chaos),

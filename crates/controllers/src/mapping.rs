@@ -70,10 +70,17 @@ impl Default for Topology {
 }
 
 /// A concrete thread-to-socket assignment for one process.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// Both shapes are arithmetic in `(level, topology)`, so a placement is
+/// those two plus the shape: `Copy`, no allocation however many sockets
+/// the machine has, and [`threads_on`](Placement::threads_on) derives any
+/// socket's count. The simulator builds one per process per round.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Placement {
-    /// Threads assigned to each socket (`per_socket.len() == sockets`).
-    pub per_socket: Vec<u32>,
+    level: u32,
+    topo: Topology,
+    /// Fill sockets in order (`compact`) rather than round-robin.
+    packed: bool,
     /// True when the assignment is pinned (thread affinity): the
     /// threads stay put and keep their caches warm. False models the
     /// no-affinity OS default, where the scheduler migrates threads
@@ -84,26 +91,15 @@ pub struct Placement {
 
 impl Placement {
     /// Fill sockets in order: socket 0 first, spill to 1 only when 0 is
-    /// at capacity, and so on.
+    /// at capacity, and so on. Past machine capacity the overflow wraps
+    /// round-robin from socket 0 (the threads exist; they just
+    /// oversubscribe).
     #[must_use]
     pub fn compact(level: u32, topo: &Topology) -> Self {
-        let mut per_socket = vec![0u32; topo.sockets as usize];
-        let mut remaining = level;
-        for slot in &mut per_socket {
-            let take = remaining.min(topo.contexts_per_socket);
-            *slot = take;
-            remaining -= take;
-        }
-        // Past machine capacity, wrap the overflow round-robin (the
-        // threads exist; they just oversubscribe).
-        let mut s = 0usize;
-        while remaining > 0 {
-            per_socket[s] += 1;
-            remaining -= 1;
-            s = (s + 1) % per_socket.len();
-        }
         Placement {
-            per_socket,
+            level,
+            topo: *topo,
+            packed: true,
             stable: true,
         }
     }
@@ -111,13 +107,10 @@ impl Placement {
     /// Spread threads round-robin across all sockets, pinned.
     #[must_use]
     pub fn scatter(level: u32, topo: &Topology) -> Self {
-        let n = topo.sockets as usize;
-        let mut per_socket = vec![level / topo.sockets; n];
-        for slot in per_socket.iter_mut().take((level % topo.sockets) as usize) {
-            *slot += 1;
-        }
         Placement {
-            per_socket,
+            level,
+            topo: *topo,
+            packed: false,
             stable: true,
         }
     }
@@ -132,16 +125,40 @@ impl Placement {
         }
     }
 
+    /// Threads placed on `socket` (0 for a socket the topology lacks).
+    #[must_use]
+    pub fn threads_on(&self, socket: u32) -> u32 {
+        let n = self.topo.sockets;
+        if socket >= n {
+            return 0;
+        }
+        // Both shapes deal `spill` threads round-robin from socket 0 on
+        // top of a `base`: scatter deals every thread, compact only
+        // what the machine cannot hold after filling sockets in order.
+        let (base, spill) = if self.packed {
+            let cap = u64::from(self.topo.contexts_per_socket);
+            let before = u64::from(socket) * cap;
+            let base = (u64::from(self.level).saturating_sub(before)).min(cap) as u32;
+            let spill = u64::from(self.level).saturating_sub(u64::from(n) * cap) as u32;
+            (base, spill)
+        } else {
+            (0, self.level)
+        };
+        base + spill / n + u32::from(socket < spill % n)
+    }
+
     /// Total threads placed.
     #[must_use]
     pub fn total(&self) -> u32 {
-        self.per_socket.iter().sum()
+        self.level
     }
 
     /// Sockets with at least one thread.
     #[must_use]
     pub fn sockets_used(&self) -> u32 {
-        self.per_socket.iter().filter(|&&n| n > 0).count() as u32
+        (0..self.topo.sockets)
+            .filter(|&s| self.threads_on(s) > 0)
+            .count() as u32
     }
 
     /// How spread out the placement is: `1 − max_socket/total`, i.e. the
@@ -154,7 +171,10 @@ impl Placement {
         if total == 0 {
             return 0.0;
         }
-        let max = self.per_socket.iter().copied().max().unwrap_or(0);
+        // Both shapes fill socket 0 first and never put more threads on
+        // a later socket than on an earlier one, so socket 0 is the
+        // most populated.
+        let max = self.threads_on(0);
         1.0 - f64::from(max) / f64::from(total)
     }
 }
@@ -308,6 +328,10 @@ impl MappingPolicy {
 mod tests {
     use super::*;
 
+    fn per_socket(p: Placement) -> Vec<u32> {
+        (0..p.topo.sockets).map(|s| p.threads_on(s)).collect()
+    }
+
     #[test]
     fn paper_topology_is_4x16() {
         let t = Topology::paper();
@@ -319,21 +343,21 @@ mod tests {
     #[test]
     fn compact_fills_before_spilling() {
         let t = Topology::paper();
-        assert_eq!(Placement::compact(7, &t).per_socket, vec![7, 0, 0, 0]);
-        assert_eq!(Placement::compact(16, &t).per_socket, vec![16, 0, 0, 0]);
-        assert_eq!(Placement::compact(17, &t).per_socket, vec![16, 1, 0, 0]);
-        assert_eq!(Placement::compact(64, &t).per_socket, vec![16, 16, 16, 16]);
+        assert_eq!(per_socket(Placement::compact(7, &t)), vec![7, 0, 0, 0]);
+        assert_eq!(per_socket(Placement::compact(16, &t)), vec![16, 0, 0, 0]);
+        assert_eq!(per_socket(Placement::compact(17, &t)), vec![16, 1, 0, 0]);
+        assert_eq!(per_socket(Placement::compact(64, &t)), vec![16, 16, 16, 16]);
         // Past capacity: overflow wraps, nothing is lost.
         let over = Placement::compact(70, &t);
         assert_eq!(over.total(), 70);
-        assert_eq!(over.per_socket, vec![18, 18, 17, 17]);
+        assert_eq!(per_socket(over), vec![18, 18, 17, 17]);
     }
 
     #[test]
     fn scatter_spreads_evenly() {
         let t = Topology::paper();
-        assert_eq!(Placement::scatter(6, &t).per_socket, vec![2, 2, 1, 1]);
-        assert_eq!(Placement::scatter(64, &t).per_socket, vec![16, 16, 16, 16]);
+        assert_eq!(per_socket(Placement::scatter(6, &t)), vec![2, 2, 1, 1]);
+        assert_eq!(per_socket(Placement::scatter(64, &t)), vec![16, 16, 16, 16]);
         assert_eq!(Placement::scatter(1, &t).sockets_used(), 1);
     }
 
@@ -341,7 +365,7 @@ mod tests {
     fn blind_spreads_but_is_unstable() {
         let t = Topology::paper();
         let b = Placement::blind(8, &t);
-        assert_eq!(b.per_socket, Placement::scatter(8, &t).per_socket);
+        assert_eq!(per_socket(b), per_socket(Placement::scatter(8, &t)));
         assert!(!b.stable);
         assert!(Placement::scatter(8, &t).stable);
         assert!(Placement::compact(8, &t).stable);
@@ -364,11 +388,31 @@ mod tests {
 
     #[test]
     fn placements_conserve_threads() {
-        let t = Topology::paper();
-        for level in 0..=128 {
-            assert_eq!(Placement::compact(level, &t).total(), level);
-            assert_eq!(Placement::scatter(level, &t).total(), level);
-            assert_eq!(Placement::blind(level, &t).total(), level);
+        let topos = [
+            Topology::paper(),
+            Topology::flat(2),
+            Topology {
+                sockets: 3,
+                contexts_per_socket: 5,
+            },
+        ];
+        for t in topos {
+            for level in 0..=128 {
+                for p in [
+                    Placement::compact(level, &t),
+                    Placement::scatter(level, &t),
+                    Placement::blind(level, &t),
+                ] {
+                    let counts = per_socket(p);
+                    assert_eq!(counts.iter().sum::<u32>(), level, "{p:?}");
+                    assert_eq!(p.total(), level);
+                    // Socket 0 is the busiest: `spread_fraction` reads it.
+                    assert!(counts.windows(2).all(|w| w[0] >= w[1]), "{p:?}");
+                    if p.packed && level <= t.total_contexts() {
+                        assert!(counts.iter().all(|&n| n <= t.contexts_per_socket));
+                    }
+                }
+            }
         }
     }
 

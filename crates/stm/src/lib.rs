@@ -58,9 +58,10 @@
 //! report commit-rate — the throughput metric of the paper's evaluation.
 
 #![warn(missing_docs)]
-// `unsafe` is confined to `tvar.rs` (epoch-pointer dereferences) and
-// justified inline at each site; any future `unsafe fn` must spell its
-// internal unsafety out block by block.
+// `unsafe` is confined to `tvar.rs` (epoch-pointer dereferences, the
+// handle count, the descent link `read_path` follows) and justified
+// inline at each site; CI greps the other files for it. A future
+// unsafe function must spell its internal unsafety out block by block.
 #![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod abort;
@@ -80,7 +81,7 @@ pub use stats::{take_thread_aborts, StatsSnapshot, StmStats};
 pub use stm::Stm;
 pub use trc::trace_footprint;
 pub use tvar::TVar;
-pub use txn::{StmError, Transaction, TxFootprint, TxResult};
+pub use txn::{Step, StmError, Transaction, TxFootprint, TxResult};
 
 /// Marker alias for types storable in a [`TVar`]: cloneable, shareable
 /// across threads, and owning (`'static`, since committed values outlive

@@ -18,9 +18,13 @@
 //! attempt's pin keeps the word alive — and a first read costs no
 //! reference-count write (`PinnedReads`).
 //!
+//! A borrowed descent (`Transaction::read_path`) goes one step further
+//! and follows child variables held inside node values it read without
+//! taking a handle at all (`PathLink`), for the same reason.
+//!
 //! This module is the only home of `unsafe` in the crate; each use is a
-//! guard-protected dereference, the handle-count protocol, or the
-//! uniquely-owned drop.
+//! guard-protected dereference, the handle-count protocol, the
+//! uniquely-owned drop, or a descent link.
 
 use std::ptr::NonNull;
 
@@ -292,6 +296,44 @@ impl<T: TxValue> Drop for TVar<T> {
         // before this retirement, so the epoch keeps the box alive until
         // they unpin. `T: Send + Sync` makes it droppable on any thread.
         unsafe { guard.defer_destroy(Shared::from(self.core.as_ptr().cast_const())) };
+    }
+}
+
+/// One link of a borrowed descent ([`crate::Transaction::read_path`]):
+/// a variable held by address, with no handle counted.
+///
+/// A descent starts at the caller's root and follows child handles that
+/// live *inside* node values it read. Holding such a child as a counted
+/// [`TVar`] would cost a `fetch_add`/`fetch_sub` pair on the child's
+/// handle count, beside the lock word every reader samples; a link costs
+/// nothing.
+///
+/// # Contract
+/// Only `read_path` makes links, from its `root` argument or from a
+/// child handle inside a value it read, and none outlives its call —
+/// the conditions [`var`](Self::var)'s dereference relies on.
+pub(crate) struct PathLink<T: TxValue>(NonNull<TVar<T>>);
+
+impl<T: TxValue> PathLink<T> {
+    #[inline]
+    pub(crate) fn to(var: &TVar<T>) -> Self {
+        PathLink(NonNull::from(var))
+    }
+
+    /// The linked variable.
+    #[inline]
+    pub(crate) fn var(&self) -> &TVar<T> {
+        // SAFETY: the link was made inside one `read_path` call, either
+        // from the caller's root (borrowed for the whole call) or from a
+        // child handle inside a node value that call observed. Such a
+        // value is either published — retired only through the epoch, so
+        // not freed before the attempt unpins — or the pending value of
+        // one of this transaction's write slots, which only `write`,
+        // `commit` and `abort` replace or drop. `read_path` holds the
+        // transaction mutably for the whole walk and does none of these
+        // and never repins, so the value, the handle inside it and the
+        // core that handle counts all outlive the link.
+        unsafe { self.0.as_ref() }
     }
 }
 

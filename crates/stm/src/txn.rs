@@ -64,7 +64,10 @@
 //!   variable's lock-word pointer plus the observed version, kept alive
 //!   by the attempt's pin (`PinnedReads`) rather than by a counted
 //!   handle, so a read-only transaction performs no read-modify-write
-//!   on memory another thread can reach.
+//!   on memory another thread can reach. `read_path` carries that one
+//!   level up, to structures with a `TVar` per node: it follows the
+//!   child variables held inside the values it reads by borrowing them,
+//!   so a descent takes no handle either.
 //! * The read/write-set indices are [`crate::index::VarIndex`]: a dense
 //!   linear-scanned vector for counter-sized footprints, spilling into
 //!   an FxHash map for larger ones. No SipHash on the hot path.
@@ -92,7 +95,7 @@ use crate::chaos::{self, ChaosPoint};
 use crate::clock;
 use crate::index::VarIndex;
 use crate::trc;
-use crate::tvar::{PinnedReads, ReadBuf, TVar, TVarCore};
+use crate::tvar::{PathLink, PinnedReads, ReadBuf, TVar, TVarCore};
 use crate::vlock::{LockWord, VLock};
 use crate::TxValue;
 
@@ -132,6 +135,15 @@ impl std::error::Error for StmError {}
 
 /// Result alias for transactional operations.
 pub type TxResult<T> = Result<T, StmError>;
+
+/// What one step of [`Transaction::read_path`] decided about the node
+/// it was shown.
+pub enum Step<'a, T: TxValue, R> {
+    /// Descend into this variable, borrowed from the node's value.
+    Child(&'a TVar<T>),
+    /// Stop here with this result.
+    Done(R),
+}
 
 /// Object-safe view of a buffered write.
 trait WriteSlot: Send {
@@ -564,6 +576,47 @@ impl Transaction {
                 None => self.record_read(var, addr, w1.version()),
             }
             return Ok(result);
+        }
+    }
+
+    /// Reads a path of variables from `root`, following child variables
+    /// held *inside* the values it reads without taking a handle to
+    /// them — the descent of a structure with one `TVar` per node.
+    ///
+    /// `step` sees each variable and its value and names the next
+    /// variable ([`Step::Child`], borrowed from that value) or finishes
+    /// ([`Step::Done`]). Each node is read exactly as
+    /// [`read_with`](Self::read_with) reads it — read-your-writes, lock
+    /// samples, extension, one read-set record per first read — so the
+    /// conflict footprint is every node on the path. What changes is the
+    /// link between nodes: a borrowed child instead of a cloned handle,
+    /// so a descent performs no handle-count write at all. That is sound
+    /// for the reason the read set already borrows the pin: a node value
+    /// is retired only through the epoch, so the child handles inside it
+    /// outlive this attempt's pin, and no reference escapes the call.
+    ///
+    /// Like `read_with`'s closure, `step` may run more than once per node
+    /// and must be pure.
+    ///
+    /// # Errors
+    /// [`StmError::Conflict`] under the same conditions as `read`, at
+    /// any node of the path.
+    pub fn read_path<T: TxValue, R>(
+        &mut self,
+        root: &TVar<T>,
+        mut step: impl for<'a> FnMut(&'a TVar<T>, &'a T) -> Step<'a, T, R>,
+    ) -> TxResult<R> {
+        let mut link = PathLink::to(root);
+        loop {
+            let var = link.var();
+            let next = self.read_with(var, |node| match step(var, node) {
+                Step::Child(kid) => Err(PathLink::to(kid)),
+                Step::Done(out) => Ok(out),
+            })?;
+            match next {
+                Ok(out) => return Ok(out),
+                Err(kid) => link = kid,
+            }
         }
     }
 
@@ -1094,6 +1147,46 @@ mod tests {
         untouched("restart");
         drop(t);
         untouched("drop");
+    }
+
+    /// `read_path` reads every node of the path like `read_with` —
+    /// recorded once, served from the write set when written — and
+    /// follows the children it borrows without counting a handle.
+    #[test]
+    fn read_path_records_each_node_and_takes_no_handle() {
+        #[derive(Clone)]
+        enum Chain {
+            Next(TVar<Chain>),
+            End(u64),
+        }
+        let walk = |tx: &mut Transaction, head: &TVar<Chain>| {
+            tx.read_path(head, |_, node| match node {
+                Chain::Next(next) => Step::Child(next),
+                Chain::End(v) => Step::Done(*v),
+            })
+        };
+        let tail = TVar::new(Chain::End(7));
+        let other = TVar::new(Chain::End(9));
+        let mid = TVar::new(Chain::Next(tail.clone()));
+        let head = TVar::new(Chain::Next(mid.clone()));
+        let counts = || [&head, &mid, &tail, &other].map(TVar::handle_count);
+        let before = counts();
+
+        let mut t = Transaction::begin();
+        assert_eq!(walk(&mut t, &head), Ok(7));
+        assert_eq!(t.read_set_len(), 3, "every node recorded");
+        assert_eq!(counts(), before, "no handle taken");
+        assert_eq!(walk(&mut t, &head), Ok(7));
+        assert_eq!(t.read_set_len(), 3, "repeated reads are not re-recorded");
+        // A pending node is followed through the write set.
+        t.write(&mid, Chain::Next(other.clone())).unwrap();
+        assert_eq!(walk(&mut t, &head), Ok(9));
+        assert_eq!(t.read_set_len(), 4, "`other` joined the path");
+        t.commit().unwrap();
+        drop(t);
+        // The write slot let go of `mid`; `mid`'s new value holds `other`
+        // (`tail`'s count falls once the epoch frees the old value).
+        assert_eq!([counts()[0], counts()[1], counts()[3]], [1, 2, 2]);
     }
 
     /// Same-type slot allocations are reused even when the retry touches

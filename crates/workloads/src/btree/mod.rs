@@ -8,6 +8,12 @@
 //! it actually touched, so updates on disjoint subtrees commute and
 //! readers on other subtrees never even validate against them.
 //!
+//! Every descent is one [`Transaction::read_path`]: each node is read
+//! and recorded like any transactional read, but the step to the child
+//! borrows the child's handle out of the node's value instead of
+//! cloning it, so a look-up writes no handle count on its way down and
+//! an `edit` clones exactly one handle, the leaf it writes.
+//!
 //! Splits and merges are copy-on-write *inside* the writing
 //! transaction: a split builds the sibling in a freshly allocated
 //! `TVar` (invisible to everyone until the parent write commits) and
@@ -28,7 +34,7 @@ pub mod node;
 
 use std::sync::Arc;
 
-use rubic_stm::{TVar, Transaction, TxResult, TxValue};
+use rubic_stm::{Step, TVar, Transaction, TxResult, TxValue};
 
 use crate::mapapi::{Edit, TOrdMap};
 use crate::tmap::TKey;
@@ -56,14 +62,6 @@ pub struct TBTreeMap<K: TKey, V: TxValue> {
     /// Base trace label; interior nodes created by splits are labelled
     /// `{label}/node@d{depth}`.
     label: Option<Arc<str>>,
-}
-
-/// One step of a root-to-leaf descent, computed inside `read_with` so
-/// only the child handle (an `Arc` clone) or the leaf's entries escape
-/// the closure.
-enum Step<K: TKey, V: TxValue> {
-    Child(usize, NodeVar<K, V>),
-    AtLeaf(Vec<(K, V)>),
 }
 
 /// What a traversal read out of one node.
@@ -94,6 +92,13 @@ impl<K: TKey, V: TxValue> TBTreeMap<K, V> {
         }
     }
 
+    /// The root node's variable, fixed for the map's life (inspection:
+    /// versions, handle counts, the nodes below it).
+    #[must_use]
+    pub fn root(&self) -> &NodeVar<K, V> {
+        &self.root
+    }
+
     /// Allocates a node `TVar`, labelling it with its creation depth
     /// when the map is labelled.
     fn alloc(&self, node: Node<K, V>, depth: usize) -> NodeVar<K, V> {
@@ -103,34 +108,40 @@ impl<K: TKey, V: TxValue> TBTreeMap<K, V> {
         }
     }
 
-    /// Descends from the root to the leaf owning `key`, recording the
-    /// branch path as `(node, child index)` pairs and returning the
-    /// leaf's handle and entries. Every node on the path lands in the
-    /// read set — that is the conflict footprint.
-    #[allow(clippy::type_complexity)]
-    fn descend(
+    /// Descends from the root to the leaf owning `key` and hands `at_leaf`
+    /// the leaf's variable and entries. One borrowed descent: every node
+    /// on the path lands in the read set — that is the conflict
+    /// footprint — and no handle is cloned on the way down.
+    fn descend<R>(
         &self,
         tx: &mut Transaction,
         key: &K,
-        path: &mut Vec<(NodeVar<K, V>, usize)>,
-    ) -> TxResult<(NodeVar<K, V>, Vec<(K, V)>)> {
+        mut at_leaf: impl FnMut(&NodeVar<K, V>, &[(K, V)]) -> R,
+    ) -> TxResult<R> {
+        tx.read_path(&self.root, |var, node| match node {
+            Node::Branch { seps, kids } => Step::Child(&kids[Node::<K, V>::child_index(seps, key)]),
+            Node::Leaf(entries) => Step::Done(at_leaf(var, entries)),
+        })
+    }
+
+    /// The branch path from the root to `key`'s leaf as `(node, child
+    /// index)` pairs, for a structural change only. The descent already
+    /// recorded every node on it, so these are repeated reads: they
+    /// validate against the read set and add nothing to the footprint.
+    #[allow(clippy::type_complexity)]
+    fn path_to(&self, tx: &mut Transaction, key: &K) -> TxResult<Vec<(NodeVar<K, V>, usize)>> {
+        let mut path = Vec::new();
         let mut cur = self.root.clone();
-        loop {
-            let step = tx.read_with(&cur, |n| match n {
-                Node::Branch { seps, kids } => {
-                    let i = Node::<K, V>::child_index(seps, key);
-                    Step::Child(i, kids[i].clone())
-                }
-                Node::Leaf(entries) => Step::AtLeaf(entries.clone()),
-            })?;
-            match step {
-                Step::Child(i, child) => {
-                    path.push((cur, i));
-                    cur = child;
-                }
-                Step::AtLeaf(entries) => return Ok((cur, entries)),
+        while let Some((i, kid)) = tx.read_with(&cur, |n| match n {
+            Node::Branch { seps, kids } => {
+                let i = Node::<K, V>::child_index(seps, key);
+                Some((i, kids[i].clone()))
             }
+            Node::Leaf(_) => None,
+        })? {
+            path.push((std::mem::replace(&mut cur, kid), i));
         }
+        Ok(path)
     }
 
     /// Reads `var` as the branch the descent proved it to be.
@@ -478,25 +489,12 @@ impl<K: TKey, V: TxValue> TOrdMap<K, V> for TBTreeMap<K, V> {
     }
 
     fn get(&self, tx: &mut Transaction, key: &K) -> TxResult<Option<V>> {
-        let mut cur = self.root.clone();
-        loop {
-            // Lookups don't need the path: each level either returns
-            // the value or the next child handle.
-            let step = tx.read_with(&cur, |n| match n {
-                Node::Branch { seps, kids } => {
-                    let i = Node::<K, V>::child_index(seps, key);
-                    Err(kids[i].clone())
-                }
-                Node::Leaf(entries) => Ok(entries
-                    .binary_search_by(|(k, _)| k.cmp(key))
-                    .ok()
-                    .map(|i| entries[i].1.clone())),
-            })?;
-            match step {
-                Ok(found) => return Ok(found),
-                Err(child) => cur = child,
-            }
-        }
+        self.descend(tx, key, |_, entries| {
+            entries
+                .binary_search_by(|(k, _)| k.cmp(key))
+                .ok()
+                .map(|i| entries[i].1.clone())
+        })
     }
 
     fn contains(&self, tx: &mut Transaction, key: &K) -> TxResult<bool> {
@@ -509,8 +507,9 @@ impl<K: TKey, V: TxValue> TOrdMap<K, V> for TBTreeMap<K, V> {
         key: &K,
         f: impl FnOnce(Option<&V>) -> (Edit<V>, R),
     ) -> TxResult<R> {
-        let mut path = Vec::new();
-        let (leaf, mut entries) = self.descend(tx, key, &mut path)?;
+        // The one handle an edit clones: the leaf it may write.
+        let (leaf, mut entries) =
+            self.descend(tx, key, |var, entries| (var.clone(), entries.to_vec()))?;
         let found = entries.binary_search_by(|(k, _)| k.cmp(key));
         let (decision, out) = f(found.ok().map(|i| &entries[i].1));
         match (decision, found) {
@@ -524,18 +523,28 @@ impl<K: TKey, V: TxValue> TOrdMap<K, V> for TBTreeMap<K, V> {
                 if entries.len() <= MAX_LEAF {
                     tx.write(&leaf, Node::Leaf(entries))?;
                 } else {
+                    let path = self.path_to(tx, key)?;
                     self.split_up(tx, &leaf, entries, path)?;
                 }
             }
             (Edit::Remove, Ok(i)) => {
                 entries.remove(i);
-                let mut underfull = entries.len() < MIN_LEAF && !path.is_empty();
+                let underfull = entries.len() < MIN_LEAF && !leaf.ptr_eq(&self.root);
                 tx.write(&leaf, Node::Leaf(entries))?;
-                while underfull {
-                    let (pvar, idx) = path.pop().expect("underfull implies a parent");
-                    underfull = self.rebalance(tx, &pvar, idx)? && !path.is_empty();
+                if underfull {
+                    let mut path = self.path_to(tx, key)?;
+                    // Rebalance bottom-up while merges leave the parent
+                    // underfull; only a merge into the root can leave it
+                    // with one child to pull up.
+                    while let Some((pvar, idx)) = path.pop() {
+                        if !self.rebalance(tx, &pvar, idx)? {
+                            break;
+                        }
+                        if path.is_empty() {
+                            self.collapse_root(tx)?;
+                        }
+                    }
                 }
-                self.collapse_root(tx)?;
             }
             // Zero writes, so keeps and no-op removals on disjoint keys
             // never conflict with each other.
@@ -545,14 +554,12 @@ impl<K: TKey, V: TxValue> TOrdMap<K, V> for TBTreeMap<K, V> {
     }
 
     fn len(&self, tx: &mut Transaction) -> TxResult<usize> {
-        let root = self.root.clone();
-        self.count(tx, &root)
+        self.count(tx, &self.root)
     }
 
     fn entries(&self, tx: &mut Transaction) -> TxResult<Vec<(K, V)>> {
         let mut out = Vec::new();
-        let root = self.root.clone();
-        self.collect(tx, &root, &mut out)?;
+        self.collect(tx, &self.root, &mut out)?;
         Ok(out)
     }
 

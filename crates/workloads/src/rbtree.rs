@@ -14,19 +14,22 @@
 //!
 //! "Red-black tree" is the paper's name for the workload, kept here;
 //! the map under it is not one. The workload is generic over the map
-//! backend ([`crate::mapapi::MapFamily`]): [`RbTreeWorkload`] is the
-//! default snapshot cell ([`crate::tmap::TMap`]: one persistent
-//! B+-tree, [`crate::pers::PMap`], behind one `TVar`; every update
-//! conflicts with every update), while `RbTreeWorkloadOn<BTreeFamily>`
-//! runs the same mix on the per-node [`crate::btree::TBTreeMap`] — the
-//! stmbench `structure` axis.
+//! backend ([`crate::mapapi::MapFamily`]): [`RbTreeWorkload`] runs on
+//! the per-node B+-tree ([`crate::btree::TBTreeMap`]), which, like the
+//! RSTM red-black tree the paper measured, keeps a transaction's
+//! conflicts on the path it touched: a look-up is one borrowed descent
+//! that writes no shared line, an update rewrites one leaf. `RbTreeWorkloadOn<SnapshotFamily>`
+//! runs the same mix on the snapshot cell ([`crate::tmap::TMap`]: one
+//! persistent B+-tree behind one `TVar`, so every update conflicts with
+//! every update and with every look-up) — the stmbench `structure`
+//! axis.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use rubic_runtime::Workload;
 use rubic_stm::Stm;
 
-use crate::mapapi::{Edit, MapFamily, SnapshotFamily, TOrdMap};
+use crate::mapapi::{BTreeFamily, Edit, MapFamily, TOrdMap};
 
 /// Operation mix for [`RbTreeWorkload`], in parts per thousand.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -141,8 +144,9 @@ pub struct RbTreeWorkloadOn<F: MapFamily> {
     stm: Stm,
 }
 
-/// The default backend: the snapshot cell ([`crate::tmap::TMap`]).
-pub type RbTreeWorkload = RbTreeWorkloadOn<SnapshotFamily>;
+/// The default backend: the per-node B+-tree
+/// ([`crate::btree::TBTreeMap`]).
+pub type RbTreeWorkload = RbTreeWorkloadOn<BTreeFamily>;
 
 impl<F: MapFamily> RbTreeWorkloadOn<F> {
     /// Builds the tree and fills it with `initial_size` random keys.
@@ -225,7 +229,7 @@ impl<F: MapFamily> Workload for RbTreeWorkloadOn<F> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mapapi::BTreeFamily;
+    use crate::mapapi::SnapshotFamily;
 
     #[test]
     fn initial_fill_reaches_target_size() {
@@ -234,8 +238,8 @@ mod tests {
     }
 
     #[test]
-    fn btree_backend_fill_reaches_target_size() {
-        let w = RbTreeWorkloadOn::<BTreeFamily>::new(RbTreeConfig::small(), Stm::default());
+    fn snapshot_backend_fill_reaches_target_size() {
+        let w = RbTreeWorkloadOn::<SnapshotFamily>::new(RbTreeConfig::small(), Stm::default());
         assert_eq!(w.map().check_invariants(), Ok(512));
     }
 
@@ -289,8 +293,8 @@ mod tests {
     }
 
     #[test]
-    fn btree_backend_runs_the_same_mix() {
-        let w = RbTreeWorkloadOn::<BTreeFamily>::new(
+    fn snapshot_backend_runs_the_same_mix() {
+        let w = RbTreeWorkloadOn::<SnapshotFamily>::new(
             RbTreeConfig::small().with_mix(OpMix::write_heavy()),
             Stm::default(),
         );
@@ -298,7 +302,7 @@ mod tests {
         for _ in 0..2000 {
             w.run_task(&mut st);
         }
-        let len = w.map().check_invariants().expect("btree invariants") as f64;
+        let len = w.map().check_invariants().expect("snapshot invariants") as f64;
         assert!(
             (300.0..=724.0).contains(&len),
             "tree size drifted wildly: {len}"
@@ -310,8 +314,8 @@ mod tests {
         // Identical config + seeds ⇒ identical single-threaded op
         // streams ⇒ identical final contents on both backends.
         let cfg = RbTreeConfig::small().with_mix(OpMix::write_heavy());
-        let a = RbTreeWorkload::new(cfg.clone(), Stm::default());
-        let b = RbTreeWorkloadOn::<BTreeFamily>::new(cfg, Stm::default());
+        let a = RbTreeWorkloadOn::<SnapshotFamily>::new(cfg.clone(), Stm::default());
+        let b = RbTreeWorkload::new(cfg, Stm::default());
         let mut sa = a.init_worker(0);
         let mut sb = b.init_worker(0);
         for _ in 0..1500 {

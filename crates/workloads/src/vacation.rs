@@ -22,6 +22,15 @@
 //! `-n2 -q90 -u98`) and "high contention" (`vacation-high`:
 //! `-n4 -q60 -u90`) are provided as presets; the paper's Fig. 6 places
 //! Vacation in the middle of the scalability spectrum.
+//!
+//! The tables are per-node B-trees ([`crate::btree::TBTreeMap`]) by
+//! default, as STAMP's are per-node red-black trees: a session conflicts
+//! only with sessions whose paths it shares, a look-up is one borrowed
+//! descent that writes no shared line, and an update rewrites one leaf.
+//! `VacationWorkloadOn<SnapshotFamily>` runs the same sessions on
+//! snapshot-cell tables ([`crate::tmap::TMap`], where every update
+//! conflicts with every other on the same table) — the stmbench
+//! `structure` axis.
 
 use std::sync::Arc;
 
@@ -30,7 +39,7 @@ use rand::{Rng, SeedableRng};
 use rubic_runtime::Workload;
 use rubic_stm::{Stm, Transaction, TxResult};
 
-use crate::mapapi::{Edit, MapFamily, SnapshotFamily, TOrdMap};
+use crate::mapapi::{BTreeFamily, Edit, MapFamily, TOrdMap};
 
 /// One of the three reservable resource types.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -200,8 +209,8 @@ pub struct ManagerOn<F: MapFamily> {
     customers: F::Map<u64, Customer>,
 }
 
-/// The historical default: snapshot-cell tables.
-pub type Manager = ManagerOn<SnapshotFamily>;
+/// The default: per-node B-tree tables, as STAMP's per-node trees.
+pub type Manager = ManagerOn<BTreeFamily>;
 
 impl<F: MapFamily> ManagerOn<F> {
     /// Creates empty tables.
@@ -408,8 +417,8 @@ pub struct VacationWorkloadOn<F: MapFamily> {
     stm: Stm,
 }
 
-/// The historical default: snapshot-cell tables.
-pub type VacationWorkload = VacationWorkloadOn<SnapshotFamily>;
+/// The default: per-node B-tree tables ([`Manager`]).
+pub type VacationWorkload = VacationWorkloadOn<BTreeFamily>;
 
 impl<F: MapFamily> VacationWorkloadOn<F> {
     /// Populates the four tables: every relation row gets 100–500 units
@@ -573,9 +582,9 @@ mod tests {
     }
 
     #[test]
-    fn btree_tables_run_the_same_sessions() {
-        use crate::mapapi::BTreeFamily;
-        let w = VacationWorkloadOn::<BTreeFamily>::new(small(), Stm::default());
+    fn snapshot_tables_run_the_same_sessions() {
+        use crate::mapapi::SnapshotFamily;
+        let w = VacationWorkloadOn::<SnapshotFamily>::new(small(), Stm::default());
         let mut state = w.init_worker(0);
         for _ in 0..500 {
             w.run_task(&mut state);
@@ -587,7 +596,7 @@ mod tests {
             w.manager()
                 .table(kind)
                 .check_invariants()
-                .expect("btree table invariants");
+                .expect("snapshot table invariants");
         }
     }
 

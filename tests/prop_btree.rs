@@ -299,3 +299,225 @@ fn read_only_descents_survive_splits_and_merges() {
     assert_eq!(delta.ro_commits, lookups, "one commit per lookup");
     map.check_invariants().expect("invariants after the run");
 }
+
+/// A key whose comparisons sample the handle counts of the nodes this
+/// thread watches, so a descent that holds a cloned handle while it
+/// routes through a node is caught in the act, not only afterwards.
+#[derive(Clone, Debug, PartialEq, Eq)]
+struct Probe(u64);
+
+type ProbeVar = rubic::workloads::btree::node::NodeVar<Probe, u64>;
+
+thread_local! {
+    /// `(node, its handle count at rest)` pairs this thread watches.
+    static WATCHED: std::cell::RefCell<Vec<(ProbeVar, usize)>> =
+        const { std::cell::RefCell::new(Vec::new()) };
+    /// Largest count above rest any comparison on this thread saw.
+    static EXCESS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+impl Ord for Probe {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        WATCHED.with(|w| {
+            for (var, rest) in w.borrow().iter() {
+                let extra = var.handle_count().saturating_sub(*rest);
+                EXCESS.with(|e| e.set(e.get().max(extra)));
+            }
+        });
+        self.0.cmp(&other.0)
+    }
+}
+
+impl PartialOrd for Probe {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+/// Pumps the epoch until `done` holds or 20 s pass; reclamation waits
+/// for every pinned thread, other tests' included.
+fn pump_epoch_until(done: impl Fn() -> bool) {
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
+    while !done() && std::time::Instant::now() < deadline {
+        crossbeam_epoch::pin().flush();
+        std::thread::yield_now();
+    }
+}
+
+/// The btree twin of the engine's
+/// `reads_leave_every_handle_count_unchanged`: a `get` and a
+/// non-structural `edit`, racing a writer that commits on another
+/// thread, never change the handle count of the root or of an interior
+/// node — not after the operation and not while it routes through
+/// them (every key comparison samples both). And a `get` still records
+/// every node of its path: on a depth-d tree its read set holds d + 1
+/// nodes, root to leaf.
+#[test]
+fn descents_take_no_handle_and_keep_their_footprint() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    const KEYS: u64 = 2000;
+    let stm = Stm::default();
+    let map: Arc<TBTreeMap<Probe, u64>> = Arc::new(TBTreeMap::new());
+    for k in 0..KEYS {
+        let k = (k * 2_654_435_761) % KEYS;
+        stm.atomically(|tx| map.insert(tx, Probe(k), k));
+    }
+    let (_, depth) = map.check_shape().expect("btree invariants");
+    assert!(depth >= 2, "needs an interior node below the root: {depth}");
+
+    let root = map.root().clone();
+    let interior = match map.root().snapshot() {
+        rubic::workloads::btree::node::Node::Branch { kids, .. } => kids[0].clone(),
+        rubic::workloads::btree::node::Node::Leaf(_) => unreachable!("depth >= 2"),
+    };
+    // At rest: the root is held by the map, `root` and the watch list;
+    // the interior node by the root's published value, `interior` and
+    // the watch list, once the fill's retired root versions are gone.
+    pump_epoch_until(|| interior.handle_count() == 2);
+    WATCHED.with(|w| *w.borrow_mut() = vec![(root.clone(), 3), (interior.clone(), 3)]);
+    let at_rest = |step: &str| {
+        assert_eq!(root.handle_count(), 3, "root after {step}");
+        assert_eq!(interior.handle_count(), 3, "interior after {step}");
+    };
+    at_rest("the fill");
+
+    let stop = Arc::new(AtomicBool::new(false));
+    let writer = {
+        let (stm, map, stop) = (stm.clone(), Arc::clone(&map), Arc::clone(&stop));
+        std::thread::spawn(move || {
+            let mut commits = 0u64;
+            // Replacements of present keys: leaf writes, no split.
+            while !stop.load(Ordering::Relaxed) || commits < 200 {
+                let k = KEYS / 2 + commits % (KEYS / 2);
+                stm.atomically(|tx| map.insert(tx, Probe(k), commits));
+                commits += 1;
+            }
+        })
+    };
+    for i in 0..2000u64 {
+        let k = (i * 7) % KEYS;
+        let (found, reads) = stm.read_only(|tx| Ok((map.get(tx, &Probe(k))?, tx.read_set_len())));
+        assert!(found.is_some(), "key {k} present");
+        assert_eq!(reads, depth + 1, "one read-set entry per path node");
+        at_rest("get");
+        stm.atomically(|tx| {
+            map.edit(tx, &Probe(k), |held| {
+                (Edit::Put(held.copied().unwrap_or(0) + 1), ())
+            })
+        });
+        at_rest("edit");
+    }
+    stop.store(true, Ordering::Relaxed);
+    writer.join().expect("writer");
+    let excess = EXCESS.with(std::cell::Cell::get);
+    WATCHED.with(|w| w.borrow_mut().clear());
+    assert_eq!(excess, 0, "a descent held a counted handle mid-walk");
+    map.check_invariants()
+        .expect("btree invariants after the race");
+}
+
+/// A leaf unlinked by a concurrent merge is not freed while a
+/// `read_path` that followed its parent is still walking: the descent
+/// holds the leaf by address only, and what keeps it alive is the
+/// attempt's pin. The merge runs (on another thread) at the leaf's lock
+/// sample — after the parent was read and validated, before the leaf
+/// is — then its thread drops every handle it holds and pumps the epoch.
+/// The leaf's last handle is inside the parent version the descent
+/// read, so a drop counter — an `Arc` held only by node values — must
+/// not fall until the descent's transaction is gone, and must fall
+/// after.
+#[test]
+fn unlinked_leaf_outlives_a_pinned_descent() {
+    use rubic::stm::Transaction;
+    use rubic_stm::chaos::{install, ChaosHook, ChaosPoint};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::thread::ThreadId;
+
+    /// Runs `merge` on its own thread at the reader's second lock
+    /// sample (root, then leaf) and waits for it.
+    struct MergeAtLeafSample {
+        reader: ThreadId,
+        samples: AtomicUsize,
+        merge: Mutex<Option<Box<dyn FnOnce() + Send>>>,
+    }
+    impl ChaosHook for MergeAtLeafSample {
+        fn at(&self, point: ChaosPoint) {
+            if point != ChaosPoint::LockSample || std::thread::current().id() != self.reader {
+                return;
+            }
+            if self.samples.fetch_add(1, Ordering::SeqCst) == 1 {
+                let merge = self.merge.lock().expect("hook").take();
+                if let Some(merge) = merge {
+                    std::thread::spawn(merge).join().expect("merge thread");
+                }
+            }
+        }
+    }
+
+    // Two leaves of exactly MIN_LEAF (16) entries: 0..33 splits 16 / 17,
+    // removing 32 leaves 16..32. Removing 0 then underflows the left
+    // leaf, the right one has nothing to lend, so they merge — the right
+    // leaf is unlinked, its published value untouched — and the root,
+    // left with one child, collapses into a leaf.
+    let stm = Stm::default();
+    let tracker = Arc::new(());
+    let map: TBTreeMap<u64, Arc<()>> = TBTreeMap::new();
+    for k in 0..33 {
+        stm.atomically(|tx| map.insert(tx, k, Arc::new(())));
+    }
+    stm.atomically(|tx| map.remove(tx, &32));
+    stm.atomically(|tx| map.insert(tx, 20, Arc::clone(&tracker)));
+    assert_eq!(map.check_shape(), Ok((32, 1)));
+    // At rest: `tracker` and the right leaf's published value.
+    pump_epoch_until(|| Arc::strong_count(&tracker) == 2);
+    assert_eq!(Arc::strong_count(&tracker), 2);
+
+    let during = Arc::new(AtomicUsize::new(0));
+    let merge: Box<dyn FnOnce() + Send> = {
+        let (stm, map, during) = (stm.clone(), map.clone(), Arc::clone(&during));
+        let watch = Arc::downgrade(&tracker);
+        Box::new(move || {
+            stm.atomically(|tx| map.remove(tx, &0));
+            drop(map);
+            let guard = crossbeam_epoch::pin();
+            for _ in 0..256 {
+                guard.flush();
+            }
+            drop(guard);
+            during.store(watch.strong_count(), Ordering::SeqCst);
+        })
+    };
+    let hook = Arc::new(MergeAtLeafSample {
+        reader: std::thread::current().id(),
+        samples: AtomicUsize::new(0),
+        merge: Mutex::new(Some(merge)),
+    });
+    let found = {
+        let _chaos = install(hook.clone());
+        let mut tx = Transaction::begin_unmanaged();
+        map.get(&mut tx, &20).and_then(|found| {
+            tx.commit_unmanaged()?;
+            Ok(found)
+        })
+    };
+    assert_eq!(hook.samples.load(Ordering::SeqCst), 2, "root, then leaf");
+    // During the walk: `tracker`, the unlinked right leaf, the merged
+    // left leaf and the collapsed root each hold one — nothing freed.
+    assert_eq!(
+        during.load(Ordering::SeqCst),
+        4,
+        "freed under a pinned descent"
+    );
+    // The lookup serialises before the merge: the leaf it reached is
+    // unchanged since the transaction began.
+    let found = found.expect("a consistent pre-merge lookup");
+    assert!(found.is_some_and(|v| Arc::ptr_eq(&v, &tracker)));
+    // The walk is over: both unlinked leaves go, the root's copy stays.
+    pump_epoch_until(|| Arc::strong_count(&tracker) == 2);
+    assert_eq!(
+        Arc::strong_count(&tracker),
+        2,
+        "unlinked leaves never freed"
+    );
+    assert_eq!(map.check_shape(), Ok((31, 0)));
+}

@@ -6,18 +6,16 @@
 //! cargo run --release -p rubic-bench --bin stmbench -- --reps 5 --duration-ms 500 --out /tmp/b.json
 //! ```
 //!
-//! Writes the `rubic-stmbench/v4` JSON report (see the README's
+//! Writes the `rubic-stmbench/v5` JSON report (see the README's
 //! "Benchmarking" section for the schema) after validating it; a run
 //! that produces an out-of-range or structurally broken report exits
-//! non-zero without touching the output file. `--structure` restricts
-//! the map backends swept for the map-backed workloads (`snapshot`,
-//! `btree`; counter always runs as `snapshot`).
+//! non-zero without touching the output file.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Duration;
 
-use rubic_bench::stmbench::{run_sweep, SweepOptions, STRUCTURES};
+use rubic_bench::stmbench::{run_sweep, SweepOptions};
 
 struct Args {
     opts: SweepOptions,
@@ -51,29 +49,11 @@ fn parse_args() -> Result<Args, String> {
                     return Err("--threads needs positive thread counts".into());
                 }
             }
-            "--structure" => {
-                let v = it
-                    .next()
-                    .ok_or("--structure needs a comma-separated list")?;
-                let mut structures = Vec::new();
-                for s in v.split(',') {
-                    let Some(&known) = STRUCTURES.iter().find(|&&a| a == s) else {
-                        return Err(format!(
-                            "--structure {s} unknown (have: {})",
-                            STRUCTURES.join(",")
-                        ));
-                    };
-                    if !structures.contains(&known) {
-                        structures.push(known);
-                    }
-                }
-                opts.structures = structures;
-            }
             "--out" => out = PathBuf::from(it.next().ok_or("--out needs a path")?),
             "--help" | "-h" => {
                 return Err(
                     "usage: stmbench [--smoke] [--reps N] [--duration-ms N] [--threads 1,2,4] \
-                     [--structure snapshot,btree] [--out PATH]"
+                     [--out PATH]"
                         .into(),
                 );
             }
@@ -92,14 +72,13 @@ fn main() -> ExitCode {
         }
     };
     eprintln!(
-        "stmbench: {} threads sweep, structures {}, {} reps x {} ms{}",
+        "stmbench: {} threads sweep, {} reps x {} ms{}",
         args.opts
             .threads
             .iter()
             .map(ToString::to_string)
             .collect::<Vec<_>>()
             .join(","),
-        args.opts.structures.join(","),
         args.opts.reps,
         args.opts.duration.as_millis(),
         if args.opts.smoke { " (smoke)" } else { "" },

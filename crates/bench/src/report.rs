@@ -248,11 +248,12 @@ mod tests {
     }
 
     // The goldens below are the output of the three per-harness writers
-    // this module replaced, captured on fixed two-point reports: stm v4
-    // and topo v1 byte for byte, pool v2 = v1 minus the `queue` line.
+    // this module replaced, captured on fixed two-point reports: topo v1
+    // byte for byte, stm v5 = v4 minus the `structure` lines (under its
+    // own schema string), pool v2 = v1 minus the `queue` line.
 
     #[test]
-    fn stm_v4_golden() {
+    fn stm_v5_golden() {
         let report = BenchReport {
             reps: 2,
             duration_ms: 300,
@@ -262,7 +263,6 @@ mod tests {
                 BenchPoint {
                     workload: "counter",
                     mix: "write-heavy",
-                    structure: "snapshot",
                     threads: 1,
                     ops_per_sec: Stat::from_samples(vec![1000.5, 2000.25]),
                     abort_rate: Stat::from_samples(vec![0.0, 0.125]),
@@ -272,7 +272,6 @@ mod tests {
                 BenchPoint {
                     workload: "rbtree",
                     mix: "read-only",
-                    structure: "btree",
                     threads: 4,
                     ops_per_sec: Stat::from_samples(vec![3.0, f64::NAN]),
                     abort_rate: Stat::from_samples(vec![0.5, 0.5]),
@@ -282,7 +281,7 @@ mod tests {
             ],
         };
         let golden = r#"{
-  "schema": "rubic-stmbench/v4",
+  "schema": "rubic-stmbench/v5",
   "harness": {
     "reps": 2,
     "duration_ms": 300,
@@ -293,7 +292,6 @@ mod tests {
     {
       "workload": "counter",
       "mix": "write-heavy",
-      "structure": "snapshot",
       "threads": 1,
       "ops_per_sec": {
         "mean": 1500.375000,
@@ -311,7 +309,6 @@ mod tests {
     {
       "workload": "rbtree",
       "mix": "read-only",
-      "structure": "btree",
       "threads": 4,
       "ops_per_sec": {
         "mean": null,

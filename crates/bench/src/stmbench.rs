@@ -8,30 +8,21 @@
 //!
 //! The `stmbench` binary writes the result as `BENCH_stm.json` at the
 //! repository root — the seed of the perf trajectory later PRs are
-//! judged against. The schema (`rubic-stmbench/v4`) is documented in
+//! judged against. The schema (`rubic-stmbench/v5`) is documented in
 //! the README's "Benchmarking" section; serialisation, the structural
 //! checks every `BENCH_*.json` schema shares and the binary's
 //! validate-then-write tail are [`crate::report`]'s, and
 //! [`BenchReport::validate`] adds what only this schema promises (axis
-//! values, the per-workload mix/structure table, abort rate ≤ 1), so a
-//! malformed report can never be committed silently.
+//! values, the per-workload mix table, abort rate ≤ 1), so a malformed
+//! report can never be committed silently.
 //!
 //! Every point carries the `ro_commits`/`ro_aborts` totals of its
 //! declared read-only transactions: what the engine's one read protocol
 //! (invisible reads, validated) pays in read-only aborts. v4 dropped the
 //! `mode` field of v2–v3 along with the multi-version mode it selected
-//! (DESIGN.md §14).
-//!
-//! Since v3 every point also carries a **structure**: the ordered-map
-//! backend behind the workload. `snapshot` is the single-cell
-//! persistent tree (`TMap`: every update conflicts with every update);
-//! `btree` is the per-node transactional B-tree (`TBTreeMap`: a
-//! transaction conflicts only on the O(log n) path it touched). The
-//! axis is swept for the two map-backed workloads (rbtree, vacation);
-//! counter has no map and is pinned to `snapshot`. The committed A/B
-//! is the gate for the per-node design: it must beat the snapshot cell
-//! on the write-heavy mix at t ≥ 4 and stay within noise on the
-//! read-dominated mixes.
+//! (DESIGN.md §14); v5 dropped v3–v4's `structure` field along with the
+//! single-cell map it selected (DESIGN.md §2b): rbtree and vacation run
+//! on the per-node B-tree, the crate's one ordered map.
 //!
 //! Mix mapping per workload (the axis is "how much write conflict"):
 //!
@@ -48,15 +39,14 @@ use std::time::Duration;
 use rubic::controllers::Fixed;
 use rubic::runtime::{MalleablePool, PoolConfig, Workload};
 use rubic::stm::Stm;
-use rubic::workloads::mapapi::{BTreeFamily, SnapshotFamily};
-use rubic::workloads::rbtree::{OpMix, RbTreeConfig, RbTreeWorkloadOn};
-use rubic::workloads::vacation::{VacationConfig, VacationWorkloadOn};
+use rubic::workloads::rbtree::{OpMix, RbTreeConfig, RbTreeWorkload};
+use rubic::workloads::vacation::{VacationConfig, VacationWorkload};
 use rubic::workloads::{ConflictCounter, StripedCounter};
 
 use crate::report::{self, Document, Point, Stat, Value};
 
 /// Schema identifier written into every report.
-pub const SCHEMA: &str = "rubic-stmbench/v4";
+pub const SCHEMA: &str = "rubic-stmbench/v5";
 
 /// One swept configuration and its measurements.
 #[derive(Debug, Clone)]
@@ -65,10 +55,6 @@ pub struct BenchPoint {
     pub workload: &'static str,
     /// Operation mix: `read-only`, `read-heavy` or `write-heavy`.
     pub mix: &'static str,
-    /// Ordered-map backend: `snapshot` (single-cell persistent tree)
-    /// or `btree` (per-node B-tree). Always `snapshot` for workloads
-    /// without a map axis (counter).
-    pub structure: &'static str,
     /// Worker threads (fixed parallelism level for the whole run).
     pub threads: u32,
     /// Committed transactions per second.
@@ -84,10 +70,7 @@ pub struct BenchPoint {
 impl BenchPoint {
     /// Names the point in validation errors and noise warnings.
     fn label(&self) -> String {
-        format!(
-            "{}/{}/{}/t{}",
-            self.workload, self.mix, self.structure, self.threads
-        )
+        format!("{}/{}/t{}", self.workload, self.mix, self.threads)
     }
 }
 
@@ -103,7 +86,7 @@ pub struct BenchReport {
     pub smoke: bool,
     /// `std::thread::available_parallelism` on the measuring host.
     pub hw_threads: u32,
-    /// One entry per (workload, mix, structure, threads) configuration.
+    /// One entry per (workload, mix, threads) configuration.
     pub points: Vec<BenchPoint>,
 }
 
@@ -116,23 +99,18 @@ pub struct SweepOptions {
     pub duration: Duration,
     /// Thread counts to sweep.
     pub threads: Vec<u32>,
-    /// Map structures to sweep (subset of [`STRUCTURES`]); workloads
-    /// without a map axis always run once as `snapshot`.
-    pub structures: Vec<&'static str>,
     /// Reduced grid for CI schema validation.
     pub smoke: bool,
 }
 
 impl SweepOptions {
-    /// The full sweep: {1,2,4,8,16} threads, 3 reps, 300 ms each, both
-    /// map structures.
+    /// The full sweep: {1,2,4,8,16} threads, 3 reps, 300 ms each.
     #[must_use]
     pub fn full() -> Self {
         SweepOptions {
             reps: 3,
             duration: Duration::from_millis(300),
             threads: vec![1, 2, 4, 8, 16],
-            structures: STRUCTURES.to_vec(),
             smoke: false,
         }
     }
@@ -145,7 +123,6 @@ impl SweepOptions {
             reps: 1,
             duration: Duration::from_millis(25),
             threads: vec![1, 2],
-            structures: STRUCTURES.to_vec(),
             smoke: true,
         }
     }
@@ -154,9 +131,6 @@ impl SweepOptions {
 /// The benchmarked grid axes.
 const WORKLOADS: [&str; 3] = ["counter", "rbtree", "vacation"];
 const MIXES: [&str; 3] = ["read-only", "read-heavy", "write-heavy"];
-/// The map-structure axis (v3): `snapshot` is the single-cell `TMap`,
-/// `btree` the per-node `TBTreeMap`.
-pub const STRUCTURES: [&str; 2] = ["snapshot", "btree"];
 
 /// The mixes a workload is swept over. Only rbtree has a meaningful
 /// 100 %-read configuration (the paper's §4.6 convergence workload).
@@ -164,15 +138,6 @@ fn mixes_for(workload: &str) -> &'static [&'static str] {
     match workload {
         "rbtree" => &["read-only", "read-heavy", "write-heavy"],
         _ => &["read-heavy", "write-heavy"],
-    }
-}
-
-/// The structures a workload is swept over: both map backends for the
-/// map-backed workloads, pinned `snapshot` for counter (no map).
-fn structures_for(workload: &str) -> &'static [&'static str] {
-    match workload {
-        "rbtree" | "vacation" => &["snapshot", "btree"],
-        _ => &["snapshot"],
     }
 }
 
@@ -184,11 +149,10 @@ struct RunSample {
     ro_aborts: u64,
 }
 
-/// Runs one (workload, mix, structure, threads) repetition.
+/// Runs one (workload, mix, threads) repetition.
 fn run_once(
     workload: &'static str,
     mix: &'static str,
-    structure: &'static str,
     threads: u32,
     opts: &SweepOptions,
 ) -> RunSample {
@@ -220,21 +184,7 @@ fn run_once(
                     seed: 0x5EED_BEAC,
                 }
             };
-            if structure == "btree" {
-                drive(
-                    RbTreeWorkloadOn::<BTreeFamily>::new(cfg, stm.clone()),
-                    &stm,
-                    threads,
-                    opts,
-                )
-            } else {
-                drive(
-                    RbTreeWorkloadOn::<SnapshotFamily>::new(cfg, stm.clone()),
-                    &stm,
-                    threads,
-                    opts,
-                )
-            }
+            drive(RbTreeWorkload::new(cfg, stm.clone()), &stm, threads, opts)
         }
         ("vacation", m) => {
             let relations = if opts.smoke { 64 } else { 256 };
@@ -243,21 +193,7 @@ fn run_once(
             } else {
                 VacationConfig::high_contention(relations)
             };
-            if structure == "btree" {
-                drive(
-                    VacationWorkloadOn::<BTreeFamily>::new(cfg, stm.clone()),
-                    &stm,
-                    threads,
-                    opts,
-                )
-            } else {
-                drive(
-                    VacationWorkloadOn::<SnapshotFamily>::new(cfg, stm.clone()),
-                    &stm,
-                    threads,
-                    opts,
-                )
-            }
+            drive(VacationWorkload::new(cfg, stm.clone()), &stm, threads, opts)
         }
         other => unreachable!("unknown configuration {other:?}"),
     }
@@ -294,42 +230,36 @@ pub fn run_sweep(opts: &SweepOptions) -> BenchReport {
     let mut points = Vec::new();
     for workload in WORKLOADS {
         for &mix in mixes_for(workload) {
-            for &structure in structures_for(workload) {
-                if !opts.structures.contains(&structure) && structures_for(workload).len() > 1 {
-                    continue;
+            for &threads in &opts.threads {
+                let mut ops = Vec::with_capacity(opts.reps as usize);
+                let mut aborts = Vec::with_capacity(opts.reps as usize);
+                let mut ro_commits = 0u64;
+                let mut ro_aborts = 0u64;
+                for _ in 0..opts.reps {
+                    let s = run_once(workload, mix, threads, opts);
+                    ops.push(s.ops_per_sec);
+                    aborts.push(s.abort_rate);
+                    ro_commits += s.ro_commits;
+                    ro_aborts += s.ro_aborts;
                 }
-                for &threads in &opts.threads {
-                    let mut ops = Vec::with_capacity(opts.reps as usize);
-                    let mut aborts = Vec::with_capacity(opts.reps as usize);
-                    let mut ro_commits = 0u64;
-                    let mut ro_aborts = 0u64;
-                    for _ in 0..opts.reps {
-                        let s = run_once(workload, mix, structure, threads, opts);
-                        ops.push(s.ops_per_sec);
-                        aborts.push(s.abort_rate);
-                        ro_commits += s.ro_commits;
-                        ro_aborts += s.ro_aborts;
-                    }
-                    let point = BenchPoint {
-                        workload,
-                        mix,
-                        structure,
-                        threads,
-                        ops_per_sec: Stat::from_samples(ops),
-                        abort_rate: Stat::from_samples(aborts),
-                        ro_commits,
-                        ro_aborts,
-                    };
-                    eprintln!(
-                        "  {workload:>8} {mix:<11} {structure:<8} t={threads:<2} {:>12.0} ops/s ± {:>6.0}  abort {:.1}%  ro {}/{}",
-                        point.ops_per_sec.mean,
-                        point.ops_per_sec.stddev,
-                        point.abort_rate.mean * 100.0,
-                        point.ro_commits,
-                        point.ro_aborts,
-                    );
-                    points.push(point);
-                }
+                let point = BenchPoint {
+                    workload,
+                    mix,
+                    threads,
+                    ops_per_sec: Stat::from_samples(ops),
+                    abort_rate: Stat::from_samples(aborts),
+                    ro_commits,
+                    ro_aborts,
+                };
+                eprintln!(
+                    "  {workload:>8} {mix:<11} t={threads:<2} {:>12.0} ops/s ± {:>6.0}  abort {:.1}%  ro {}/{}",
+                    point.ops_per_sec.mean,
+                    point.ops_per_sec.stddev,
+                    point.abort_rate.mean * 100.0,
+                    point.ro_commits,
+                    point.ro_aborts,
+                );
+                points.push(point);
             }
         }
     }
@@ -361,7 +291,6 @@ impl BenchReport {
                     fields: vec![
                         ("workload", Value::Str(p.workload)),
                         ("mix", Value::Str(p.mix)),
-                        ("structure", Value::Str(p.structure)),
                         ("threads", Value::Int(p.threads.into())),
                         ("ops_per_sec", Value::Stat(&p.ops_per_sec)),
                         ("abort_rate", Value::Stat(&p.abort_rate)),
@@ -373,7 +302,7 @@ impl BenchReport {
         }
     }
 
-    /// Serialises the report as the documented `rubic-stmbench/v4`
+    /// Serialises the report as the documented `rubic-stmbench/v5`
     /// JSON schema.
     #[must_use]
     pub fn to_json(&self) -> String {
@@ -383,8 +312,8 @@ impl BenchReport {
     /// The shared structural checks ([`crate::report`]: non-empty grid,
     /// sample counts matching `reps`, finite non-negative means,
     /// positive throughput) plus this schema's own: axes drawn from the
-    /// documented sets (including the per-workload mix/structure
-    /// restrictions) and abort rates within [0, 1]. The binary refuses
+    /// documented sets (including the per-workload mix restrictions)
+    /// and abort rates within [0, 1]. The binary refuses
     /// to write a report that fails these.
     ///
     /// # Errors
@@ -401,15 +330,6 @@ impl BenchReport {
             }
             if !mixes_for(p.workload).contains(&p.mix) {
                 return Err(format!("{tag}: mix {} not swept for {}", p.mix, p.workload));
-            }
-            if !STRUCTURES.contains(&p.structure) {
-                return Err(format!("{tag}: unknown structure {}", p.structure));
-            }
-            if !structures_for(p.workload).contains(&p.structure) {
-                return Err(format!(
-                    "{tag}: structure {} not swept for {}",
-                    p.structure, p.workload
-                ));
             }
             if p.threads == 0 {
                 return Err(format!("{tag}: zero threads"));
@@ -441,33 +361,12 @@ mod tests {
         let report = run_sweep(&opts);
         report.validate().expect("smoke report must validate");
         let json = report.to_json();
-        assert!(json.contains("\"schema\": \"rubic-stmbench/v4\""));
+        assert!(json.contains("\"schema\": \"rubic-stmbench/v5\""));
         assert!(json.contains("\"workload\": \"rbtree\""));
         assert!(!json.contains("\"mode\""), "v4 has no mode axis");
-        assert!(json.contains("\"structure\": \"snapshot\""));
-        assert!(json.contains("\"structure\": \"btree\""));
-        // counter 2 mixes × 1 structure + rbtree 3 × 2 + vacation 2 × 2.
-        assert_eq!(
-            report.points.len(),
-            12,
-            "per-workload mix × structure grid at 1 level"
-        );
-    }
-
-    #[test]
-    fn structure_filter_restricts_map_workloads_only() {
-        let mut opts = SweepOptions::smoke();
-        opts.threads = vec![1];
-        opts.duration = Duration::from_millis(5);
-        opts.structures = vec!["btree"];
-        let report = run_sweep(&opts);
-        report.validate().expect("filtered report must validate");
-        // counter still runs (pinned snapshot); rbtree/vacation only btree.
-        assert!(report
-            .points
-            .iter()
-            .all(|p| p.structure == "btree" || p.workload == "counter"));
-        assert!(report.points.iter().any(|p| p.workload == "counter"));
+        assert!(!json.contains("\"structure\""), "v5 has no structure axis");
+        // counter 2 mixes + rbtree 3 + vacation 2.
+        assert_eq!(report.points.len(), 7, "per-workload mix grid at 1 level");
     }
 
     #[test]
@@ -489,7 +388,6 @@ mod tests {
             points: vec![BenchPoint {
                 workload: "counter",
                 mix: "read-heavy",
-                structure: "snapshot",
                 threads: 1,
                 ops_per_sec: Stat::from_samples(vec![100.0]),
                 abort_rate: Stat::from_samples(vec![1.5]),
@@ -499,29 +397,7 @@ mod tests {
         };
         assert!(bad.validate().unwrap_err().contains("abort rate"));
 
-        // Structure restrictions: counter must not claim a btree row,
-        // and only rbtree sweeps the read-only mix.
-        let counter_btree = BenchReport {
-            reps: 1,
-            duration_ms: 1,
-            smoke: true,
-            hw_threads: 1,
-            points: vec![BenchPoint {
-                workload: "counter",
-                mix: "read-heavy",
-                structure: "btree",
-                threads: 1,
-                ops_per_sec: Stat::from_samples(vec![100.0]),
-                abort_rate: Stat::from_samples(vec![0.0]),
-                ro_commits: 0,
-                ro_aborts: 0,
-            }],
-        };
-        assert!(counter_btree
-            .validate()
-            .unwrap_err()
-            .contains("not swept for counter"));
-
+        // Only rbtree sweeps the read-only mix.
         let vacation_ro = BenchReport {
             reps: 1,
             duration_ms: 1,
@@ -530,7 +406,6 @@ mod tests {
             points: vec![BenchPoint {
                 workload: "vacation",
                 mix: "read-only",
-                structure: "snapshot",
                 threads: 1,
                 ops_per_sec: Stat::from_samples(vec![100.0]),
                 abort_rate: Stat::from_samples(vec![0.0]),

@@ -117,7 +117,7 @@ pub mod prelude {
     pub use rubic_stm::{Stm, StmError, TVar, Transaction, TxResult};
     pub use rubic_workloads::{
         ConflictCounter, IntruderConfig, IntruderWorkload, Manager, OpMix, RbTreeConfig,
-        RbTreeWorkload, StripedCounter, TMap, VacationConfig, VacationWorkload,
+        RbTreeWorkload, StripedCounter, VacationConfig, VacationWorkload,
     };
 }
 

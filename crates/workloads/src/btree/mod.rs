@@ -1,7 +1,8 @@
-//! `TBTreeMap` — a transactional B-tree with one `TVar` per node.
+//! `TBTreeMap` — a transactional B-tree with one `TVar` per node, the
+//! crate's one ordered map (the [`TOrdMap`] implementor every workload
+//! uses).
 //!
-//! The snapshot-cell map ([`crate::tmap::TMap`]) hides a whole
-//! persistent tree behind a single `TVar`, so every update conflicts
+//! A whole tree behind a single `TVar` would make every update conflict
 //! with every other update — a scaling ceiling no controller can tune
 //! away. Here each node lives behind its **own** `TVar`: a
 //! transaction's conflict footprint is the O(log n) root-to-leaf path
@@ -36,8 +37,7 @@ use std::sync::Arc;
 
 use rubic_stm::{Step, TVar, Transaction, TxResult, TxValue};
 
-use crate::mapapi::{Edit, TOrdMap};
-use crate::tmap::TKey;
+use crate::mapapi::{Edit, TKey, TOrdMap};
 
 use node::{Node, NodeVar, MAX_LEAF, MAX_SEPS, MIN_LEAF, MIN_SEPS};
 
@@ -480,14 +480,6 @@ impl<K: TKey, V: TxValue> TBTreeMap<K, V> {
 }
 
 impl<K: TKey, V: TxValue> TOrdMap<K, V> for TBTreeMap<K, V> {
-    fn empty() -> Self {
-        TBTreeMap::new()
-    }
-
-    fn empty_labelled(label: &str) -> Self {
-        TBTreeMap::labelled(label)
-    }
-
     fn get(&self, tx: &mut Transaction, key: &K) -> TxResult<Option<V>> {
         self.descend(tx, key, |_, entries| {
             entries
@@ -704,7 +696,7 @@ mod tests {
         let (len, _) = m.check_shape().expect("btree invariants");
         assert_eq!(len, 2000);
         // Not asserting zero (threads may race on a shared leaf at
-        // region edges), but the snapshot-cell design would abort
+        // region edges), but a map behind one `TVar` would abort
         // hundreds of times here.
         let aborts = stm.stats().aborts() - aborts_before;
         assert!(aborts < 100, "per-node map should rarely abort: {aborts}");

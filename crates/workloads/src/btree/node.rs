@@ -13,7 +13,7 @@
 
 use rubic_stm::{TVar, TxValue};
 
-use crate::tmap::TKey;
+use crate::mapapi::TKey;
 
 /// Maximum entries per leaf (the leaf fanout).
 ///

@@ -32,7 +32,8 @@ use rand::{Rng, SeedableRng};
 use rubic_runtime::Workload;
 use rubic_stm::{Stm, TVar};
 
-use crate::mapapi::{Edit, MapFamily, SnapshotFamily, TOrdMap};
+use crate::btree::TBTreeMap;
+use crate::mapapi::{Edit, TOrdMap};
 use crate::pqueue::PQueue;
 
 /// The attack strings injected into flows and searched by the detector
@@ -188,31 +189,28 @@ pub fn detect(payload: &[u8]) -> bool {
     })
 }
 
-/// The Intruder workload: shared packet queue + session map + detector,
-/// generic over the session-map structure (the stmbench `structure`
-/// axis: one snapshot cell vs a per-node B-tree).
-pub struct IntruderWorkloadOn<F: MapFamily> {
+/// The Intruder workload: shared packet queue + session map + detector.
+/// The session map is a per-node B-tree, so reassemblies of flows in
+/// different leaves do not conflict.
+pub struct IntruderWorkload {
     queue: TVar<PQueue<Packet>>,
     /// Behind an `Arc`: a map update clones the neighbours of the entry
     /// it touches, and those must not drag their fragments along.
-    sessions: F::Map<u64, Arc<FlowBuffer>>,
+    sessions: TBTreeMap<u64, Arc<FlowBuffer>>,
     cfg: IntruderConfig,
     stm: Stm,
     attacks_found: AtomicU64,
     flows_completed: AtomicU64,
 }
 
-/// The historical default: a snapshot-cell session map.
-pub type IntruderWorkload = IntruderWorkloadOn<SnapshotFamily>;
-
-impl<F: MapFamily> IntruderWorkloadOn<F> {
+impl IntruderWorkload {
     /// Creates the workload with an initially empty queue (the first
     /// tasks trigger a refill).
     #[must_use]
     pub fn new(cfg: IntruderConfig, stm: Stm) -> Self {
-        IntruderWorkloadOn {
+        IntruderWorkload {
             queue: TVar::new(PQueue::new()),
-            sessions: F::new_labelled("intruder.sessions"),
+            sessions: TBTreeMap::labelled("intruder.sessions"),
             cfg,
             stm,
             attacks_found: AtomicU64::new(0),
@@ -298,7 +296,7 @@ pub struct IntruderWorkerState {
     gen: TrafficGenerator,
 }
 
-impl<F: MapFamily> Workload for IntruderWorkloadOn<F> {
+impl Workload for IntruderWorkload {
     type WorkerState = IntruderWorkerState;
 
     fn init_worker(&self, tid: usize) -> IntruderWorkerState {
@@ -378,6 +376,10 @@ mod tests {
         // 25% attack rate over dozens of flows: overwhelmingly likely
         // at least one detection.
         assert!(w.attacks_found() > 0, "no attack detected");
+        assert!(w.open_sessions() <= 8, "sessions leak");
+        w.sessions
+            .check_invariants()
+            .expect("session map invariants");
     }
 
     #[test]
@@ -420,18 +422,6 @@ mod tests {
         };
         assert_eq!(w.reassemble(&p2), Some(b"abcdef".to_vec()));
         assert_eq!(w.open_sessions(), 0);
-    }
-
-    #[test]
-    fn btree_backed_sessions_behave_identically() {
-        use crate::mapapi::BTreeFamily;
-        let w = IntruderWorkloadOn::<BTreeFamily>::new(IntruderConfig::small(), Stm::default());
-        let mut state = w.init_worker(0);
-        for _ in 0..500 {
-            w.run_task(&mut state);
-        }
-        assert!(w.flows_completed() > 0, "no flow completed");
-        assert!(w.open_sessions() <= 8, "sessions leak");
     }
 
     #[test]

@@ -17,19 +17,13 @@
 //!
 //! Substrates built for these (and reusable on their own):
 //!
-//! * [`pers`] — a persistent B+-tree (wide nodes, one allocation each,
-//!   path-copy insert and delete) with full invariant checking; it is
-//!   what sits under the red-black-tree micro-benchmark, which keeps
-//!   the paper's name;
-//! * [`pqueue`] — a persistent FIFO queue;
-//! * [`tmap`] — the transactional ordered map wrapping [`pers::PMap`]
-//!   in a single snapshot-cell `TVar`;
 //! * [`btree`] — the transactional B-tree with one `TVar` per node
-//!   (per-path conflict footprint);
-//! * [`mapapi`] — the [`mapapi::TOrdMap`] contract both maps implement
-//!   and the [`mapapi::MapFamily`] backend selector the rbtree and
-//!   Vacation workloads are generic over (the stmbench `structure`
-//!   axis).
+//!   (per-path conflict footprint), the one ordered map under every
+//!   workload: the red-black-tree micro-benchmark (which keeps the
+//!   paper's name), Vacation's four tables and Intruder's session map;
+//! * [`mapapi`] — the [`mapapi::TOrdMap`] operations contract it
+//!   implements, with [`mapapi::Edit`] and the [`mapapi::TKey`] bound;
+//! * [`pqueue`] — a persistent FIFO queue (Intruder's packet queue).
 //!
 //! Every workload implements [`rubic_runtime::Workload`], so any of
 //! them can be driven by the malleable pool under any controller:
@@ -59,16 +53,13 @@ pub mod btree;
 pub mod counter;
 pub mod intruder;
 pub mod mapapi;
-pub mod pers;
 pub mod pqueue;
 pub mod rbtree;
-pub mod tmap;
 pub mod vacation;
 
 pub use btree::TBTreeMap;
 pub use counter::{ConflictCounter, StripedCounter};
-pub use intruder::{IntruderConfig, IntruderWorkload, IntruderWorkloadOn};
-pub use mapapi::{BTreeFamily, Edit, MapFamily, SnapshotFamily, TOrdMap};
-pub use rbtree::{OpMix, RbTreeConfig, RbTreeWorkload, RbTreeWorkloadOn};
-pub use tmap::TMap;
-pub use vacation::{Manager, ManagerOn, VacationConfig, VacationWorkload, VacationWorkloadOn};
+pub use intruder::{IntruderConfig, IntruderWorkload};
+pub use mapapi::{Edit, TOrdMap};
+pub use rbtree::{OpMix, RbTreeConfig, RbTreeWorkload};
+pub use vacation::{Manager, VacationConfig, VacationWorkload};

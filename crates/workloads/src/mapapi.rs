@@ -1,26 +1,28 @@
-//! Structure-generic ordered-map API.
+//! The transactional ordered-map contract.
 //!
-//! Two transactional ordered maps live in this crate with opposite
-//! conflict footprints:
-//!
-//! * [`TMap`](crate::tmap::TMap) — one persistent tree behind a single
-//!   snapshot-cell `TVar`: O(1) reads, but every update conflicts with
-//!   every other update on the same map.
-//! * [`TBTreeMap`](crate::btree::TBTreeMap) — a B-tree with one `TVar`
-//!   per node: a transaction's footprint is the O(log n) root-to-leaf
-//!   path it touched, so updates on disjoint subtrees commute.
-//!
-//! The [`TOrdMap`] trait is the operations contract both implement, and
-//! [`MapFamily`] is the backend selector: workloads written against
-//! `F: MapFamily` (the rbtree micro-benchmark, Vacation's four tables)
-//! swap structures with a type parameter, which is what the stmbench
-//! `structure` axis (`snapshot` | `btree`) sweeps.
+//! [`TOrdMap`] names the operations the workloads' maps offer and
+//! [`Edit`] is what a [`TOrdMap::edit`] closure decides. The crate's
+//! one implementor is the per-node B-tree
+//! ([`TBTreeMap`](crate::btree::TBTreeMap)): a transaction's conflict
+//! footprint is the O(log n) root-to-leaf path it touched, so updates
+//! on disjoint subtrees commute.
 
 use rubic_stm::{Transaction, TxResult, TxValue};
 
-use crate::btree::TBTreeMap;
-pub use crate::pers::Edit;
-use crate::tmap::{TKey, TMap};
+/// Key bound for transactional maps.
+pub trait TKey: Ord + Clone + Send + Sync + 'static {}
+impl<K: Ord + Clone + Send + Sync + 'static> TKey for K {}
+
+/// What a [`TOrdMap::edit`] closure decides for the entry under its key.
+#[derive(Debug, Clone)]
+pub enum Edit<V> {
+    /// Leave the map as it is.
+    Keep,
+    /// Store this value under the key, inserting or replacing.
+    Put(V),
+    /// Drop the entry (a no-op when the key is absent).
+    Remove,
+}
 
 /// The transactional ordered-map operations contract.
 ///
@@ -31,13 +33,6 @@ use crate::tmap::{TKey, TMap};
 /// [`rubic_stm::TVar::snapshot`]: they are only a consistent view when
 /// no writer is concurrently committing.
 pub trait TOrdMap<K: TKey, V: TxValue>: Clone + Send + Sync + 'static {
-    /// Creates an empty map.
-    fn empty() -> Self;
-
-    /// Creates an empty map whose `TVar`s carry trace labels derived
-    /// from `label` (no-op when the `trace` feature is off).
-    fn empty_labelled(label: &str) -> Self;
-
     /// Looks up `key` within `tx`.
     ///
     /// # Errors
@@ -115,58 +110,16 @@ pub trait TOrdMap<K: TKey, V: TxValue>: Clone + Send + Sync + 'static {
     fn check_invariants(&self) -> Result<usize, String>;
 }
 
-/// A family of ordered-map structures: the backend selector workloads
-/// are generic over.
-///
-/// `NAME` is the value the stmbench `structure` axis reports for this
-/// backend.
-pub trait MapFamily: Send + Sync + 'static {
-    /// Axis/label name: `"snapshot"` or `"btree"`.
-    const NAME: &'static str;
-    /// The map type this family builds for a given key/value pair.
-    type Map<K: TKey, V: TxValue>: TOrdMap<K, V>;
-
-    /// Builds an empty map.
-    #[must_use]
-    fn new_map<K: TKey, V: TxValue>() -> Self::Map<K, V> {
-        Self::Map::empty()
-    }
-
-    /// Builds an empty map with trace labels derived from `label`.
-    #[must_use]
-    fn new_labelled<K: TKey, V: TxValue>(label: &str) -> Self::Map<K, V> {
-        Self::Map::empty_labelled(label)
-    }
-}
-
-/// The snapshot-cell backend: one persistent tree behind one `TVar`
-/// ([`TMap`]).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SnapshotFamily;
-
-impl MapFamily for SnapshotFamily {
-    const NAME: &'static str = "snapshot";
-    type Map<K: TKey, V: TxValue> = TMap<K, V>;
-}
-
-/// The per-node backend: a B-tree with one `TVar` per node
-/// ([`TBTreeMap`]).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct BTreeFamily;
-
-impl MapFamily for BTreeFamily {
-    const NAME: &'static str = "btree";
-    type Map<K: TKey, V: TxValue> = TBTreeMap<K, V>;
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::btree::TBTreeMap;
     use rubic_stm::Stm;
 
-    fn exercise<F: MapFamily>() {
+    #[test]
+    fn tbtree_satisfies_contract() {
         let stm = Stm::default();
-        let m: F::Map<u64, u64> = F::new_map();
+        let m: TBTreeMap<u64, u64> = TBTreeMap::new();
         assert!(stm.atomically(|tx| m.is_empty(tx)));
         assert_eq!(stm.atomically(|tx| m.insert(tx, 2, 20)), None);
         assert_eq!(stm.atomically(|tx| m.insert(tx, 1, 10)), None);
@@ -199,21 +152,5 @@ mod tests {
         assert_eq!(stm.atomically(|tx| m.remove(tx, &2)), Some(22));
         assert_eq!(stm.atomically(|tx| m.remove(tx, &2)), None);
         assert_eq!(m.check_invariants(), Ok(2));
-    }
-
-    #[test]
-    fn snapshot_family_satisfies_contract() {
-        exercise::<SnapshotFamily>();
-    }
-
-    #[test]
-    fn btree_family_satisfies_contract() {
-        exercise::<BTreeFamily>();
-    }
-
-    #[test]
-    fn family_names_match_bench_axis() {
-        assert_eq!(SnapshotFamily::NAME, "snapshot");
-        assert_eq!(BTreeFamily::NAME, "btree");
     }
 }

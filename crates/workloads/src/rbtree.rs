@@ -13,23 +13,19 @@
 //! stays stationary around its initial value).
 //!
 //! "Red-black tree" is the paper's name for the workload, kept here;
-//! the map under it is not one. The workload is generic over the map
-//! backend ([`crate::mapapi::MapFamily`]): [`RbTreeWorkload`] runs on
-//! the per-node B+-tree ([`crate::btree::TBTreeMap`]), which, like the
-//! RSTM red-black tree the paper measured, keeps a transaction's
-//! conflicts on the path it touched: a look-up is one borrowed descent
-//! that writes no shared line, an update rewrites one leaf. `RbTreeWorkloadOn<SnapshotFamily>`
-//! runs the same mix on the snapshot cell ([`crate::tmap::TMap`]: one
-//! persistent B+-tree behind one `TVar`, so every update conflicts with
-//! every update and with every look-up) — the stmbench `structure`
-//! axis.
+//! the map under it is not one. It is the per-node B+-tree
+//! ([`crate::btree::TBTreeMap`]), which, like the RSTM red-black tree
+//! the paper measured, keeps a transaction's conflicts on the path it
+//! touched: a look-up is one borrowed descent that writes no shared
+//! line, an update rewrites one leaf.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use rubic_runtime::Workload;
 use rubic_stm::Stm;
 
-use crate::mapapi::{BTreeFamily, Edit, MapFamily, TOrdMap};
+use crate::btree::TBTreeMap;
+use crate::mapapi::{Edit, TOrdMap};
 
 /// Operation mix for [`RbTreeWorkload`], in parts per thousand.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -124,7 +120,7 @@ impl RbTreeConfig {
     }
 }
 
-/// The shared ordered-map workload, generic over the map backend.
+/// The shared ordered-map workload.
 ///
 /// ```
 /// use rubic_stm::Stm;
@@ -138,21 +134,17 @@ impl RbTreeConfig {
 /// }
 /// assert!(w.stm().stats().commits() >= 100);
 /// ```
-pub struct RbTreeWorkloadOn<F: MapFamily> {
-    map: F::Map<u64, u64>,
+pub struct RbTreeWorkload {
+    map: TBTreeMap<u64, u64>,
     cfg: RbTreeConfig,
     stm: Stm,
 }
 
-/// The default backend: the per-node B+-tree
-/// ([`crate::btree::TBTreeMap`]).
-pub type RbTreeWorkload = RbTreeWorkloadOn<BTreeFamily>;
-
-impl<F: MapFamily> RbTreeWorkloadOn<F> {
+impl RbTreeWorkload {
     /// Builds the tree and fills it with `initial_size` random keys.
     #[must_use]
     pub fn new(cfg: RbTreeConfig, stm: Stm) -> Self {
-        let map = F::new_labelled("rbtree.map");
+        let map = TBTreeMap::labelled("rbtree.map");
         let mut rng = SmallRng::seed_from_u64(cfg.seed);
         // Fill outside the measured phase, one key per transaction (the
         // values don't matter to the benchmark; key*2+1 is arbitrary).
@@ -169,7 +161,7 @@ impl<F: MapFamily> RbTreeWorkloadOn<F> {
                 inserted += 1;
             }
         }
-        RbTreeWorkloadOn { map, cfg, stm }
+        RbTreeWorkload { map, cfg, stm }
     }
 
     /// The underlying STM runtime (for commit-rate reporting).
@@ -180,7 +172,7 @@ impl<F: MapFamily> RbTreeWorkloadOn<F> {
 
     /// The shared map (for inspection in tests).
     #[must_use]
-    pub fn map(&self) -> &F::Map<u64, u64> {
+    pub fn map(&self) -> &TBTreeMap<u64, u64> {
         &self.map
     }
 
@@ -196,7 +188,7 @@ pub struct RbWorkerState {
     rng: SmallRng,
 }
 
-impl<F: MapFamily> Workload for RbTreeWorkloadOn<F> {
+impl Workload for RbTreeWorkload {
     type WorkerState = RbWorkerState;
 
     fn init_worker(&self, tid: usize) -> RbWorkerState {
@@ -229,17 +221,10 @@ impl<F: MapFamily> Workload for RbTreeWorkloadOn<F> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mapapi::SnapshotFamily;
 
     #[test]
     fn initial_fill_reaches_target_size() {
         let w = RbTreeWorkload::new(RbTreeConfig::small(), Stm::default());
-        assert_eq!(w.map().check_invariants(), Ok(512));
-    }
-
-    #[test]
-    fn snapshot_backend_fill_reaches_target_size() {
-        let w = RbTreeWorkloadOn::<SnapshotFamily>::new(RbTreeConfig::small(), Stm::default());
         assert_eq!(w.map().check_invariants(), Ok(512));
     }
 
@@ -290,39 +275,6 @@ mod tests {
             (300.0..=724.0).contains(&len),
             "tree size drifted wildly: {len}"
         );
-    }
-
-    #[test]
-    fn snapshot_backend_runs_the_same_mix() {
-        let w = RbTreeWorkloadOn::<SnapshotFamily>::new(
-            RbTreeConfig::small().with_mix(OpMix::write_heavy()),
-            Stm::default(),
-        );
-        let mut st = w.init_worker(1);
-        for _ in 0..2000 {
-            w.run_task(&mut st);
-        }
-        let len = w.map().check_invariants().expect("snapshot invariants") as f64;
-        assert!(
-            (300.0..=724.0).contains(&len),
-            "tree size drifted wildly: {len}"
-        );
-    }
-
-    #[test]
-    fn backends_agree_on_the_same_op_stream() {
-        // Identical config + seeds ⇒ identical single-threaded op
-        // streams ⇒ identical final contents on both backends.
-        let cfg = RbTreeConfig::small().with_mix(OpMix::write_heavy());
-        let a = RbTreeWorkloadOn::<SnapshotFamily>::new(cfg.clone(), Stm::default());
-        let b = RbTreeWorkload::new(cfg, Stm::default());
-        let mut sa = a.init_worker(0);
-        let mut sb = b.init_worker(0);
-        for _ in 0..1500 {
-            a.run_task(&mut sa);
-            b.run_task(&mut sb);
-        }
-        assert_eq!(a.map().snapshot_entries(), b.map().snapshot_entries());
     }
 
     #[test]

@@ -23,14 +23,10 @@
 //! `-n4 -q60 -u90`) are provided as presets; the paper's Fig. 6 places
 //! Vacation in the middle of the scalability spectrum.
 //!
-//! The tables are per-node B-trees ([`crate::btree::TBTreeMap`]) by
-//! default, as STAMP's are per-node red-black trees: a session conflicts
-//! only with sessions whose paths it shares, a look-up is one borrowed
-//! descent that writes no shared line, and an update rewrites one leaf.
-//! `VacationWorkloadOn<SnapshotFamily>` runs the same sessions on
-//! snapshot-cell tables ([`crate::tmap::TMap`], where every update
-//! conflicts with every other on the same table) — the stmbench
-//! `structure` axis.
+//! The tables are per-node B-trees ([`crate::btree::TBTreeMap`]), as
+//! STAMP's are per-node red-black trees: a session conflicts only with
+//! sessions whose paths it shares, a look-up is one borrowed descent
+//! that writes no shared line, and an update rewrites one leaf.
 
 use std::sync::Arc;
 
@@ -39,7 +35,8 @@ use rand::{Rng, SeedableRng};
 use rubic_runtime::Workload;
 use rubic_stm::{Stm, Transaction, TxResult};
 
-use crate::mapapi::{BTreeFamily, Edit, MapFamily, TOrdMap};
+use crate::btree::TBTreeMap;
+use crate::mapapi::{Edit, TOrdMap};
 
 /// One of the three reservable resource types.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -195,36 +192,32 @@ impl VacationConfig {
     }
 }
 
-/// The reservation-system state: STAMP's `manager_t`, generic over the
-/// table structure ([`MapFamily`]). All four tables carry trace labels
-/// (`vacation.cars` … `vacation.customers`), so with the per-node
-/// B-tree backend a hot interior node shows up in contention tables as
-/// e.g. `vacation.flights/node@d2`.
-pub struct ManagerOn<F: MapFamily> {
-    cars: F::Map<u64, Resource>,
-    flights: F::Map<u64, Resource>,
-    rooms: F::Map<u64, Resource>,
+/// The reservation-system state: STAMP's `manager_t`, four per-node
+/// B-tree tables. All four carry trace labels (`vacation.cars` …
+/// `vacation.customers`), so a hot interior node shows up in contention
+/// tables as e.g. `vacation.flights/node@d2`.
+pub struct Manager {
+    cars: TBTreeMap<u64, Resource>,
+    flights: TBTreeMap<u64, Resource>,
+    rooms: TBTreeMap<u64, Resource>,
     /// By value: a map update clones the neighbours of the entry it
     /// touches, and cloning a [`Customer`] copies one pointer.
-    customers: F::Map<u64, Customer>,
+    customers: TBTreeMap<u64, Customer>,
 }
 
-/// The default: per-node B-tree tables, as STAMP's per-node trees.
-pub type Manager = ManagerOn<BTreeFamily>;
-
-impl<F: MapFamily> ManagerOn<F> {
+impl Manager {
     /// Creates empty tables.
     #[must_use]
     pub fn new() -> Self {
-        ManagerOn {
-            cars: F::new_labelled("vacation.cars"),
-            flights: F::new_labelled("vacation.flights"),
-            rooms: F::new_labelled("vacation.rooms"),
-            customers: F::new_labelled("vacation.customers"),
+        Manager {
+            cars: TBTreeMap::labelled("vacation.cars"),
+            flights: TBTreeMap::labelled("vacation.flights"),
+            rooms: TBTreeMap::labelled("vacation.rooms"),
+            customers: TBTreeMap::labelled("vacation.customers"),
         }
     }
 
-    fn table(&self, kind: ResourceKind) -> &F::Map<u64, Resource> {
+    fn table(&self, kind: ResourceKind) -> &TBTreeMap<u64, Resource> {
         match kind {
             ResourceKind::Car => &self.cars,
             ResourceKind::Flight => &self.flights,
@@ -403,30 +396,27 @@ impl<F: MapFamily> ManagerOn<F> {
     }
 }
 
-impl<F: MapFamily> Default for ManagerOn<F> {
+impl Default for Manager {
     fn default() -> Self {
-        ManagerOn::new()
+        Manager::new()
     }
 }
 
 /// The Vacation workload: a populated [`Manager`] plus the client-session
-/// task generator, generic over the table structure.
-pub struct VacationWorkloadOn<F: MapFamily> {
-    manager: ManagerOn<F>,
+/// task generator.
+pub struct VacationWorkload {
+    manager: Manager,
     cfg: VacationConfig,
     stm: Stm,
 }
 
-/// The default: per-node B-tree tables ([`Manager`]).
-pub type VacationWorkload = VacationWorkloadOn<BTreeFamily>;
-
-impl<F: MapFamily> VacationWorkloadOn<F> {
+impl VacationWorkload {
     /// Populates the four tables: every relation row gets 100–500 units
     /// at a random price (STAMP's initialisation), customers start
     /// empty.
     #[must_use]
     pub fn new(cfg: VacationConfig, stm: Stm) -> Self {
-        let manager = ManagerOn::new();
+        let manager = Manager::new();
         let mut rng = SmallRng::seed_from_u64(cfg.seed);
         for id in 0..cfg.relations {
             for kind in ResourceKind::ALL {
@@ -435,12 +425,12 @@ impl<F: MapFamily> VacationWorkloadOn<F> {
                 stm.atomically(|tx| manager.add_resource(tx, kind, id, units, price));
             }
         }
-        VacationWorkloadOn { manager, cfg, stm }
+        VacationWorkload { manager, cfg, stm }
     }
 
     /// The reservation manager (inspection).
     #[must_use]
-    pub fn manager(&self) -> &ManagerOn<F> {
+    pub fn manager(&self) -> &Manager {
         &self.manager
     }
 
@@ -532,7 +522,7 @@ pub struct VacationWorkerState {
     ops: Vec<(ResourceKind, u64, bool, u64)>,
 }
 
-impl<F: MapFamily> Workload for VacationWorkloadOn<F> {
+impl Workload for VacationWorkload {
     type WorkerState = VacationWorkerState;
 
     fn init_worker(&self, tid: usize) -> VacationWorkerState {
@@ -579,25 +569,6 @@ mod tests {
             assert_eq!(w.manager().table(kind).snapshot_entries().len(), 64);
         }
         assert_eq!(w.manager().customers.snapshot_entries().len(), 0);
-    }
-
-    #[test]
-    fn snapshot_tables_run_the_same_sessions() {
-        use crate::mapapi::SnapshotFamily;
-        let w = VacationWorkloadOn::<SnapshotFamily>::new(small(), Stm::default());
-        let mut state = w.init_worker(0);
-        for _ in 0..500 {
-            w.run_task(&mut state);
-        }
-        let used = w.manager().total_reserved_units(w.stm());
-        let held = w.manager().total_customer_bookings();
-        assert_eq!(used, held, "reservation ledger out of balance");
-        for kind in ResourceKind::ALL {
-            w.manager()
-                .table(kind)
-                .check_invariants()
-                .expect("snapshot table invariants");
-        }
     }
 
     #[test]
@@ -760,6 +731,12 @@ mod tests {
         let used = w.manager().total_reserved_units(w.stm());
         let held = w.manager().total_customer_bookings();
         assert_eq!(used, held, "reservation ledger out of balance");
+        for kind in ResourceKind::ALL {
+            w.manager()
+                .table(kind)
+                .check_invariants()
+                .expect("table invariants");
+        }
     }
 
     #[test]

@@ -1,16 +1,16 @@
 //! Property-based and concurrency tests for the per-node transactional
 //! B-tree (`rubic::workloads::TBTreeMap`): sequential equivalence
-//! against `std::collections::BTreeMap`, agreement with the
-//! snapshot-cell backend on identical op streams, linearizability of
-//! concurrent histories, and structural invariants (occupancy, key
-//! ordering, uniform leaf depth) surviving chaos-injected aborts.
+//! against `std::collections::BTreeMap`, fills and drains deep enough
+//! to split and merge at every level, linearizability of concurrent
+//! histories, and structural invariants (occupancy, key ordering,
+//! uniform leaf depth) surviving chaos-injected aborts.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 use proptest::prelude::*;
 use rubic::stm::Stm;
-use rubic::workloads::{Edit, TBTreeMap, TMap, TOrdMap};
+use rubic::workloads::{Edit, TBTreeMap, TOrdMap};
 
 #[derive(Debug, Clone)]
 enum MapOp {
@@ -35,9 +35,9 @@ fn map_op() -> impl Strategy<Value = MapOp> {
     ]
 }
 
-/// Applies one op to a `TOrdMap` backend, returning what the op
-/// observed (for oracle comparison).
-fn apply<M: TOrdMap<u64, u64>>(stm: &Stm, map: &M, op: &MapOp) -> Option<u64> {
+/// Applies one op to the map, returning what the op observed (for
+/// oracle comparison).
+fn apply(stm: &Stm, map: &TBTreeMap<u64, u64>, op: &MapOp) -> Option<u64> {
     match *op {
         MapOp::Insert(k, v) => stm.atomically(|tx| map.insert(tx, k, v)),
         MapOp::Remove(k) => stm.atomically(|tx| map.remove(tx, &k)),
@@ -74,8 +74,8 @@ fn apply_oracle(model: &mut BTreeMap<u64, u64>, op: &MapOp) -> Option<u64> {
 }
 
 /// Every op observes what the `BTreeMap` model observes, and the
-/// backend's invariants hold after each one.
-fn matches_btreemap<M: TOrdMap<u64, u64>>(map: &M, ops: &[MapOp]) -> Result<(), TestCaseError> {
+/// map's invariants hold after each one.
+fn matches_btreemap(map: &TBTreeMap<u64, u64>, ops: &[MapOp]) -> Result<(), TestCaseError> {
     let stm = Stm::default();
     let mut model: BTreeMap<u64, u64> = BTreeMap::new();
     for op in ops {
@@ -105,28 +105,110 @@ proptest! {
     fn tbtree_matches_btreemap(ops in proptest::collection::vec(map_op(), 1..400)) {
         matches_btreemap(&TBTreeMap::new(), &ops)?;
     }
+}
 
-    /// The same model check on the other `MapFamily` member.
-    #[test]
-    fn tmap_matches_btreemap(ops in proptest::collection::vec(map_op(), 1..400)) {
-        matches_btreemap(&TMap::new(), &ops)?;
-    }
+/// Xorshift step, for seeded orders.
+fn next(x: &mut u64) -> u64 {
+    *x ^= *x << 13;
+    *x ^= *x >> 7;
+    *x ^= *x << 17;
+    *x
+}
 
-    /// The snapshot-cell map and the per-node B-tree agree op-for-op on
-    /// identical streams: same return values, same final contents. This
-    /// is the drop-in-backend contract the stmbench `structure` axis
-    /// relies on.
-    #[test]
-    fn backends_agree_on_identical_streams(ops in proptest::collection::vec(map_op(), 1..250)) {
-        let stm = Stm::default();
-        let snap: TMap<u64, u64> = TOrdMap::empty();
-        let btree: TBTreeMap<u64, u64> = TBTreeMap::new();
-        for op in &ops {
-            let a = apply(&stm, &snap, op);
-            let b = apply(&stm, &btree, op);
-            prop_assert_eq!(a, b);
+/// The keys `0..n` in ascending (0), descending (1) or seeded random
+/// (anything else) order.
+fn ordered(n: u64, order: u8, seed: u64) -> Vec<u64> {
+    let mut keys: Vec<u64> = (0..n).collect();
+    match order {
+        0 => {}
+        1 => keys.reverse(),
+        _ => {
+            let mut x = seed | 1;
+            for i in (1..keys.len()).rev() {
+                keys.swap(i, (next(&mut x) % (i as u64 + 1)) as usize);
+            }
         }
-        prop_assert_eq!(snap.snapshot_entries(), btree.snapshot_entries());
+    }
+    keys
+}
+
+/// Invariants plus agreement with the model on size; returns the depth.
+fn agree(map: &TBTreeMap<u64, u64>, model: &BTreeMap<u64, u64>) -> usize {
+    let (len, depth) = map.check_shape().expect("btree invariants");
+    assert_eq!(len, model.len());
+    depth
+}
+
+/// Fills `n` distinct keys in one order and drains them to empty in
+/// another, one transaction per operation on one `Stm`, against
+/// `BTreeMap`, checking the shape every 64 steps. The 300-key proptest
+/// above stays shallow; this reaches every structural case:
+/// growing to depth >= 3 splits leaves, branches and the root;
+/// shrinking back to one leaf merges them and collapses the root; a
+/// random fill leaves siblings above their minimum, so an ascending
+/// drain (the underfull node is a first child) borrows from the right
+/// and a descending one from the left, at the leaves and at the
+/// interior levels.
+fn fill_and_drain(n: u64, fill: u8, drain: u8, seed: u64) {
+    let stm = Stm::default();
+    let mut model = BTreeMap::new();
+    let map: TBTreeMap<u64, u64> = TBTreeMap::new();
+    for (step, k) in ordered(n, fill, seed).into_iter().enumerate() {
+        let old = stm.atomically(|tx| map.insert(tx, k, step as u64));
+        assert_eq!(old, model.insert(k, step as u64));
+        if step & 63 == 0 {
+            agree(&map, &model);
+        }
+    }
+    assert!(
+        agree(&map, &model) >= 3,
+        "{n} keys must not fit three levels"
+    );
+    assert_eq!(
+        map.snapshot_entries(),
+        model.clone().into_iter().collect::<Vec<_>>()
+    );
+    for (step, k) in ordered(n, drain, !seed).into_iter().enumerate() {
+        assert_eq!(
+            stm.atomically(|tx| map.remove(tx, &(k + n))),
+            None,
+            "absent key"
+        );
+        let old = stm.atomically(|tx| map.remove(tx, &k));
+        assert_eq!(old, model.remove(&k));
+        assert_eq!(stm.atomically(|tx| map.get(tx, &k)), None);
+        if step & 63 == 0 {
+            agree(&map, &model);
+        }
+    }
+    assert_eq!(
+        map.check_shape(),
+        Ok((0, 0)),
+        "drained back to one root leaf"
+    );
+}
+
+#[test]
+fn tbtree_fills_and_drains_6k_keys_in_every_order() {
+    for fill in 0..3 {
+        for drain in 0..3 {
+            fill_and_drain(6_000, fill, drain, 0x9E37_79B9_7F4A_7C15);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// The same fill-and-drain with drawn sizes, orders and shuffles.
+    #[test]
+    fn tbtree_fill_and_drain_large(
+        n in 6_000u64..8_000,
+        fill in 0u8..3,
+        drain in 0u8..3,
+        seed in any::<u64>(),
+    ) {
+        fill_and_drain(n, fill, drain, seed);
     }
 }
 

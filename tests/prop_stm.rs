@@ -6,6 +6,7 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use rubic::prelude::*;
+use rubic::workloads::{TBTreeMap, TOrdMap};
 
 #[derive(Debug, Clone)]
 enum TxOp {
@@ -319,12 +320,12 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// TMap transactions compose with raw TVar operations atomically:
+    /// Map transactions compose with raw TVar operations atomically:
     /// an index cell always matches the map's size.
     #[test]
-    fn tmap_and_tvar_compose(keys in proptest::collection::vec(0u64..64, 1..60)) {
+    fn map_and_tvar_compose(keys in proptest::collection::vec(0u64..64, 1..60)) {
         let stm = Stm::default();
-        let map: Arc<TMap<u64, u64>> = Arc::new(TMap::new());
+        let map: Arc<TBTreeMap<u64, u64>> = Arc::new(TBTreeMap::new());
         let size_cell = Arc::new(TVar::new(0usize));
         let handles: Vec<_> = keys
             .chunks(15)
@@ -354,6 +355,6 @@ proptest! {
         for h in handles {
             h.join().unwrap();
         }
-        prop_assert_eq!(map.snapshot().len(), size_cell.snapshot());
+        prop_assert_eq!(map.snapshot_entries().len(), size_cell.snapshot());
     }
 }

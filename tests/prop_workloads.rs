@@ -6,6 +6,7 @@ use proptest::prelude::*;
 use rubic::prelude::*;
 use rubic::workloads::intruder::{detect, FlowBuffer, Packet, SIGNATURES};
 use rubic::workloads::vacation::ResourceKind;
+use rubic::workloads::{TBTreeMap, TOrdMap};
 
 fn any_kind() -> impl Strategy<Value = ResourceKind> {
     prop_oneof![
@@ -145,18 +146,17 @@ proptest! {
         prop_assert_eq!(detect(&assembled), detect(&payload));
     }
 
-    /// PMap entries from a TMap snapshot always equal the sorted insert
-    /// history (workloads build on this constantly).
+    /// A map's snapshot entries always equal the sorted insert history
+    /// (workloads build on this constantly).
     #[test]
-    fn tmap_snapshot_is_sorted_history(keys in proptest::collection::btree_set(0u32..500, 0..80)) {
+    fn map_snapshot_is_sorted_history(keys in proptest::collection::btree_set(0u32..500, 0..80)) {
         let stm = Stm::default();
-        let m: TMap<u32, u32> = TMap::new();
+        let m: TBTreeMap<u32, u32> = TBTreeMap::new();
         for &k in &keys {
             stm.atomically(|tx| m.insert(tx, k, k * 2));
         }
-        let snap = m.snapshot();
-        snap.check_invariants().expect("rb invariants");
-        let entries = snap.entries();
+        m.check_invariants().expect("rb invariants");
+        let entries = m.snapshot_entries();
         let expected: Vec<(u32, u32)> = keys.iter().map(|&k| (k, k * 2)).collect();
         prop_assert_eq!(entries, expected);
     }

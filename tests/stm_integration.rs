@@ -6,6 +6,7 @@ use std::time::Duration;
 
 use rubic::prelude::*;
 use rubic::workloads::vacation::ResourceKind;
+use rubic::workloads::{TBTreeMap, TOrdMap};
 
 /// Bank-transfer serializability: concurrent transfers + concurrent
 /// full-table audits; the total must hold in every audit snapshot and
@@ -69,9 +70,9 @@ fn bank_invariant_under_concurrency() {
 /// The transactional map keeps its tree invariants and exact size
 /// under concurrent inserts and removals from many threads.
 #[test]
-fn tmap_concurrent_mixed_ops_stay_consistent() {
+fn map_concurrent_mixed_ops_stay_consistent() {
     let stm = Stm::default();
-    let map: Arc<TMap<u64, u64>> = Arc::new(TMap::new());
+    let map: Arc<TBTreeMap<u64, u64>> = Arc::new(TBTreeMap::new());
     let inserted = Arc::new(std::sync::atomic::AtomicI64::new(0));
 
     let handles: Vec<_> = (0..4u64)
@@ -104,10 +105,9 @@ fn tmap_concurrent_mixed_ops_stay_consistent() {
     for h in handles {
         h.join().unwrap();
     }
-    let snap = map.snapshot();
-    snap.check_invariants().expect("tree invariants");
+    let len = map.check_invariants().expect("tree invariants");
     assert_eq!(
-        snap.len() as i64,
+        len as i64,
         inserted.load(std::sync::atomic::Ordering::Relaxed),
         "net insert count must equal final map size"
     );

@@ -57,7 +57,7 @@ impl LexOut {
 
     /// True when any comment within `window` lines ending at `line`
     /// (inclusive) contains `needle` — the justification-comment rule
-    /// shared by R2/R3/R5 and the purity escape.
+    /// shared by R2/R5 and the purity escape.
     #[must_use]
     pub fn comment_nearby(&self, line: u32, needle: &str, window: u32) -> bool {
         let lo = line.saturating_sub(window);

@@ -1,6 +1,8 @@
-//! R1–R5, the concurrency hygiene rules, on the token stream: string
-//! literals and comments cannot produce false positives, because they
-//! are single tokens / comment-map entries rather than raw line text.
+//! R1, R2, R4 and R5, the concurrency hygiene rules, on the token
+//! stream: string literals and comments cannot produce false positives,
+//! because they are single tokens / comment-map entries rather than raw
+//! line text. (`// SAFETY:` at every `unsafe` is clippy's
+//! `undocumented_unsafe_blocks`, set in the workspace lint table.)
 
 use std::collections::BTreeSet;
 use std::path::Path;
@@ -102,7 +104,7 @@ fn escaped_on(lex: &LexOut, line: u32, escape: &str) -> bool {
     lex.comment_on(line).is_some_and(|c| c.contains(escape))
 }
 
-/// Runs R1–R5 over one production file's token stream.
+/// Runs R1, R2, R4 and R5 over one production file's token stream.
 pub fn check_file(rel: &Path, lex: &LexOut, stats: &mut Stats, out: &mut Vec<Finding>) {
     let tail = test_tail_line(&lex.tokens);
     let facade_exempt = FACADE_CRATES.iter().any(|c| rel_starts_with(rel, c));
@@ -132,7 +134,6 @@ pub fn check_file(rel: &Path, lex: &LexOut, stats: &mut Stats, out: &mut Vec<Fin
 
     // Counted lines, so stats match the one-site-per-line convention.
     let mut ordering_lines: BTreeSet<u32> = BTreeSet::new();
-    let mut unsafe_lines: BTreeSet<u32> = BTreeSet::new();
 
     let ident = |i: usize, name: &str| {
         toks.get(i)
@@ -189,22 +190,6 @@ pub fn check_file(rel: &Path, lex: &LexOut, stats: &mut Stats, out: &mut Vec<Fin
             }
         }
 
-        // R3: unsafe needs SAFETY. Token-level, so `unsafe_code` in a
-        // forbid attribute and "unsafe" in strings/comments never fire.
-        if t.kind == TokKind::Ident && t.text == "unsafe" {
-            unsafe_lines.insert(line);
-            if !escaped_on(lex, line, "lint: allow-unsafe")
-                && !lex.comment_nearby(line, "SAFETY:", COMMENT_WINDOW)
-            {
-                report(
-                    out,
-                    Rule::R3,
-                    line,
-                    "`unsafe` without a `// SAFETY:` comment within the comment window",
-                );
-            }
-        }
-
         // R4: hot path must not read the OS clock.
         if hot_path
             && t.kind == TokKind::Ident
@@ -245,7 +230,6 @@ pub fn check_file(rel: &Path, lex: &LexOut, stats: &mut Stats, out: &mut Vec<Fin
     }
 
     stats.ordering_sites += ordering_lines.len();
-    stats.unsafe_sites += unsafe_lines.len();
 }
 
 #[cfg(test)]
@@ -317,20 +301,6 @@ mod tests {
         let v = run("crates/stm/src/clock.rs", "fence(Ordering::SeqCst);\n");
         assert_eq!(v.len(), 1, "{v:?}");
         assert!(v[0].contains("[R2]"));
-    }
-
-    #[test]
-    fn unsafe_needs_safety_and_forbid_attr_is_invisible() {
-        assert_eq!(
-            run("crates/stm/src/x.rs", "let p = unsafe { *ptr };\n").len(),
-            1
-        );
-        assert!(run(
-            "crates/stm/src/x.rs",
-            "// SAFETY: ptr is valid for the guard's lifetime\nlet p = unsafe { *ptr };\n"
-        )
-        .is_empty());
-        assert!(run("crates/stm/src/x.rs", "#![forbid(unsafe_code)]\n").is_empty());
     }
 
     #[test]

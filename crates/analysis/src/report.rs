@@ -9,12 +9,6 @@ use std::path::PathBuf;
 pub enum Rule {
     /// Transaction purity: irrevocable effect inside a retry-able body.
     A1,
-    /// Feature-gate integrity: `cfg(feature = "…")` names an undeclared
-    /// feature, or an unknown custom cfg ident.
-    A2,
-    /// Trace-schema consistency: `EventKind` drifted from its decode
-    /// table, doc table, or the README event table.
-    A3,
     /// Escape hygiene: a `txn: allow-effect(…)` escape with an empty
     /// reason (an escape must argue, not just silence).
     E1,
@@ -22,8 +16,6 @@ pub enum Rule {
     R1,
     /// SeqCst/Relaxed ordering justification (re-hosted lexical rule).
     R2,
-    /// `unsafe` SAFETY comment (re-hosted lexical rule).
-    R3,
     /// Hot-path `Instant::now` ban (re-hosted lexical rule).
     R4,
     /// Fence justification at any ordering (re-hosted lexical rule).
@@ -36,12 +28,9 @@ impl Rule {
     pub fn id(self) -> &'static str {
         match self {
             Rule::A1 => "A1",
-            Rule::A2 => "A2",
-            Rule::A3 => "A3",
             Rule::E1 => "E1",
             Rule::R1 => "R1",
             Rule::R2 => "R2",
-            Rule::R3 => "R3",
             Rule::R4 => "R4",
             Rule::R5 => "R5",
         }
@@ -80,14 +69,8 @@ pub struct Stats {
     /// Transaction contexts (closures into `atomically`/`read_only`
     /// plus `&mut Transaction`-taking fns) analyzed by A1.
     pub txn_contexts: usize,
-    /// `cfg`/`cfg_attr`/`cfg!` feature names checked by A2.
-    pub cfg_sites: usize,
-    /// `EventKind` variants cross-checked by A3.
-    pub event_kinds: usize,
     /// SeqCst/Relaxed/fence sites audited (R2 + R5).
     pub ordering_sites: usize,
-    /// `unsafe` sites audited (R3).
-    pub unsafe_sites: usize,
     /// `txn: allow-effect` escapes honoured (each carries a reason).
     pub escapes: usize,
 }
@@ -110,7 +93,7 @@ impl Report {
     /// is zero-dependency); all strings pass through [`json_escape`].
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut s = String::from("{\n  \"schema\": \"rubic-analyze/v1\",\n  \"findings\": [");
+        let mut s = String::from("{\n  \"schema\": \"rubic-analyze/v2\",\n  \"findings\": [");
         for (i, f) in self.findings.iter().enumerate() {
             if i > 0 {
                 s.push(',');
@@ -128,16 +111,9 @@ impl Report {
         }
         let st = &self.stats;
         s.push_str(&format!(
-            "],\n  \"stats\": {{\"files\": {}, \"txn_contexts\": {}, \"cfg_sites\": {}, \
-             \"event_kinds\": {}, \"ordering_sites\": {}, \"unsafe_sites\": {}, \
-             \"escapes\": {}}}\n}}\n",
-            st.files,
-            st.txn_contexts,
-            st.cfg_sites,
-            st.event_kinds,
-            st.ordering_sites,
-            st.unsafe_sites,
-            st.escapes
+            "],\n  \"stats\": {{\"files\": {}, \"txn_contexts\": {}, \
+             \"ordering_sites\": {}, \"escapes\": {}}}\n}}\n",
+            st.files, st.txn_contexts, st.ordering_sites, st.escapes
         ));
         s
     }
@@ -178,7 +154,7 @@ mod tests {
         assert!(j.contains("\\\"no\\\""));
         assert!(j.contains("\\n"));
         assert!(j.contains("\"rule\": \"A1\""));
-        assert!(j.contains("rubic-analyze/v1"));
+        assert!(j.contains("rubic-analyze/v2"));
     }
 
     #[test]

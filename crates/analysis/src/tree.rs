@@ -1,7 +1,7 @@
 //! Token-tree parser: groups the flat token stream into nested
 //! delimiter groups (`()`, `[]`, `{}`), which is exactly the structure
-//! the passes need — closure boundaries, fn bodies, `cfg(...)`
-//! argument lists — without committing to a full AST.
+//! the passes need — closure boundaries, fn bodies, call argument
+//! lists — without committing to a full AST.
 
 use crate::lexer::{Tok, TokKind};
 
@@ -113,16 +113,6 @@ fn parse_until(tokens: &[Tok], pos: &mut usize, until: Option<char>) -> Vec<Tree
         *pos += 1;
     }
     out
-}
-
-/// Walks every group in the forest depth-first, calling `f` on each.
-pub fn walk_groups<'a>(trees: &'a [Tree], f: &mut impl FnMut(&'a Group)) {
-    for t in trees {
-        if let Tree::Group(g) = t {
-            f(g);
-            walk_groups(&g.children, f);
-        }
-    }
 }
 
 /// Collects every leaf in the forest depth-first into `out`.

@@ -1,7 +1,6 @@
 //! Regression gate: the real workspace analyzes clean. Any future
-//! change that introduces an impure transaction body, a typo'd feature
-//! gate, or trace-schema drift fails this test (and `cargo xtask
-//! analyze`, and CI).
+//! change that introduces an impure transaction body or an unjustified
+//! ordering fails this test (and `cargo xtask analyze`, and CI).
 
 use std::path::{Path, PathBuf};
 
@@ -27,24 +26,14 @@ fn workspace_analyzes_clean() {
 #[test]
 fn workspace_stats_are_plausible() {
     let rep = rubic_analyze::analyze(&workspace_root());
-    // The workspace has hundreds of Rust files, a tracing schema with
-    // 15 event kinds, and dozens of audited ordering sites; zeros here
-    // mean a walk or pass silently matched nothing.
+    // The workspace has over a hundred production Rust files, dozens
+    // of transaction contexts and dozens of audited ordering sites;
+    // zeros here mean a walk or pass silently matched nothing.
     assert!(rep.stats.files > 50, "files: {}", rep.stats.files);
     assert!(
         rep.stats.txn_contexts > 20,
         "txn_contexts: {}",
         rep.stats.txn_contexts
-    );
-    assert!(
-        rep.stats.cfg_sites > 30,
-        "cfg_sites: {}",
-        rep.stats.cfg_sites
-    );
-    assert_eq!(
-        rep.stats.event_kinds, 15,
-        "event_kinds: {}",
-        rep.stats.event_kinds
     );
     assert!(
         rep.stats.ordering_sites > 20,

@@ -138,13 +138,7 @@ impl Policy {
     pub fn build(&self, cfg: &PolicyConfig) -> Box<dyn Controller> {
         let pool = cfg.pool_size.max(1);
         match *self {
-            Policy::Rubic => {
-                let rc = RubicConfig {
-                    tolerance: cfg.tolerance,
-                    ..cfg.rubic
-                };
-                Box::new(Rubic::new(rc, pool))
-            }
+            Policy::Rubic => Box::new(Rubic::new(cfg.rubic, pool).with_tolerance(cfg.tolerance)),
             Policy::Ebs => Box::new(Ebs::new(pool).with_tolerance(cfg.tolerance)),
             Policy::F2c2 => Box::new(F2c2::new(pool).with_tolerance(cfg.tolerance)),
             Policy::Aimd => {

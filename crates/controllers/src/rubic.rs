@@ -34,10 +34,6 @@ pub struct RubicConfig {
     /// `K`-constant convention for Equation (1); see
     /// [`CubicKConvention`].
     pub convention: CubicKConvention,
-    /// Relative throughput tolerance for the `T_c >= T_p` comparison.
-    /// `0.0` is the paper-literal comparison; a few percent helps with
-    /// noisy in-vivo measurements.
-    pub tolerance: f64,
     /// Linear decrease step used on the first round of a loss (Algorithm
     /// 2 line 31 uses 2).
     pub linear_decrease: u32,
@@ -49,7 +45,6 @@ impl Default for RubicConfig {
             alpha: 0.8,
             beta: 0.1,
             convention: CubicKConvention::default(),
-            tolerance: 0.0,
             linear_decrease: 2,
         }
     }
@@ -81,6 +76,7 @@ enum Reduction {
 #[derive(Debug, Clone)]
 pub struct Rubic {
     cfg: RubicConfig,
+    tolerance: f64,
     max_level: u32,
     cubic: CubicGrowth,
     growth: Growth,
@@ -98,12 +94,23 @@ impl Rubic {
         let cubic = CubicGrowth::new(cfg.alpha, cfg.beta, cfg.convention);
         Rubic {
             cfg,
+            tolerance: 0.0,
             max_level: max_level.max(1),
             cubic,
             growth: Growth::Cubic,
             reduction: Reduction::Linear,
             t_p: 0.0,
         }
+    }
+
+    /// Sets the relative throughput tolerance of the `T_c >= T_p`
+    /// comparison; returns `self`. The default `0.0` is the
+    /// paper-literal comparison; a few percent helps with noisy in-vivo
+    /// measurements.
+    #[must_use]
+    pub fn with_tolerance(mut self, tolerance: f64) -> Self {
+        self.tolerance = tolerance;
+        self
     }
 
     /// The configuration this controller was built with.
@@ -123,7 +130,7 @@ impl Rubic {
 impl Controller for Rubic {
     fn decide(&mut self, sample: Sample) -> u32 {
         let l_c = sample.level;
-        let (proposal, phase) = if improved(sample.throughput, self.t_p, self.cfg.tolerance) {
+        let (proposal, phase) = if improved(sample.throughput, self.t_p, self.tolerance) {
             // Growth branch (Algorithm 2 lines 6-23).
             let (proposal, phase) = match self.growth {
                 Growth::Cubic => {

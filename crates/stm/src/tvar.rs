@@ -118,11 +118,11 @@ impl<T: TxValue> TVarCore<T> {
 
 impl<T> Drop for TVarCore<T> {
     fn drop(&mut self) {
+        let ptr = std::mem::replace(&mut self.data, Atomic::null());
         // SAFETY: having `&mut self` proves no other handle or reader
         // exists (the core was retired by its last handle and the epoch
         // has passed every reader pinned back then), so the current
         // pointer is uniquely owned and can be reclaimed immediately.
-        let ptr = std::mem::replace(&mut self.data, Atomic::null());
         unsafe {
             let owned = ptr.try_into_owned();
             drop(owned);

@@ -4,112 +4,104 @@
 //! flat 40-byte struct so a ring slot is five `u64` words and producers
 //! never allocate. Meaning is carried by [`EventKind`] plus a
 //! kind-specific `code` byte and three `u64` payload words whose layout
-//! is documented per kind (and mirrored in README's event-schema table).
+//! each variant's doc comment states. That enum is the one copy of the
+//! schema: the README points here instead of repeating it.
 
-/// What an [`Event`] describes.
-///
-/// Payload conventions (`a`/`b`/`c` are the event's payload words;
-/// `code` is the kind-specific discriminator byte):
-///
-/// | kind | code | a | b | c |
-/// |---|---|---|---|---|
-/// | `TxnBegin` | 0 | 0 | 0 | 0 |
-/// | `TxnCommit` | 0 | latency ns (begin→commit) | `reads << 32 \| writes` | attempts |
-/// | `TxnAbort` | abort reason | ns since attempt start | attempt index | culprit lock address (0 if unknown) |
-/// | `TxnRestart` | 0 | backoff ns (abort→restart) | attempt index | 0 |
-/// | `LockHold` | 0 commit / 1 abort release | hold ns | lock address | 0 |
-/// | `ClockExtend` | 0 | old read version | new read version | 0 |
-/// | `LevelChange` | 0 | old level | new level | round |
-/// | `MonitorRound` | 0 | `round << 32 \| commits Δ` | `level << 32 \| aborts Δ` | throughput `f64` bits |
-/// | `WorkerDelta` | 0 | `worker << 32 \| commits Δ` | round | aborts Δ (this worker) |
-/// | `Decision` | phase | throughput `f64` bits | `level << 32 \| new level` | policy id |
-/// | `RubicState` | phase | `T_p` `f64` bits | `L_max` `f64` bits | `level << 32 \| new level` |
-/// | `Chaos` | chaos point | action code | spin count | 0 |
-/// | `TaskSteal` | bit 0: victim gated | `thief << 32 \| victim` | tasks moved | victim shard length before |
-/// | `WorkerPark` | 0 park / 1 unpark | worker tid | level at transition | 0 |
-/// | `Anomaly` | anomaly kind | observed value | configured threshold | round (0 if n/a) |
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[repr(u8)]
-pub enum EventKind {
+/// Declares [`EventKind`] from one list: the `#[repr(u8)]` enum (the
+/// discriminant is the declaration index), [`EventKind::ALL`] in that
+/// order, and the [`EventKind::name`] arms. A variant therefore cannot
+/// exist without a decode entry and an exporter name.
+macro_rules! event_kinds {
+    ($($(#[$attr:meta])* $kind:ident => $name:literal,)*) => {
+        /// What an [`Event`] describes.
+        ///
+        /// `a`/`b`/`c` are the event's payload words; `code` is the
+        /// kind-specific discriminator byte. Each variant states its
+        /// layout.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        #[repr(u8)]
+        pub enum EventKind {
+            $($(#[$attr])* $kind,)*
+        }
+
+        impl EventKind {
+            /// All kinds, in discriminant order (for decode tables).
+            pub const ALL: [EventKind; [$(EventKind::$kind),*].len()] = [$(EventKind::$kind),*];
+
+            /// Stable lower-case name used by the exporters.
+            #[must_use]
+            pub fn name(self) -> &'static str {
+                match self {
+                    $(EventKind::$kind => $name,)*
+                }
+            }
+        }
+    };
+}
+
+event_kinds! {
     /// A transaction (one `atomically` call) started its first attempt.
-    TxnBegin = 0,
-    /// A transaction committed.
-    TxnCommit = 1,
-    /// An attempt aborted; `code` is the abort-reason code.
-    TxnAbort = 2,
+    /// `code` 0; `a`, `b`, `c` 0.
+    TxnBegin => "txn_begin",
+    /// A transaction committed. `code` 0; `a` latency ns (begin→commit);
+    /// `b` `reads << 32 | writes`; `c` attempts.
+    TxnCommit => "txn_commit",
+    /// An attempt aborted. `code` abort reason ([`codes::abort_name`]);
+    /// `a` ns since attempt start; `b` attempt index; `c` culprit lock
+    /// address (0 if unknown).
+    TxnAbort => "txn_abort",
     /// An aborted transaction finished backing off and restarted.
-    TxnRestart = 3,
-    /// A write lock was released after being held for `a` ns.
-    LockHold = 4,
+    /// `code` 0; `a` backoff ns (abort→restart); `b` attempt index; `c` 0.
+    TxnRestart => "txn_restart",
+    /// A write lock was released. `code` 0 commit / 1 abort release;
+    /// `a` hold ns; `b` lock address; `c` 0.
+    LockHold => "lock_hold",
     /// A successful timestamp extension moved the read version forward.
-    ClockExtend = 5,
-    /// The pool monitor applied a new parallelism level.
-    LevelChange = 6,
+    /// `code` 0; `a` old read version; `b` new read version; `c` 0.
+    ClockExtend => "clock_extend",
+    /// The pool monitor applied a new parallelism level. `code` 0; `a`
+    /// old level; `b` new level; `c` round.
+    LevelChange => "level_change",
     /// One monitor round completed (Algorithm 1's measurement step).
-    MonitorRound = 7,
-    /// Per-worker completed-task delta for one monitor round.
-    WorkerDelta = 8,
+    /// `code` 0; `a` `round << 32 | commits Δ`; `b` `level << 32 |
+    /// aborts Δ`; `c` throughput `f64` bits.
+    MonitorRound => "monitor_round",
+    /// Per-worker completed-task delta for one monitor round. `code` 0;
+    /// `a` `worker << 32 | commits Δ`; `b` round; `c` aborts Δ (this
+    /// worker).
+    WorkerDelta => "worker_delta",
     /// A controller's `decide()` consumed a sample (Algorithm 2 input).
-    Decision = 9,
-    /// RUBIC's full CIMD state at a decision point.
-    RubicState = 10,
-    /// A chaos hook fired at an STM protocol point.
-    Chaos = 11,
+    /// `code` phase ([`codes::phase_name`]); `a` throughput `f64` bits;
+    /// `b` `level << 32 | new level`; `c` policy id
+    /// ([`codes::policy_name`]).
+    Decision => "decision",
+    /// RUBIC's full CIMD state at a decision point. `code` phase; `a`
+    /// `T_p` `f64` bits; `b` `L_max` `f64` bits; `c` `level << 32 | new
+    /// level`.
+    RubicState => "rubic_state",
+    /// A chaos hook fired at an STM protocol point. `code` chaos point
+    /// ([`codes::chaos_point_name`]); `a` action code; `b` spin count;
+    /// `c` 0.
+    Chaos => "chaos",
     /// A dry worker stole a batch of tasks from another worker's shard.
-    TaskSteal = 12,
-    /// A worker parked on the gate (code 0) or resumed from it (code 1).
-    WorkerPark = 13,
+    /// `code` bit 0: victim gated; `a` `thief << 32 | victim`; `b` tasks
+    /// moved; `c` victim shard length before.
+    TaskSteal => "task_steal",
+    /// A worker parked on the gate or resumed from it. `code` 0 park /
+    /// 1 unpark; `a` worker tid; `b` level at transition; `c` 0.
+    WorkerPark => "worker_park",
     /// An anomaly watchdog fired (abort storm or level oscillation);
-    /// usually accompanied by a post-mortem dump.
-    Anomaly = 14,
+    /// usually accompanied by a post-mortem dump. `code` anomaly kind
+    /// ([`codes::anomaly_name`]); `a` observed value; `b` configured
+    /// threshold; `c` round (0 if n/a).
+    Anomaly => "anomaly",
 }
 
 impl EventKind {
-    /// All kinds, in discriminant order (for decode tables).
-    pub const ALL: [EventKind; 15] = [
-        EventKind::TxnBegin,
-        EventKind::TxnCommit,
-        EventKind::TxnAbort,
-        EventKind::TxnRestart,
-        EventKind::LockHold,
-        EventKind::ClockExtend,
-        EventKind::LevelChange,
-        EventKind::MonitorRound,
-        EventKind::WorkerDelta,
-        EventKind::Decision,
-        EventKind::RubicState,
-        EventKind::Chaos,
-        EventKind::TaskSteal,
-        EventKind::WorkerPark,
-        EventKind::Anomaly,
-    ];
-
     /// Decodes a discriminant byte.
     #[must_use]
     pub fn from_u8(v: u8) -> Option<EventKind> {
         Self::ALL.get(v as usize).copied()
-    }
-
-    /// Stable lower-case name used by the exporters.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            EventKind::TxnBegin => "txn_begin",
-            EventKind::TxnCommit => "txn_commit",
-            EventKind::TxnAbort => "txn_abort",
-            EventKind::TxnRestart => "txn_restart",
-            EventKind::LockHold => "lock_hold",
-            EventKind::ClockExtend => "clock_extend",
-            EventKind::LevelChange => "level_change",
-            EventKind::MonitorRound => "monitor_round",
-            EventKind::WorkerDelta => "worker_delta",
-            EventKind::Decision => "decision",
-            EventKind::RubicState => "rubic_state",
-            EventKind::Chaos => "chaos",
-            EventKind::TaskSteal => "task_steal",
-            EventKind::WorkerPark => "worker_park",
-            EventKind::Anomaly => "anomaly",
-        }
     }
 }
 
@@ -347,6 +339,14 @@ mod tests {
             "level-oscillation"
         );
         assert_eq!(codes::anomaly_name(99), "unknown");
+    }
+
+    #[test]
+    fn names_are_distinct_and_decoding_stops_after_all() {
+        let names: std::collections::HashSet<&str> =
+            EventKind::ALL.iter().map(|k| k.name()).collect();
+        assert_eq!(names.len(), EventKind::ALL.len());
+        assert_eq!(EventKind::from_u8(EventKind::ALL.len() as u8), None);
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Workspace automation.
 //!
-//! * `cargo xtask analyze [--json [FILE]]` — full static analysis
-//!   (transaction purity A1, feature-gate integrity A2, trace-schema
-//!   consistency A3, plus the R1–R5 hygiene rules). Exits non-zero on
+//! * `cargo xtask analyze [--json [FILE]]` — the static analysis no
+//!   compiler lint covers (transaction purity A1 with its escape rule
+//!   E1, plus the R1, R2, R4 and R5 hygiene rules). Exits non-zero on
 //!   any finding. `--json` writes the machine-readable report
-//!   (`rubic-analyze/v1`) to FILE, or stdout when FILE is omitted.
+//!   (`rubic-analyze/v2`) to FILE, or stdout when FILE is omitted.
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -12,8 +12,8 @@ fn main() {
         Some("analyze") => analyze(&mut args),
         other => {
             eprintln!(
-                "usage: cargo xtask <command>\n\ncommands:\n  analyze  full static analysis \
-                 (txn purity, feature gates, trace schema, hygiene rules)\n           \
+                "usage: cargo xtask <command>\n\ncommands:\n  analyze  static analysis \
+                 (txn purity, concurrency hygiene rules)\n           \
                  options: --json [FILE] machine-readable report"
             );
             if let Some(o) = other {
@@ -60,15 +60,9 @@ fn analyze(args: &mut impl Iterator<Item = String>) {
     let s = &rep.stats;
     if rep.findings.is_empty() {
         println!(
-            "xtask analyze: OK ({} files; {} txn contexts, {} cfg sites, {} event kinds, \
-             {} ordering sites, {} unsafe sites checked; {} escapes honoured)",
-            s.files,
-            s.txn_contexts,
-            s.cfg_sites,
-            s.event_kinds,
-            s.ordering_sites,
-            s.unsafe_sites,
-            s.escapes
+            "xtask analyze: OK ({} files; {} txn contexts, {} ordering sites checked; \
+             {} escapes honoured)",
+            s.files, s.txn_contexts, s.ordering_sites, s.escapes
         );
     } else {
         eprintln!("xtask analyze: {} finding(s)", rep.findings.len());

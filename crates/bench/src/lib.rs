@@ -5,10 +5,9 @@
 //! regenerator in [`figures`], keyed by the paper's numbering; the
 //! `figures` binary drives them (`cargo run -p rubic-bench --bin
 //! figures -- --all`) and writes CSV series plus readable text tables.
-//! Design-choice ablations live in [`ablations`]. Criterion
-//! microbenchmarks (`benches/`) cover the substrate layers: STM
-//! primitives, controller decision cost, workload tasks, pool gating,
-//! and simulation throughput.
+//! Design-choice ablations live in [`ablations`]. The `stmbench` and
+//! `poolbench` binaries measure the STM engine and the pool one layer
+//! at a time and write `BENCH_*.json` through [`report`].
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -20,7 +19,6 @@ pub mod invivo;
 pub mod poolbench;
 pub mod report;
 pub mod stmbench;
-pub mod topobench;
 
 /// A renderable figure/table: labelled rows of numeric columns.
 #[derive(Debug, Clone)]

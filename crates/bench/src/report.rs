@@ -1,7 +1,6 @@
-//! The one `BENCH_*.json` writer behind `stmbench`, `poolbench` and
-//! `topobench`.
+//! The one `BENCH_*.json` writer behind `stmbench` and `poolbench`.
 //!
-//! The three harnesses differ in what they sweep and in what their
+//! The two harnesses differ in what they sweep and in what their
 //! schema promises; how a report is serialised, which structural checks
 //! every schema shares, and what a binary does once its sweep returns
 //! are the same for all of them and live here. A harness describes its
@@ -53,7 +52,6 @@ pub(crate) enum Value<'a> {
     Str(&'a str),
     Int(u64),
     Bool(bool),
-    Num(f64),
     Stat(&'a Stat),
 }
 
@@ -111,7 +109,6 @@ fn json_object(fields: &[(&'static str, Value<'_>)], indent: &str) -> String {
                 Value::Str(s) => format!("\"{s}\""),
                 Value::Int(n) => n.to_string(),
                 Value::Bool(b) => b.to_string(),
-                Value::Num(x) => json_f64(*x),
                 Value::Stat(s) => json_stat(s, &inner),
             };
             format!("{inner}\"{key}\": {rendered}")
@@ -222,7 +219,6 @@ mod tests {
     use super::*;
     use crate::poolbench::{PoolBenchPoint, PoolBenchReport};
     use crate::stmbench::{BenchPoint, BenchReport};
-    use crate::topobench::{TopoBenchPoint, TopoBenchReport};
 
     #[test]
     fn stat_mean_and_stddev() {
@@ -247,10 +243,10 @@ mod tests {
         assert!(is_noisy(&stat(100.0, 26.0)));
     }
 
-    // The goldens below are the output of the three per-harness writers
-    // this module replaced, captured on fixed two-point reports: topo v1
-    // byte for byte, stm v5 = v4 minus the `structure` lines (under its
-    // own schema string), pool v2 = v1 minus the `queue` line.
+    // The goldens below are the output of the two per-harness writers
+    // this module replaced, captured on fixed two-point reports: stm v5 =
+    // v4 minus the `structure` lines (under its own schema string), pool
+    // v2 = v1 minus the `queue` line.
 
     #[test]
     fn stm_v5_golden() {
@@ -380,71 +376,6 @@ mod tests {
         "mean": 7.000000,
         "stddev": 0.000000,
         "samples": [7.000000, 7.000000]
-      }
-    }
-  ]
-}
-"#;
-        assert_eq!(report.to_json(), golden);
-    }
-
-    #[test]
-    fn topo_v1_golden() {
-        let report = TopoBenchReport {
-            reps: 2,
-            rounds: 1000,
-            noise: 0.02,
-            smoke: false,
-            points: vec![
-                TopoBenchPoint {
-                    scenario: "intruder+vacation",
-                    processes: 2,
-                    mapping: "blind",
-                    sockets: 1,
-                    nash: Stat::from_samples(vec![1.5, 2.5]),
-                    mean_spread: 0.0,
-                },
-                TopoBenchPoint {
-                    scenario: "readonly-solo",
-                    processes: 1,
-                    mapping: "compact",
-                    sockets: 4,
-                    nash: Stat::from_samples(vec![10.0, 10.0]),
-                    mean_spread: 0.333_333_333,
-                },
-            ],
-        };
-        let golden = r#"{
-  "schema": "rubic-topobench/v1",
-  "harness": {
-    "reps": 2,
-    "rounds": 1000,
-    "noise": 0.020000,
-    "smoke": false
-  },
-  "results": [
-    {
-      "scenario": "intruder+vacation",
-      "processes": 2,
-      "mapping": "blind",
-      "sockets": 1,
-      "mean_spread": 0.000000,
-      "nash": {
-        "mean": 2.000000,
-        "stddev": 0.707107,
-        "samples": [1.500000, 2.500000]
-      }
-    },
-    {
-      "scenario": "readonly-solo",
-      "processes": 1,
-      "mapping": "compact",
-      "sockets": 4,
-      "mean_spread": 0.333333,
-      "nash": {
-        "mean": 10.000000,
-        "stddev": 0.000000,
-        "samples": [10.000000, 10.000000]
       }
     }
   ]

@@ -50,7 +50,6 @@ pub mod aimd;
 pub mod cimd;
 pub mod cubic;
 pub mod f2c2;
-pub mod mapping;
 pub mod policy;
 pub mod rubic;
 pub mod staticpol;
@@ -61,7 +60,6 @@ pub use aimd::Aimd;
 pub use cimd::Cimd;
 pub use cubic::{cubic_level, CubicGrowth, CubicKConvention};
 pub use f2c2::F2c2;
-pub use mapping::{Mapper, MappingPolicy, Placement, Topology};
 pub use policy::{Policy, PolicyConfig};
 pub use rubic::{Rubic, RubicConfig};
 pub use staticpol::{EqualShare, Fixed, Greedy};

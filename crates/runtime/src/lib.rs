@@ -23,7 +23,8 @@
 //! single-writer stores, the Rust-sound equivalent).
 //!
 //! Thread placement is the OS scheduler's: nothing here pins a worker,
-//! and the pool carries no socket model (the simulator does).
+//! and neither the pool nor the simulator models sockets (DESIGN.md
+//! §17).
 //!
 //! The paper raises the monitor's scheduler priority so it keeps running
 //! under oversubscription; raising priority needs privileges we don't

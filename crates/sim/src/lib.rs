@@ -3,8 +3,9 @@
 //!
 //! **Why a simulator?** The paper's evaluation runs on a 4-socket,
 //! 64-context AMD machine with multiple co-located OS processes —
-//! hardware this reproduction does not have (the build host exposes a
-//! single CPU). The paper itself licenses the substitution (§4.4):
+//! hardware this reproduction does not have (the build host is a
+//! 2-vCPU VM; the whole-stack benchmark records it as `host.nproc`).
+//! The paper itself licenses the substitution (§4.4):
 //!
 //! > "the choice of the host machine, underlying parallelism runtime
 //! > and the benchmark does not affect the conclusions we draw […] our
@@ -18,7 +19,7 @@
 //!   presets fitted to the paper's Fig. 1/Fig. 6 shapes;
 //! * [`machine`] — hardware contexts, fair time slicing, and the
 //!   oversubscription penalty (context switches, cache thrashing,
-//!   inflated TM conflict windows);
+//!   inflated TM conflict windows); no sockets;
 //! * [`sim`] — the round-based simulation loop: every 10 ms-round each
 //!   process feeds its own observed throughput to its own controller
 //!   (unchanged `rubic-controllers` code), fully decentralised;

@@ -26,29 +26,9 @@
 //! oversubscription line hurts *everyone* — without pretending to
 //! predict absolute hardware numbers.
 //!
-//! **Topology extension (DESIGN.md §17).** The testbed is not flat: it
-//! is 4 sockets × 16 contexts, and Pasqualin et al.'s survey (PAPERS.md)
-//! shows thread placement across sockets rivals the concurrency level
-//! as a performance lever. [`Machine::locality_factor`] folds placement
-//! in as a third multiplicative term next to the time-slice share and
-//! the oversubscription penalty:
-//!
-//! * Spreading a *communicating* process across sockets routes its
-//!   transactional metadata through the interconnect instead of one
-//!   LLC: `1 / (1 + γ · comm · spread)`, where `spread` is the fraction
-//!   of threads off the most-populated socket and `comm ∈ [0, 1]` the
-//!   process's communication intensity.
-//! * Spreading a *pinned, non-communicating* process buys it the
-//!   aggregate memory bandwidth of every socket it touches:
-//!   `1 + σ · (1 − comm) · spread`. Unpinned (placement-blind)
-//!   processes migrate too often to keep any socket's caches warm and
-//!   forfeit the bonus.
-//!
-//! With `comm = 0` and no pinning both terms are 1 and the flat model
-//! is reproduced exactly — single-socket machines and legacy callers
-//! (`effective_speedup`) are numerically unchanged.
-
-use rubic_controllers::{Placement, Topology};
+//! Sockets are not modelled (DESIGN.md §17): no worker in this
+//! repository is pinned, so where a thread runs is the OS's choice, and
+//! the model has contexts, time slicing and `δ` only.
 
 /// The simulated machine.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -57,39 +37,23 @@ pub struct Machine {
     pub contexts: u32,
     /// Oversubscription penalty slope δ.
     pub penalty_delta: f64,
-    /// Sockets the contexts are split across (the paper's machine: 4).
-    /// Should divide `contexts`; per-socket capacity is
-    /// `contexts / sockets`.
-    pub sockets: u32,
-    /// Cross-socket communication penalty slope γ: how hard spreading
-    /// hurts a fully communicating (`comm = 1`) process.
-    pub xsocket_gamma: f64,
-    /// Aggregate-bandwidth bonus slope σ: how much spreading helps a
-    /// pinned, non-communicating process.
-    pub bandwidth_sigma: f64,
 }
 
 impl Machine {
-    /// The paper's machine — 4 sockets × 16 contexts — with the default
-    /// penalty and locality slopes.
+    /// The paper's machine — 64 contexts — with the default penalty.
     #[must_use]
     pub fn paper() -> Self {
         Machine {
             contexts: 64,
             penalty_delta: 0.02,
-            sockets: 4,
-            xsocket_gamma: 0.8,
-            bandwidth_sigma: 0.08,
         }
     }
 
-    /// A flat (single-socket) machine with `contexts` contexts and the
-    /// default penalty.
+    /// A machine with `contexts` contexts and the default penalty.
     #[must_use]
     pub fn with_contexts(contexts: u32) -> Self {
         Machine {
             contexts: contexts.max(1),
-            sockets: 1,
             ..Machine::paper()
         }
     }
@@ -99,32 +63,6 @@ impl Machine {
     pub fn penalty(mut self, delta: f64) -> Self {
         self.penalty_delta = delta.max(0.0);
         self
-    }
-
-    /// Sets the socket count (clamped to `[1, contexts]`; should divide
-    /// `contexts`).
-    #[must_use]
-    pub fn with_sockets(mut self, sockets: u32) -> Self {
-        self.sockets = sockets.clamp(1, self.contexts);
-        self
-    }
-
-    /// Sets the locality slopes (γ: cross-socket communication penalty,
-    /// σ: aggregate-bandwidth bonus).
-    #[must_use]
-    pub fn locality(mut self, gamma: f64, sigma: f64) -> Self {
-        self.xsocket_gamma = gamma.max(0.0);
-        self.bandwidth_sigma = sigma.max(0.0);
-        self
-    }
-
-    /// The socket layout mapping policies place onto.
-    #[must_use]
-    pub fn topology(&self) -> Topology {
-        Topology {
-            sockets: self.sockets,
-            contexts_per_socket: (self.contexts / self.sockets).max(1),
-        }
     }
 
     /// The fraction of full speed each software thread gets when
@@ -163,43 +101,6 @@ impl Machine {
     #[must_use]
     pub fn oversubscribed(&self, total_threads: u32) -> bool {
         total_threads > self.contexts
-    }
-
-    /// The placement-dependent multiplicative factor (see the module
-    /// docs): cross-socket communication penalty × aggregate-bandwidth
-    /// bonus. Exactly `1.0` on a single-socket machine, for an empty
-    /// placement, or for a placement packed onto one socket.
-    #[must_use]
-    pub fn locality_factor(&self, placement: &Placement, comm_intensity: f64) -> f64 {
-        if self.sockets <= 1 {
-            return 1.0;
-        }
-        let spread = placement.spread_fraction();
-        if spread <= 0.0 {
-            return 1.0;
-        }
-        let comm = comm_intensity.clamp(0.0, 1.0);
-        let penalty = 1.0 / (1.0 + self.xsocket_gamma * comm * spread);
-        let bonus = if placement.stable {
-            1.0 + self.bandwidth_sigma * (1.0 - comm) * spread
-        } else {
-            1.0
-        };
-        penalty * bonus
-    }
-
-    /// [`effective_speedup`](Machine::effective_speedup) with the
-    /// process's thread placement folded in.
-    #[must_use]
-    pub fn effective_speedup_placed(
-        &self,
-        intrinsic_speedup: f64,
-        total_threads: u32,
-        placement: &Placement,
-        comm_intensity: f64,
-    ) -> f64 {
-        self.effective_speedup(intrinsic_speedup, total_threads)
-            * self.locality_factor(placement, comm_intensity)
     }
 }
 
@@ -332,63 +233,5 @@ mod tests {
         let contended = m.effective_speedup(3.5, 128);
         // Time slicing alone halves it; the penalty shaves a bit more.
         assert!(contended < alone * 0.50);
-    }
-
-    #[test]
-    fn paper_machine_is_4x16() {
-        let t = Machine::paper().topology();
-        assert_eq!((t.sockets, t.contexts_per_socket), (4, 16));
-        assert_eq!(t.total_contexts(), 64);
-        let flat = Machine::with_contexts(64).topology();
-        assert_eq!((flat.sockets, flat.contexts_per_socket), (1, 64));
-    }
-
-    #[test]
-    fn locality_factor_is_identity_when_it_should_be() {
-        let m = Machine::paper();
-        let topo = m.topology();
-        // Packed placement: no spread, no effect, any comm intensity.
-        for comm in [0.0, 0.5, 1.0] {
-            assert_eq!(m.locality_factor(&Placement::compact(16, &topo), comm), 1.0);
-        }
-        // Single-socket machine: placement cannot matter.
-        let flat = Machine::with_contexts(64);
-        let spread = Placement::scatter(32, &flat.topology());
-        assert_eq!(flat.locality_factor(&spread, 1.0), 1.0);
-        // Empty placement: defined, transparent.
-        assert_eq!(m.locality_factor(&Placement::scatter(0, &topo), 1.0), 1.0);
-        // Unpinned + zero comm: no penalty, no bonus.
-        assert_eq!(m.locality_factor(&Placement::blind(32, &topo), 0.0), 1.0);
-    }
-
-    #[test]
-    fn spreading_a_communicating_process_hurts() {
-        let m = Machine::paper();
-        let topo = m.topology();
-        let packed = Placement::compact(16, &topo);
-        let spread = Placement::scatter(16, &topo);
-        let f_packed = m.effective_speedup_placed(8.0, 16, &packed, 0.9);
-        let f_spread = m.effective_speedup_placed(8.0, 16, &spread, 0.9);
-        assert!(
-            f_spread < f_packed * 0.75,
-            "spreading comm=0.9 should cost >25%: {f_spread} vs {f_packed}"
-        );
-        // And the penalty grows with comm intensity.
-        assert!(
-            m.locality_factor(&spread, 0.9) < m.locality_factor(&spread, 0.3),
-            "penalty must grow with comm intensity"
-        );
-    }
-
-    #[test]
-    fn spreading_a_pinned_streaming_process_helps() {
-        let m = Machine::paper();
-        let topo = m.topology();
-        let spread = Placement::scatter(32, &topo);
-        let blind = Placement::blind(32, &topo);
-        // comm = 0: pinned spread earns the bandwidth bonus, the
-        // unpinned OS-default spread does not.
-        assert!(m.locality_factor(&spread, 0.0) > 1.0);
-        assert_eq!(m.locality_factor(&blind, 0.0), 1.0);
     }
 }

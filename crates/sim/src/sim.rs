@@ -11,7 +11,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rubic_controllers::{Controller, Mapper, MappingPolicy, Policy, PolicyConfig, Sample};
+use rubic_controllers::{Controller, Policy, PolicyConfig, Sample};
 use rubic_metrics::LevelTrace;
 
 use crate::curves::Curve;
@@ -37,16 +37,6 @@ pub struct ProcessSpec {
     /// Parallelism level on arrival (paper: 1; the Fig. 2 trajectory
     /// analysis starts processes from arbitrary unequal points).
     pub initial_level: u32,
-    /// Thread-to-socket mapping policy (the *where* axis; default
-    /// [`MappingPolicy::Blind`] — no affinity, the pre-topology
-    /// behaviour).
-    pub mapping: MappingPolicy,
-    /// Communication intensity in `[0, 1]`: how much of the process's
-    /// work is cross-thread traffic through shared transactional state
-    /// (Intruder's queue + session map ≈ 0.9; rbt read-only ≈ 0.0).
-    /// Feeds [`Machine::locality_factor`]; `0.0` (the default) makes
-    /// placement transparent, reproducing the flat model exactly.
-    pub comm_intensity: f64,
 }
 
 impl ProcessSpec {
@@ -61,23 +51,7 @@ impl ProcessSpec {
             departure_round: None,
             seq_throughput: 10_000.0,
             initial_level: 1,
-            mapping: MappingPolicy::Blind,
-            comm_intensity: 0.0,
         }
-    }
-
-    /// Sets the thread-to-socket mapping policy.
-    #[must_use]
-    pub fn mapping(mut self, mapping: MappingPolicy) -> Self {
-        self.mapping = mapping;
-        self
-    }
-
-    /// Sets the communication intensity (clamped to `[0, 1]`).
-    #[must_use]
-    pub fn comm_intensity(mut self, comm: f64) -> Self {
-        self.comm_intensity = comm.clamp(0.0, 1.0);
-        self
     }
 
     /// Sets the level the process starts at.
@@ -181,16 +155,11 @@ pub struct ProcessResult {
     pub name: String,
     /// Policy label.
     pub policy: &'static str,
-    /// Mapping-policy label.
-    pub mapping: &'static str,
     /// `(round, level, throughput)` for every round the process was
     /// active.
     pub trace: LevelTrace,
     /// Sequential throughput used for speed-up computation.
     pub seq_throughput: f64,
-    /// Mean placement spread fraction over the active window (0 =
-    /// always packed on one socket, →0.75 = evenly spread over 4).
-    pub mean_spread: f64,
 }
 
 impl ProcessResult {
@@ -264,11 +233,8 @@ impl SimResult {
 struct LiveProcess {
     spec: ProcessSpec,
     controller: Box<dyn Controller>,
-    mapper: Box<dyn Mapper>,
     level: u32,
     trace: LevelTrace,
-    spread_sum: f64,
-    spread_rounds: u64,
 }
 
 /// Runs one simulation.
@@ -284,11 +250,8 @@ pub fn run(specs: &[ProcessSpec], cfg: &SimConfig) -> SimResult {
         .map(|spec| LiveProcess {
             spec: spec.clone(),
             controller: spec.policy.build(&cfg.policy_cfg),
-            mapper: spec.mapping.build(),
             level: spec.initial_level.max(1),
             trace: LevelTrace::with_capacity(cfg.rounds as usize),
-            spread_sum: 0.0,
-            spread_rounds: 0,
         })
         .collect();
 
@@ -309,26 +272,12 @@ pub fn run(specs: &[ProcessSpec], cfg: &SimConfig) -> SimResult {
             .sum();
         total_threads.push(total);
 
-        let topo = machine.topology();
         for p in &mut live {
             if !p.spec.active(round) {
                 continue;
             }
             let intrinsic = p.spec.curve.speedup(f64::from(p.level));
-            // The conflict signal the adaptive mapper consumes: the
-            // process's efficiency deficit at its current level (how far
-            // its own curve falls short of linear — the simulator's
-            // stand-in for the abort rate the real runtime measures).
-            let conflict = (1.0 - intrinsic / f64::from(p.level.max(1))).clamp(0.0, 1.0);
-            let placement = p.mapper.place(p.level, &topo, conflict);
-            p.spread_sum += placement.spread_fraction();
-            p.spread_rounds += 1;
-            let eff = machine.effective_speedup_placed(
-                intrinsic,
-                total,
-                &placement,
-                p.spec.comm_intensity,
-            );
+            let eff = machine.effective_speedup(intrinsic, total);
             let mut throughput = eff * p.spec.seq_throughput;
             if cfg.noise > 0.0 {
                 throughput *= 1.0 + rng.gen_range(-cfg.noise..=cfg.noise);
@@ -351,14 +300,8 @@ pub fn run(specs: &[ProcessSpec], cfg: &SimConfig) -> SimResult {
             .map(|p| ProcessResult {
                 name: p.spec.name,
                 policy: p.spec.policy.label(),
-                mapping: p.spec.mapping.label(),
                 trace: p.trace,
                 seq_throughput: p.spec.seq_throughput,
-                mean_spread: if p.spread_rounds == 0 {
-                    0.0
-                } else {
-                    p.spread_sum / p.spread_rounds as f64
-                },
             })
             .collect(),
         total_threads,
@@ -485,104 +428,6 @@ mod tests {
         for p in &r.processes {
             assert!((p.mean_level() - 32.0).abs() < 1.0, "{}", p.name);
         }
-    }
-
-    #[test]
-    fn four_socket_machine_with_zero_comm_matches_flat() {
-        // The acceptance gate for the topology extension: with the
-        // default comm_intensity = 0 and blind mapping, the 4-socket
-        // paper machine and an explicitly flattened one produce
-        // bit-identical traces — existing figures are untouched.
-        let specs = [
-            ProcessSpec::new("a", curves::vacation_like(), Policy::Rubic),
-            ProcessSpec::new("b", curves::intruder_like(), Policy::Ebs),
-        ];
-        let four = cfg(2).with_noise(0.02, 7);
-        let mut flat = four.clone();
-        flat.machine = flat.machine.with_sockets(1);
-        let r4 = run(&specs, &four);
-        let r1 = run(&specs, &flat);
-        for (a, b) in r4.processes.iter().zip(&r1.processes) {
-            assert_eq!(a.trace, b.trace);
-        }
-        assert_eq!(r4.total_threads, r1.total_threads);
-    }
-
-    #[test]
-    fn mapping_choices_match_their_workloads() {
-        // High-comm process: compact beats scatter (one LLC, cheap
-        // conflicts). Low-comm pinned process: scatter beats blind
-        // (aggregate bandwidth).
-        let speedup = |curve: crate::Curve, comm: f64, mapping, level: u32| {
-            let specs = [ProcessSpec::new("p", curve, Policy::Fixed(level))
-                .starts_at_level(level)
-                .comm_intensity(comm)
-                .mapping(mapping)];
-            run(&specs, &cfg(1)).processes[0].mean_speedup()
-        };
-        let comm_compact = speedup(curves::intruder_like(), 0.9, MappingPolicy::Compact, 7);
-        let comm_scatter = speedup(curves::intruder_like(), 0.9, MappingPolicy::Scatter, 7);
-        assert!(
-            comm_compact > comm_scatter * 1.2,
-            "compact {comm_compact} should beat scatter {comm_scatter} at comm=0.9"
-        );
-        let ro_scatter = speedup(curves::rbt_readonly(), 0.0, MappingPolicy::Scatter, 32);
-        let ro_blind = speedup(curves::rbt_readonly(), 0.0, MappingPolicy::Blind, 32);
-        assert!(
-            ro_scatter > ro_blind,
-            "pinned scatter {ro_scatter} should beat blind {ro_blind} at comm=0"
-        );
-    }
-
-    #[test]
-    fn placement_aware_rubic_beats_blind_rubic_when_colocated() {
-        // The headline co-location scenario: two communicating tenants
-        // (Intruder + Vacation) under RUBIC on the 4-socket machine.
-        // Same controller, same curves — only the mapping differs.
-        let nash = |mapping| {
-            let specs = [
-                ProcessSpec::new("intruder", curves::intruder_like(), Policy::Rubic)
-                    .comm_intensity(0.9)
-                    .mapping(mapping),
-                ProcessSpec::new("vacation", curves::vacation_like(), Policy::Rubic)
-                    .comm_intensity(0.5)
-                    .mapping(mapping),
-            ];
-            run(&specs, &cfg(2).with_noise(0.02, 11)).nash_product()
-        };
-        let blind = nash(MappingPolicy::Blind);
-        let aware = nash(MappingPolicy::AdaptiveAbort);
-        assert!(
-            aware > blind * 1.1,
-            "placement-aware RUBIC ({aware}) should beat blind ({blind}) by >10%"
-        );
-    }
-
-    #[test]
-    fn mean_spread_reflects_the_mapping() {
-        let spec = |mapping| {
-            [
-                ProcessSpec::new("p", curves::rbt_readonly(), Policy::Fixed(64))
-                    .starts_at_level(64)
-                    .mapping(mapping),
-            ]
-        };
-        let compact = run(&spec(MappingPolicy::Compact), &cfg(1)).processes[0].mean_spread;
-        let scatter = run(&spec(MappingPolicy::Scatter), &cfg(1)).processes[0].mean_spread;
-        // Level 64 fills the machine either way, so compact spreads too
-        // — but below capacity the difference is stark.
-        assert!(scatter >= compact);
-        let compact16 = run(
-            &[
-                ProcessSpec::new("p", curves::rbt_readonly(), Policy::Fixed(16))
-                    .starts_at_level(16)
-                    .mapping(MappingPolicy::Compact),
-            ],
-            &cfg(1),
-        )
-        .processes[0]
-            .mean_spread;
-        assert_eq!(compact16, 0.0);
     }
 
     #[test]

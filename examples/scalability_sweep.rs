@@ -56,5 +56,8 @@ fn main() {
         "\nsimulated RUBIC on the measured curve settles at {settled:.1} threads \
          (machine: {hw} contexts)"
     );
-    println!("note: on a single-core host the curve is flat, so ~1 thread is the right answer.");
+    println!(
+        "note: this host has {hw} hardware contexts, so the measured curve cannot keep \
+         rising past level {hw}; a settled level at or below {hw} is the right answer."
+    );
 }

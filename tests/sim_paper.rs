@@ -189,6 +189,50 @@ fn utilization_ladder_aimd_cimd() {
     assert!(cimd >= 0.85, "CIMD utilisation {cimd}, expected ~90%+");
 }
 
+/// FNV-1a over the integer decisions of a run: each process's trace
+/// length and `(round, level)` sequence, then `total_threads`. Throughput
+/// is left out on purpose — its low-order bits follow the host's libm.
+fn decision_digest(r: &rubic::sim::SimResult) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut eat = |bytes: &[u8]| {
+        for &b in bytes {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    for p in &r.processes {
+        eat(&(p.trace.len() as u64).to_le_bytes());
+        for pt in p.trace.points() {
+            eat(&pt.round.to_le_bytes());
+            eat(&pt.level.to_le_bytes());
+        }
+    }
+    for &t in &r.total_threads {
+        eat(&t.to_le_bytes());
+    }
+    h
+}
+
+/// A pin across commits: `sim_pair`'s configuration (Intruder +
+/// Vacation under RUBIC, the second arriving at round 500) must keep
+/// making exactly the same decisions, with and without noise. A change
+/// to the machine model, the round loop or a controller that moves any
+/// level on this path changes the digest.
+#[test]
+fn sim_pair_decisions_are_pinned() {
+    let specs = [
+        ProcessSpec::new("Intruder", curves::intruder_like(), Policy::Rubic),
+        ProcessSpec::new("Vacation", curves::vacation_like(), Policy::Rubic).arrives_at(500),
+    ];
+    let digest = |cfg: SimConfig| decision_digest(&rubic::sim::run(&specs, &cfg));
+    let base = SimConfig::paper(2).with_rounds(1000);
+    assert_eq!(
+        digest(base.clone().with_noise(0.02, 2016)),
+        0x3330_a448_da3a_d717
+    );
+    assert_eq!(digest(base), 0x05ac_f33d_0a2a_e5db);
+}
+
 /// Determinism of the whole experiment pipeline: same seeds, same
 /// aggregate numbers.
 #[test]

@@ -1,13 +1,13 @@
-//! Benchmark and figure-regeneration harness for the RUBIC
-//! reproduction.
+//! Paper figure reproduction for the RUBIC reproduction.
 //!
 //! Every table and figure of the paper's evaluation section has a
 //! regenerator in [`figures`], keyed by the paper's numbering; the
 //! `figures` binary drives them (`cargo run -p rubic-bench --bin
 //! figures -- --all`) and writes CSV series plus readable text tables.
-//! Design-choice ablations live in [`ablations`]. The `stmbench` and
-//! `poolbench` binaries measure the STM engine and the pool one layer
-//! at a time and write `BENCH_*.json` through [`report`].
+//! Design-choice ablations live in [`ablations`], experiments beyond
+//! the paper in [`extensions`], and real-pool measurements in
+//! [`invivo`]. Performance is measured by the whole-stack benchmark
+//! under `benchmark/` (see its README), not here.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -16,9 +16,6 @@ pub mod ablations;
 pub mod extensions;
 pub mod figures;
 pub mod invivo;
-pub mod poolbench;
-pub mod report;
-pub mod stmbench;
 
 /// A renderable figure/table: labelled rows of numeric columns.
 #[derive(Debug, Clone)]

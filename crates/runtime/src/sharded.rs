@@ -172,8 +172,8 @@ impl Gauges {
     /// worker's buffer — is at most a batch, which one worker takes
     /// whole; other sleepers re-check on their 1 ms timeout. Waking all
     /// of them per chunk turned a producer-bound drain into wake storms
-    /// once workers outnumber cores (`poolbench` tiny, 16 workers on 2
-    /// vCPUs).
+    /// once workers outnumber cores (tiny items, 16 workers on 2 vCPUs;
+    /// DESIGN.md §12 has the numbers).
     fn wake_idle(&self) {
         // ordering: SeqCst pairs with the SeqCst `sleepers` increment in
         // `idle_wait` — producer and sleeper each write their flag then

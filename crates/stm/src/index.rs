@@ -25,21 +25,22 @@ use fxhash::FxHashMap;
 
 /// Entry count above which a [`VarIndex`] builds its hashed view.
 ///
-/// Tuned empirically with `stmbench` on the CI container class: the
-/// counter workloads (1–3 locations) run ~50 % faster linear-scanned
-/// than always-hashed, while rbtree-sized footprints (~13+ locations,
-/// which cross any small threshold every transaction and so always pay
-/// the spill backfill) lose ~15 % to long absence-scans when the
-/// threshold is 8–16. Four keeps the full small-set win and caps both
-/// the scan length and the one-time backfill at spill.
+/// Tuned empirically on the CI container class (CHANGES.md records the
+/// sweep beside the index's introduction): the counter workloads (1–3
+/// locations) run ~50 % faster linear-scanned than always-hashed,
+/// while rbtree-sized footprints (~13+ locations, which cross any small
+/// threshold every transaction and so always pay the spill backfill)
+/// lose ~15 % to long absence-scans when the threshold is 8–16. Four
+/// keeps the full small-set win and caps both the scan length and the
+/// one-time backfill at spill.
 ///
 /// The per-node B-tree (`rubic-workloads::btree`, branch fanout 16,
 /// leaf capacity 32) was sized with this threshold in mind: a
-/// root-to-leaf descent at the
-/// stmbench instance size (4 K entries) reads 3–4 node `TVar`s and a
-/// non-structural update writes one, so both access sets stay inline.
-/// Only split/merge transactions (a few percent of write-heavy ops)
-/// spill, and those already pay for node reconstruction.
+/// root-to-leaf descent at the 4 K-entry size the leaf was tuned on
+/// reads 3–4 node `TVar`s and a non-structural update writes one, so
+/// both access sets stay inline. Only split/merge transactions (a few
+/// percent of write-heavy ops) spill, and those already pay for node
+/// reconstruction.
 pub(crate) const SPILL_THRESHOLD: usize = 4;
 
 /// An insert-only map from lock address to a `Copy` payload, optimised

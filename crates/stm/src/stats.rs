@@ -11,8 +11,8 @@
 //! locked read-modify-write anywhere on a committed transaction's
 //! statistics. Threads beyond 64 live leases share one extra *overflow*
 //! stripe, which keeps atomic increments — sharing costs coherence
-//! traffic, never exactness. Readers — the monitor, `stmbench`, the
-//! benchmark — sum the stripes on demand. This mirrors the paper's §3.1
+//! traffic, never exactness. Readers — the monitor, the benchmark, the
+//! examples — sum the stripes on demand. This mirrors the paper's §3.1
 //! discipline for task counters (thread-local, read at interval
 //! boundaries) for the commit-rate diagnostics the evaluation reports
 //! and the abort-rate visibility useful when tuning contention

@@ -17,11 +17,11 @@ use crate::mapapi::TKey;
 
 /// Maximum entries per leaf (the leaf fanout).
 ///
-/// Tuned with stmbench (DESIGN.md §16): 32 keeps the bench's
-/// 4096-element tree at depth 3 (root → branch → leaf, ~170 leaves at
-/// the ~3/4-full steady state), so a lookup is 3 validated reads and an
-/// update's access set (3 reads + 1 leaf write) stays on the access-set
-/// index's inline path. At 16 the same tree is depth 4 — one more
+/// Tuned when the tree was introduced (CHANGES.md; DESIGN.md §16): 32
+/// keeps a 4096-element tree at depth 3 (root → branch → leaf, ~170
+/// leaves at the ~3/4-full steady state), so a lookup is 3 validated
+/// reads and an update's access set (3 reads + 1 leaf write) stays on
+/// the access-set index's inline path. At 16 the same tree is depth 4 — one more
 /// protocol read on every descent cost ~25 % of read-only throughput —
 /// while the wider leaf's copy-on-write clone (32 entries, one memcpy)
 /// costs nothing measurable on the write-heavy mix.

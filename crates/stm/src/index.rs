@@ -1,12 +1,12 @@
-//! Transaction-private access-set indices with a small-set fast path.
+//! The transaction-private write-set index, with a small-set fast path.
 //!
-//! A transaction's read and write sets are keyed by lock address. The
-//! seed implementation used `std::collections::HashMap` with its
-//! DoS-resistant SipHash default — two multi-round hash computations on
-//! *every* transactional read (read-your-writes probe + read-set
-//! record) for keys that are process-private pointers an attacker never
-//! chooses. This module replaces it with a [`VarIndex`] tuned to the
-//! footprint STAMP-style transactions actually have:
+//! A transaction's write set is keyed by lock address, and every
+//! transactional read probes it (read-your-writes). With
+//! `std::collections::HashMap`'s DoS-resistant SipHash default that
+//! probe is a multi-round hash computation on every read, for keys that
+//! are process-private pointers an attacker never chooses. [`VarIndex`]
+//! is tuned to the write footprints STAMP-style transactions actually
+//! have. (The read set needs no index: it is a log, see `txn.rs`.)
 //!
 //! * **Small sets (≤ [`SPILL_THRESHOLD`] entries)** — the common case;
 //!   the index is a dense `Vec<(addr, value)>` probed by linear scan.
@@ -25,22 +25,18 @@ use fxhash::FxHashMap;
 
 /// Entry count above which a [`VarIndex`] builds its hashed view.
 ///
-/// Tuned empirically on the CI container class (CHANGES.md records the
-/// sweep beside the index's introduction): the counter workloads (1–3
-/// locations) run ~50 % faster linear-scanned than always-hashed,
-/// while rbtree-sized footprints (~13+ locations, which cross any small
-/// threshold every transaction and so always pay the spill backfill)
-/// lose ~15 % to long absence-scans when the threshold is 8–16. Four
-/// keeps the full small-set win and caps both the scan length and the
-/// one-time backfill at spill.
+/// Tuned empirically when the index also served the read set
+/// (CHANGES.md records the sweep beside the index's introduction):
+/// footprints of 1–3 locations ran ~50 % faster linear-scanned than
+/// always-hashed, while thresholds of 8–16 cost larger footprints
+/// ~15 % in long absence scans. Four keeps the small-set win and caps
+/// both the scan length and the one-time backfill at spill.
 ///
-/// The per-node B-tree (`rubic-workloads::btree`, branch fanout 16,
-/// leaf capacity 32) was sized with this threshold in mind: a
-/// root-to-leaf descent at the 4 K-entry size the leaf was tuned on
-/// reads 3–4 node `TVar`s and a non-structural update writes one, so
-/// both access sets stay inline. Only split/merge transactions (a few
-/// percent of write-heavy ops) spill, and those already pay for node
-/// reconstruction.
+/// Every read probes this index, usually for an absent key, so the
+/// scan length is what a read pays. A non-structural B-tree update
+/// (`rubic-workloads::btree`) writes one leaf, so its write set stays
+/// inline; only split/merge transactions (a few percent of write-heavy
+/// ops) spill, and those already pay for node reconstruction.
 pub(crate) const SPILL_THRESHOLD: usize = 4;
 
 /// An insert-only map from lock address to a `Copy` payload, optimised

@@ -337,10 +337,10 @@ impl<T: TxValue> PathLink<T> {
     }
 }
 
-/// One transaction's epoch pin together with the read set recorded
+/// One transaction's epoch pin together with the read log recorded
 /// under it.
 ///
-/// A read-set entry is a bare pointer to the variable's lock word — no
+/// A read-log entry is a bare pointer to the variable's lock word — no
 /// handle, no reference-count write. What keeps the word alive is the
 /// pin: the entry was recorded through a live [`TVar`] handle while this
 /// guard was pinned, so even if every handle drops afterwards the core
@@ -390,8 +390,18 @@ impl PinnedReads {
     }
 
     #[inline]
-    pub(crate) fn len(&self) -> usize {
-        self.entries.len()
+    pub(crate) fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// Number of distinct lock words recorded: the log may hold a
+    /// variable more than once, so this sorts a copy of the pointers
+    /// (diagnostics and tests only).
+    pub(crate) fn distinct_len(&self) -> usize {
+        let mut locks: Vec<_> = self.entries.iter().map(|e| e.lock).collect();
+        locks.sort_unstable();
+        locks.dedup();
+        locks.len()
     }
 
     pub(crate) fn capacity(&self) -> usize {

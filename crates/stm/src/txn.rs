@@ -17,9 +17,10 @@
 //!
 //! **Write** (eager lock, lazy value): the first write to a variable
 //! CAS-acquires its lock — failure means a concurrent writer owns it →
-//! conflict (eager W/W detection). If the variable was previously read,
-//! its version must still match the recorded one. The value is buffered
-//! in the private write set; repeated writes just replace the buffer.
+//! conflict (eager W/W detection). A version newer than `rv` extends
+//! first, so an earlier read of the variable that has gone stale fails
+//! that extension's validation. The value is buffered in the private
+//! write set; repeated writes just replace the buffer.
 //!
 //! **Commit**: read-only transactions commit immediately — their read
 //! set was kept consistent incrementally. Writers draw a unique
@@ -36,14 +37,28 @@
 //! because every read is validated against `rv` at the moment it
 //! happens.
 //!
+//! # The read set is a log
+//!
+//! Reads append `(lock word, version)` to a log that nothing indexes; a
+//! repeated read appends a duplicate, which validation checks for one
+//! extra load. **Invariant:** every entry either still holds its
+//! recorded version or now holds a version > `rv`. A commit that changed
+//! the variable after our read and stamped `wv <= rv` ticked before `rv`
+//! was last sampled and held the lock from before that tick until it
+//! published; a read after that sample would have conflicted or seen the
+//! new version, so the sample was an extension after our read, and its
+//! validation failed. So a repeated read, or a write after a read, that
+//! sees a version `<= rv` sees the recorded one; a newer version extends
+//! first, and the extension's validation finds any stale entry.
+//!
 //! # Hot-path engineering (DESIGN.md §11)
 //!
 //! Per-transaction overhead distorts every figure the reproduction
 //! measures, so the engine pays for bookkeeping once per *attempt*, not
 //! once per access:
 //!
-//! * Every thread keeps **one transaction context** — the read set's
-//!   vector, both indices, the write vector and the spare write slots —
+//! * Every thread keeps **one transaction context** — the read log, the
+//!   write index, the write vector and the spare write slots —
 //!   and each transaction borrows it: `begin` takes it from the thread's
 //!   slot, `park` empties it and puts it back. A warmed transaction
 //!   therefore allocates nothing but the value boxes it publishes. A
@@ -68,11 +83,12 @@
 //!   level up, to structures with a `TVar` per node: it follows the
 //!   child variables held inside the values it reads by borrowing them,
 //!   so a descent takes no handle either.
-//! * The read/write-set indices are [`crate::index::VarIndex`]: a dense
+//! * The write set's index is a [`crate::index::VarIndex`]: a dense
 //!   linear-scanned vector for counter-sized footprints, spilling into
-//!   an FxHash map for larger ones. No SipHash on the hot path.
+//!   an FxHash map for larger ones. No SipHash on the hot path. The read
+//!   log has no index (above).
 //! * Finished attempts recycle their allocations, committed or
-//!   aborted: the read-set vector keeps its capacity, and the boxed
+//!   aborted: the read log keeps its capacity, and the boxed
 //!   [`WriteSlot`]s move to the context's spare list, to be reclaimed
 //!   by the next attempt that writes a variable of the same type. An
 //!   *aborted* attempt's slots also keep their variable handle, which
@@ -225,19 +241,17 @@ impl<T: TxValue> WriteSlot for TypedSlot<T> {
 /// these numbers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TxFootprint {
-    /// Capacity of the read-set entry vector.
+    /// Capacity of the read log.
     pub reads_capacity: usize,
     /// Capacity of the write-set slot vector.
     pub writes_capacity: usize,
-    /// Capacity of the read index's dense entry vector.
-    pub read_index_capacity: usize,
     /// Capacity of the write index's dense entry vector.
     pub write_index_capacity: usize,
     /// Recycled write slots parked for the next attempt.
     pub spare_write_slots: usize,
-    /// True while the read index uses its hashed (spilled)
+    /// True while the write index uses its hashed (spilled)
     /// representation instead of the small-set linear scan.
-    pub read_index_spilled: bool,
+    pub write_index_spilled: bool,
 }
 
 /// The allocations a thread keeps between transactions (module docs):
@@ -245,10 +259,9 @@ pub struct TxFootprint {
 /// every set is empty and no spare slot holds a handle or a value.
 #[derive(Default)]
 struct Context {
-    /// The read set's vector; held by `Transaction::pinned` while a
+    /// The read log's vector; held by `Transaction::pinned` while a
     /// transaction runs.
     reads: ReadBuf,
-    read_index: VarIndex<u64>,
     write_index: VarIndex<usize>,
     writes: Vec<Box<dyn WriteSlot>>,
     /// Recycled write slots, most recently released last. An attempt
@@ -261,7 +274,7 @@ struct Context {
 }
 
 impl Context {
-    /// Empties the indices and moves the (already released or
+    /// Empties the write index and moves the (already released or
     /// published) write slots to the spare list, keeping every
     /// allocation. Drained in reverse so the next attempt's first write
     /// finds its slot on top of the stack. With `keep_handles` (an
@@ -269,7 +282,6 @@ impl Context {
     /// without (a commit, `park`) no spare slot holds one afterwards.
     #[inline]
     fn clear(&mut self, keep_handles: bool) {
-        self.read_index.clear();
         self.write_index.clear();
         for mut slot in self.writes.drain(..).rev() {
             if self.spare_writes.len() < SPARE_CAP {
@@ -289,7 +301,6 @@ impl Context {
     /// Releases capacity beyond [`RETAIN_CAP`] entries per vector.
     #[inline]
     fn trim(&mut self) {
-        self.read_index.shrink_to(RETAIN_CAP);
         self.write_index.shrink_to(RETAIN_CAP);
         self.writes.shrink_to(RETAIN_CAP);
     }
@@ -438,10 +449,11 @@ impl Transaction {
         self.rv
     }
 
-    /// Number of distinct variables read so far.
+    /// Number of distinct variables read so far. Counted on call (the
+    /// read log keeps duplicates), so it is for tests and diagnostics.
     #[must_use]
     pub fn read_set_len(&self) -> usize {
-        self.pinned.len()
+        self.pinned.distinct_len()
     }
 
     /// Number of distinct variables written so far.
@@ -461,10 +473,9 @@ impl Transaction {
         TxFootprint {
             reads_capacity: self.pinned.capacity(),
             writes_capacity: self.ctx.writes.capacity(),
-            read_index_capacity: self.ctx.read_index.capacity(),
             write_index_capacity: self.ctx.write_index.capacity(),
             spare_write_slots: self.ctx.spare_writes.len(),
-            read_index_spilled: self.ctx.read_index.spilled(),
+            write_index_spilled: self.ctx.write_index.spilled(),
         }
     }
 
@@ -478,7 +489,7 @@ impl Transaction {
     /// attempts, after `abort` emptied the read set — the only
     /// epoch-protected state a transaction holds.
     pub(crate) fn unpinned<R>(&mut self, f: impl FnOnce() -> R) -> R {
-        debug_assert!(self.ctx.read_index.is_empty(), "unpinned mid-attempt");
+        debug_assert!(self.pinned.is_empty(), "unpinned mid-attempt");
         self.pinned.unpinned(f)
     }
 
@@ -499,10 +510,9 @@ impl Transaction {
         Ok(word)
     }
 
-    /// Records a first read of `var`.
+    /// Appends a read of `var` at `version` to the read log.
     #[inline]
-    fn record_read<T: TxValue>(&mut self, var: &TVar<T>, addr: usize, version: u64) {
-        self.ctx.read_index.insert(addr, version);
+    fn record_read<T: TxValue>(&mut self, var: &TVar<T>, version: u64) {
         self.pinned.record(var, version);
     }
 
@@ -566,15 +576,9 @@ impl Transaction {
                     continue;
                 }
             }
-            // Record (first read only; repeated reads must agree).
-            match self.ctx.read_index.get(addr) {
-                Some(recorded) => {
-                    if recorded != w1.version() {
-                        return Err(self.fail_at(AbortReason::ReadValidation, addr));
-                    }
-                }
-                None => self.record_read(var, addr, w1.version()),
-            }
+            // `w1.version() <= rv` now, so by the module invariant an
+            // earlier read of `var` recorded this same version.
+            self.record_read(var, w1.version());
             return Ok(result);
         }
     }
@@ -587,7 +591,7 @@ impl Transaction {
     /// variable ([`Step::Child`], borrowed from that value) or finishes
     /// ([`Step::Done`]). Each node is read exactly as
     /// [`read_with`](Self::read_with) reads it — read-your-writes, lock
-    /// samples, extension, one read-set record per first read — so the
+    /// samples, extension, one read-log entry per read — so the
     /// conflict footprint is every node on the path. What changes is the
     /// link between nodes: a borrowed child instead of a cloned handle,
     /// so a descent performs no handle-count write at all. That is sound
@@ -659,12 +663,11 @@ impl Transaction {
         }
 
         let w = self.sample_unlocked(core.vlock())?;
-        // Write-after-read consistency: the version we read must still
-        // be current, or our earlier read is stale.
-        if let Some(recorded) = self.ctx.read_index.get(addr) {
-            if w.version() != recorded {
-                return Err(self.fail_at(AbortReason::ReadValidation, addr));
-            }
+        // Write-after-read consistency: by the module invariant a version
+        // `<= rv` is the one any earlier read recorded; a newer one must
+        // extend, and the extension's validation fails a stale read.
+        if w.version() > self.rv {
+            self.extend()?;
         }
         if !core.vlock().try_lock(w) {
             return Err(self.fail_at(AbortReason::LockBusy, addr));
@@ -790,7 +793,7 @@ impl std::fmt::Debug for Transaction {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Transaction")
             .field("rv", &self.rv)
-            .field("reads", &self.pinned.len())
+            .field("reads", &self.read_set_len())
             .field("writes", &self.ctx.writes.len())
             .finish()
     }
@@ -920,6 +923,24 @@ mod tests {
         t2.write(&x, 5).unwrap();
         t2.commit().unwrap();
         assert_eq!(t1.write(&x, 9), Err(StmError::Conflict));
+        assert_eq!(t1.conflict_reason(), AbortReason::ReadValidation);
+        t1.abort();
+    }
+
+    /// A second read of a variable that a commit changed in between
+    /// must not return the new value beside the old one: the newer
+    /// version extends, and validation fails the first read's entry.
+    #[test]
+    fn reread_after_concurrent_commit_conflicts() {
+        let x = TVar::new(0);
+        let mut t1 = Transaction::begin();
+        assert_eq!(t1.read(&x).unwrap(), 0);
+        let mut t2 = Transaction::begin();
+        t2.write(&x, 5).unwrap();
+        t2.commit().unwrap();
+        assert_eq!(t1.read(&x), Err(StmError::Conflict));
+        assert_eq!(t1.conflict_reason(), AbortReason::ReadValidation);
+        assert_eq!(t1.conflict_addr(), x.lock_addr());
         t1.abort();
     }
 
@@ -932,7 +953,11 @@ mod tests {
         let mut t2 = Transaction::begin();
         t2.write(&x, 5).unwrap();
         t2.commit().unwrap();
+        let stamp = x.version();
+        assert!(t1.read_version() < stamp);
+        // The newer version makes the write extend `rv` past it.
         t1.write(&x, 9).unwrap();
+        assert!(t1.read_version() >= stamp, "the write must have extended");
         t1.commit().unwrap();
         assert_eq!(x.snapshot(), 9);
     }
@@ -1047,13 +1072,13 @@ mod tests {
         let mut t = Transaction::begin();
         assert_eq!(t.read(&x).unwrap(), 4);
         assert_eq!(t.read(&x).unwrap(), 4);
-        assert_eq!(t.read_set_len(), 1, "duplicate reads are not re-recorded");
+        assert_eq!(t.read_set_len(), 1, "duplicate reads count once");
         t.commit().unwrap();
     }
 
     // -----------------------------------------------------------------
-    // Hot-path fast-path regressions: allocation reuse and the
-    // small-set / spilled index representations.
+    // Hot-path fast-path regressions: allocation reuse and the write
+    // index's small-set / spilled representations.
     // -----------------------------------------------------------------
 
     /// Replays the same read+write footprint: the retry must consume the
@@ -1090,7 +1115,6 @@ mod tests {
         assert_eq!(t.read_set_len(), 8);
         assert_eq!(reused.reads_capacity, parked.reads_capacity);
         assert_eq!(reused.writes_capacity, parked.writes_capacity);
-        assert_eq!(reused.read_index_capacity, parked.read_index_capacity);
         assert_eq!(reused.write_index_capacity, parked.write_index_capacity);
         t.commit().unwrap();
         for v in &vars {
@@ -1104,7 +1128,7 @@ mod tests {
     /// abort or restart. A buffered write is what holds a handle.
     #[test]
     fn reads_leave_every_handle_count_unchanged() {
-        const K: usize = 12; // spills the read index on the way
+        const K: usize = 12;
         let vars: Vec<TVar<u64>> = (0..K as u64).map(TVar::new).collect();
         let untouched = |step: &str| {
             for (i, v) in vars.iter().enumerate() {
@@ -1177,7 +1201,7 @@ mod tests {
         assert_eq!(t.read_set_len(), 3, "every node recorded");
         assert_eq!(counts(), before, "no handle taken");
         assert_eq!(walk(&mut t, &head), Ok(7));
-        assert_eq!(t.read_set_len(), 3, "repeated reads are not re-recorded");
+        assert_eq!(t.read_set_len(), 3, "repeated reads count once");
         // A pending node is followed through the write set.
         t.write(&mid, Chain::Next(other.clone())).unwrap();
         assert_eq!(walk(&mut t, &head), Ok(9));
@@ -1211,8 +1235,8 @@ mod tests {
         assert_eq!(a.snapshot(), 0);
     }
 
-    /// The engine behaves identically across the linear-scan and the
-    /// spilled (hashed) index representations: read-your-writes,
+    /// The engine behaves identically across the write index's
+    /// linear-scan and spilled (hashed) representations: read-your-writes,
     /// duplicate-read agreement, and commit/abort effects.
     #[test]
     fn spilled_index_equivalence() {
@@ -1225,10 +1249,10 @@ mod tests {
             assert_eq!(t.read(v).unwrap(), i as u64);
             t.write(v, i as u64 + 100).unwrap();
         }
-        assert!(t.footprint().read_index_spilled, "footprint must spill");
+        assert!(t.footprint().write_index_spilled, "footprint must spill");
         for (i, v) in vars.iter().enumerate() {
             assert_eq!(t.read(v).unwrap(), i as u64 + 100, "read-your-writes");
-            assert_eq!(t.read_set_len(), n, "duplicate reads not re-recorded");
+            assert_eq!(t.read_set_len(), n, "duplicate reads count once");
         }
         t.commit().unwrap();
         for (i, v) in vars.iter().enumerate() {
@@ -1248,8 +1272,8 @@ mod tests {
         }
     }
 
-    /// A spilled read set still validates correctly: a stale entry is
-    /// found through the hashed representation too.
+    /// A read set larger than the write index's inline size validates
+    /// like a small one: a stale mid-log entry fails the commit.
     #[test]
     fn spilled_read_set_still_validates() {
         let n = crate::index::SPILL_THRESHOLD * 2;
@@ -1343,7 +1367,9 @@ mod tests {
     }
 
     /// Retained capacity is capped: a transaction with a huge footprint
-    /// does not leave it to every later transaction of the thread.
+    /// does not leave it to every later transaction of the thread — nor
+    /// does one that reads a single variable 10,000 times, logging a
+    /// duplicate for each read.
     #[test]
     fn parked_capacity_is_capped() {
         let stm = crate::Stm::default();
@@ -1351,9 +1377,11 @@ mod tests {
         let sum = stm.atomically(|tx| vars.iter().try_fold(0, |s, v| Ok(s + tx.read(v)?)));
         assert_eq!(sum, (0..100_000).sum::<u64>());
         stm.atomically(|tx| vars[..5_000].iter().try_for_each(|v| tx.write(v, 0)));
+        let one = TVar::new(3u64);
+        let sum = stm.atomically(|tx| (0..10_000).try_fold(0, |s, _| Ok(s + tx.read(&one)?)));
+        assert_eq!(sum, 30_000);
         let parked = Transaction::begin().footprint();
         assert!(parked.reads_capacity <= RETAIN_CAP, "{parked:?}");
-        assert!(parked.read_index_capacity <= RETAIN_CAP, "{parked:?}");
         assert!(parked.writes_capacity <= RETAIN_CAP, "{parked:?}");
         assert!(parked.write_index_capacity <= RETAIN_CAP, "{parked:?}");
         assert!(parked.spare_write_slots <= SPARE_CAP, "{parked:?}");

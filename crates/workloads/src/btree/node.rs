@@ -17,14 +17,15 @@ use crate::mapapi::TKey;
 
 /// Maximum entries per leaf (the leaf fanout).
 ///
-/// Tuned when the tree was introduced (CHANGES.md; DESIGN.md §16): 32
-/// keeps a 4096-element tree at depth 3 (root → branch → leaf, ~170
-/// leaves at the ~3/4-full steady state), so a lookup is 3 validated
-/// reads and an update's access set (3 reads + 1 leaf write) stays on
-/// the access-set index's inline path. At 16 the same tree is depth 4 — one more
-/// protocol read on every descent cost ~25 % of read-only throughput —
-/// while the wider leaf's copy-on-write clone (32 entries, one memcpy)
-/// costs nothing measurable on the write-heavy mix.
+/// Tuned when the tree was introduced (CHANGES.md; DESIGN.md §16) on a
+/// 4096-element tree: 32 keeps it at depth 3 (root → branch → leaf,
+/// ~170 leaves at the ~3/4-full steady state), where 16 makes it depth
+/// 4 — one more protocol read on every descent cost ~25 % of read-only
+/// throughput — while the wider leaf's copy-on-write clone (32 entries,
+/// one memcpy) costs nothing measurable on the write-heavy mix. The
+/// benchmark's 64 K-key tree is depth 5: a lookup is 5 validated reads,
+/// and an update's write set (one leaf) stays on the write index's
+/// inline path.
 pub const MAX_LEAF: usize = 32;
 /// Minimum entries per non-root leaf.
 pub const MIN_LEAF: usize = MAX_LEAF / 2;

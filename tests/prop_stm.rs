@@ -197,8 +197,8 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Hot-path fast-path properties: the access-set index switches from a
-// linear-scanned small set to a hashed (spilled) representation past 16
+// Hot-path fast-path properties: the write index switches from a
+// linear-scanned small set to a hashed (spilled) representation past 4
 // distinct locations, and aborted attempts recycle their allocations.
 // These properties pin the engine's observable behaviour across both
 // representations and across retries. The transactions are driven by
@@ -239,7 +239,7 @@ fn apply_ops(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Commit and abort behave identically whether the access-set index
+    /// Commit and abort behave identically whether the write index
     /// is in its small-set (linear scan) or spilled (hashed)
     /// representation: commit publishes exactly the model state, abort
     /// publishes nothing and leaks no lock.
@@ -311,7 +311,6 @@ proptest! {
         );
         prop_assert_eq!(replayed.reads_capacity, parked.reads_capacity);
         prop_assert_eq!(replayed.writes_capacity, parked.writes_capacity);
-        prop_assert_eq!(replayed.read_index_capacity, parked.read_index_capacity);
         prop_assert_eq!(replayed.write_index_capacity, parked.write_index_capacity);
         tx.commit_unmanaged().unwrap();
     }

@@ -74,10 +74,7 @@ impl<K: TKey, V: TxValue> TBTreeMap<K, V> {
     /// Creates an empty transactional B-tree.
     #[must_use]
     pub fn new() -> Self {
-        TBTreeMap {
-            root: TVar::new(Node::empty()),
-            label: None,
-        }
+        Self::from_sorted(None, [])
     }
 
     /// Creates an empty B-tree whose root (and every node a split later
@@ -86,10 +83,67 @@ impl<K: TKey, V: TxValue> TBTreeMap<K, V> {
     /// `vacation.flights/node@d2`) instead of raw lock addresses.
     #[must_use]
     pub fn labelled(label: &str) -> Self {
-        TBTreeMap {
-            root: TVar::labelled(Node::empty(), &format!("{label}/root")),
-            label: Some(Arc::from(label)),
+        Self::from_sorted(Some(label), [])
+    }
+
+    /// Builds a tree holding `rows` bottom-up, outside any transaction:
+    /// every node as full as `MAX_LEAF` / `MAX_SEPS` allow, each level's
+    /// entries or children split evenly, so every non-root node meets
+    /// `MIN_LEAF` / `MIN_SEPS` and the leaf depth is the least that
+    /// holds `rows`. Labelled like [`labelled`](Self::labelled)'s, with
+    /// each node named after its depth.
+    ///
+    /// # Panics
+    /// If the keys are not strictly increasing.
+    #[must_use]
+    pub fn from_sorted(label: Option<&str>, rows: impl IntoIterator<Item = (K, V)>) -> Self {
+        let entries: Vec<(K, V)> = rows.into_iter().collect();
+        assert!(
+            entries.windows(2).all(|w| w[0].0 < w[1].0),
+            "TBTreeMap::from_sorted: keys are not strictly increasing"
+        );
+        let mut height = 0;
+        let (mut nodes, mut fanout) = (entries.len(), MAX_LEAF);
+        while nodes > fanout {
+            nodes = nodes.div_ceil(fanout);
+            fanout = MAX_SEPS + 1;
+            height += 1;
         }
+        // A stand-in root until the top node exists: `alloc` labels from
+        // the map, so the map comes first.
+        let mut map = TBTreeMap {
+            root: TVar::new(Node::empty()),
+            label: label.map(Arc::from),
+        };
+        let top = if height == 0 {
+            Node::Leaf(entries)
+        } else {
+            // `(least key, node)` per node of the level being linked up.
+            let mut level: Vec<(K, Node<K, V>)> = split_evenly(entries, MAX_LEAF)
+                .into_iter()
+                .map(|leaf| (leaf[0].0.clone(), Node::Leaf(leaf)))
+                .collect();
+            for depth in (1..=height).rev() {
+                let vars: Vec<(K, NodeVar<K, V>)> = level
+                    .into_iter()
+                    .map(|(least, node)| (least, map.alloc(node, depth)))
+                    .collect();
+                level = split_evenly(vars, MAX_SEPS + 1)
+                    .into_iter()
+                    .map(|group| {
+                        let (mut seps, kids): (Vec<K>, Vec<_>) = group.into_iter().unzip();
+                        let least = seps.remove(0);
+                        (least, Node::Branch { seps, kids })
+                    })
+                    .collect();
+            }
+            level.pop().expect("the top level is one node").1
+        };
+        map.root = match label {
+            Some(l) => TVar::labelled(top, &format!("{l}/root")),
+            None => TVar::new(top),
+        };
+        map
     }
 
     /// The root node's variable, fixed for the map's life (inspection:
@@ -153,6 +207,16 @@ impl<K: TKey, V: TxValue> TBTreeMap<K, V> {
         match tx.read(var)? {
             Node::Branch { seps, kids } => Ok((seps, kids)),
             Node::Leaf(_) => unreachable!("descent recorded a leaf as a branch"),
+        }
+    }
+
+    /// Copies the entries of the leaf the descent just read, for a
+    /// writing `edit`: a repeated read, which by the read log's invariant
+    /// sees what the descent saw, or aborts.
+    fn read_leaf(tx: &mut Transaction, leaf: &NodeVar<K, V>) -> TxResult<Vec<(K, V)>> {
+        match tx.read(leaf)? {
+            Node::Leaf(entries) => Ok(entries),
+            Node::Branch { .. } => unreachable!("descent recorded a branch as a leaf"),
         }
     }
 
@@ -479,6 +543,17 @@ impl<K: TKey, V: TxValue> TBTreeMap<K, V> {
     }
 }
 
+/// `items` in `len.div_ceil(cap)` consecutive groups whose sizes differ
+/// by at most one.
+fn split_evenly<T>(items: Vec<T>, cap: usize) -> Vec<Vec<T>> {
+    let groups = items.len().div_ceil(cap);
+    let (base, extra) = (items.len() / groups, items.len() % groups);
+    let mut rest = items.into_iter();
+    (0..groups)
+        .map(|g| rest.by_ref().take(base + usize::from(g < extra)).collect())
+        .collect()
+}
+
 impl<K: TKey, V: TxValue> TOrdMap<K, V> for TBTreeMap<K, V> {
     fn get(&self, tx: &mut Transaction, key: &K) -> TxResult<Option<V>> {
         self.descend(tx, key, |_, entries| {
@@ -499,18 +574,22 @@ impl<K: TKey, V: TxValue> TOrdMap<K, V> for TBTreeMap<K, V> {
         key: &K,
         f: impl FnOnce(Option<&V>) -> (Edit<V>, R),
     ) -> TxResult<R> {
-        // The one handle an edit clones: the leaf it may write.
-        let (leaf, mut entries) =
-            self.descend(tx, key, |var, entries| (var.clone(), entries.to_vec()))?;
-        let found = entries.binary_search_by(|(k, _)| k.cmp(key));
-        let (decision, out) = f(found.ok().map(|i| &entries[i].1));
+        // The one handle an edit clones: the leaf it may write. The
+        // descent copies out only the entry `f` looks at.
+        let (leaf, found, held) = self.descend(tx, key, |var, entries| {
+            let found = entries.binary_search_by(|(k, _)| k.cmp(key));
+            (var.clone(), found, found.ok().map(|i| entries[i].1.clone()))
+        })?;
+        let (decision, out) = f(held.as_ref());
         match (decision, found) {
             (Edit::Put(value), Ok(i)) => {
                 // Replacement never changes occupancy: one leaf write.
+                let mut entries = Self::read_leaf(tx, &leaf)?;
                 entries[i].1 = value;
                 tx.write(&leaf, Node::Leaf(entries))?;
             }
             (Edit::Put(value), Err(i)) => {
+                let mut entries = Self::read_leaf(tx, &leaf)?;
                 entries.insert(i, (key.clone(), value));
                 if entries.len() <= MAX_LEAF {
                     tx.write(&leaf, Node::Leaf(entries))?;
@@ -520,6 +599,7 @@ impl<K: TKey, V: TxValue> TOrdMap<K, V> for TBTreeMap<K, V> {
                 }
             }
             (Edit::Remove, Ok(i)) => {
+                let mut entries = Self::read_leaf(tx, &leaf)?;
                 entries.remove(i);
                 let underfull = entries.len() < MIN_LEAF && !leaf.ptr_eq(&self.root);
                 tx.write(&leaf, Node::Leaf(entries))?;
@@ -538,8 +618,8 @@ impl<K: TKey, V: TxValue> TOrdMap<K, V> for TBTreeMap<K, V> {
                     }
                 }
             }
-            // Zero writes, so keeps and no-op removals on disjoint keys
-            // never conflict with each other.
+            // Zero writes and no copy of the leaf, so keeps and no-op
+            // removals on disjoint keys never conflict with each other.
             (Edit::Keep, _) | (Edit::Remove, Err(_)) => {}
         }
         Ok(out)

@@ -24,16 +24,19 @@
 //! Vacation in the middle of the scalability spectrum.
 //!
 //! The tables are per-node B-trees ([`crate::btree::TBTreeMap`]), as
-//! STAMP's are per-node red-black trees: a session conflicts only with
-//! sessions whose paths it shares, a look-up is one borrowed descent
-//! that writes no shared line, and an update rewrites one leaf.
+//! STAMP's are per-node red-black trees, and they index rows, as
+//! STAMP's map an id to a record pointer: every item and customer row
+//! is its own `TVar`. A look-up is one borrowed descent that writes no
+//! shared line; a session reads and writes the rows it books, so it
+//! conflicts only with sessions that touch the same rows, and it
+//! rewrites a leaf only to link a row in or unlink it (see [`Manager`]).
 
 use std::sync::Arc;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use rubic_runtime::Workload;
-use rubic_stm::{Stm, Transaction, TxResult};
+use rubic_stm::{Stm, TVar, Transaction, TxResult};
 
 use crate::btree::TBTreeMap;
 use crate::mapapi::{Edit, TOrdMap};
@@ -86,8 +89,7 @@ pub struct Booking {
 /// A customer record: the reservations they hold, as a persistent cons
 /// list. A push is one small allocation whatever the list holds and the
 /// new list shares every older booking with the version still published
-/// in the customers table, so cloning a record is O(1) and the record
-/// sits in the table by value.
+/// in the customer's row, so cloning a record is O(1).
 #[derive(Clone, Default)]
 pub struct Customer {
     newest: Option<Arc<Held>>,
@@ -193,31 +195,55 @@ impl VacationConfig {
 }
 
 /// The reservation-system state: STAMP's `manager_t`, four per-node
-/// B-tree tables. All four carry trace labels (`vacation.cars` …
+/// B-tree tables that index rows. Each row is its own [`TVar`], as
+/// STAMP's tables map an id to a record pointer: a session reads and
+/// writes the rows it books, and rewrites a leaf only to link a row in
+/// or unlink it, so two sessions on different rows of one leaf do not
+/// conflict. All four tables carry trace labels (`vacation.cars` …
 /// `vacation.customers`), so a hot interior node shows up in contention
-/// tables as e.g. `vacation.flights/node@d2`.
+/// tables as e.g. `vacation.flights/node@d2`; rows carry none (the trace
+/// label registry is bounded, and a full table has 16 K rows).
+///
+/// **An unlinked row takes no lost write.** A session reaches a row only
+/// through [`TOrdMap::get`], which logs the leaf that indexes it; a
+/// removal rewrites that leaf and ticks the clock. So a writer that
+/// took the handle before a removal committed cannot take the TL2 fast
+/// path (`wv ≠ rv + 1`): its commit validates the leaf and fails with
+/// `ReadValidation`. A remover reads the row in the transaction that
+/// unlinks it (`retire_resource` its units, `delete_customer` its
+/// bookings), so a remover that read the row before a writer committed
+/// fails its own validation of the row.
 pub struct Manager {
-    cars: TBTreeMap<u64, Resource>,
-    flights: TBTreeMap<u64, Resource>,
-    rooms: TBTreeMap<u64, Resource>,
-    /// By value: a map update clones the neighbours of the entry it
-    /// touches, and cloning a [`Customer`] copies one pointer.
-    customers: TBTreeMap<u64, Customer>,
+    cars: TBTreeMap<u64, TVar<Resource>>,
+    flights: TBTreeMap<u64, TVar<Resource>>,
+    rooms: TBTreeMap<u64, TVar<Resource>>,
+    customers: TBTreeMap<u64, TVar<Customer>>,
 }
 
 impl Manager {
     /// Creates empty tables.
     #[must_use]
     pub fn new() -> Self {
+        Manager::with_resources(Default::default())
+    }
+
+    /// Tables holding `rows[kind as usize]`, sorted by id, and no
+    /// customer: built bottom-up outside any transaction.
+    fn with_resources(rows: [Vec<(u64, Resource)>; 3]) -> Self {
+        let table = |label: &str, rows: Vec<(u64, Resource)>| {
+            let rows = rows.into_iter().map(|(id, r)| (id, TVar::new(r)));
+            TBTreeMap::from_sorted(Some(label), rows)
+        };
+        let [cars, flights, rooms] = rows;
         Manager {
-            cars: TBTreeMap::labelled("vacation.cars"),
-            flights: TBTreeMap::labelled("vacation.flights"),
-            rooms: TBTreeMap::labelled("vacation.rooms"),
+            cars: table("vacation.cars", cars),
+            flights: table("vacation.flights", flights),
+            rooms: table("vacation.rooms", rooms),
             customers: TBTreeMap::labelled("vacation.customers"),
         }
     }
 
-    fn table(&self, kind: ResourceKind) -> &TBTreeMap<u64, Resource> {
+    fn table(&self, kind: ResourceKind) -> &TBTreeMap<u64, TVar<Resource>> {
         match kind {
             ResourceKind::Car => &self.cars,
             ResourceKind::Flight => &self.flights,
@@ -238,10 +264,22 @@ impl Manager {
         units: u32,
         price: u64,
     ) -> TxResult<()> {
-        self.table(kind).edit(tx, &id, |row| {
-            let (total, used) = row.map_or((units, 0), |r| (r.total + units, r.used));
-            (Edit::Put(Resource { total, used, price }), ())
-        })
+        let table = self.table(kind);
+        match table.get(tx, &id)? {
+            Some(row) => tx.modify(&row, |r| Resource {
+                total: r.total + units,
+                price,
+                ..r
+            }),
+            None => {
+                let row = Resource {
+                    total: units,
+                    used: 0,
+                    price,
+                };
+                table.insert(tx, id, TVar::new(row)).map(drop)
+            }
+        }
     }
 
     /// Retires up to `units` unreserved units of item `id`; removes the
@@ -257,21 +295,22 @@ impl Manager {
         id: u64,
         units: u32,
     ) -> TxResult<bool> {
-        self.table(kind).edit(tx, &id, |row| {
-            let Some(r) = row else {
-                return (Edit::Keep, false);
-            };
-            let removable = units.min(r.free());
-            if removable == 0 {
-                return (Edit::Keep, false);
-            }
-            let total = r.total - removable;
-            if total == 0 {
-                (Edit::Remove, true)
-            } else {
-                (Edit::Put(Resource { total, ..*r }), true)
-            }
-        })
+        let table = self.table(kind);
+        let Some(row) = table.get(tx, &id)? else {
+            return Ok(false);
+        };
+        let r = tx.read(&row)?;
+        let removable = units.min(r.free());
+        if removable == 0 {
+            return Ok(false);
+        }
+        let total = r.total - removable;
+        if total == 0 {
+            table.remove(tx, &id)?;
+        } else {
+            tx.write(&row, Resource { total, ..r })?;
+        }
+        Ok(true)
     }
 
     /// Item price, if the row exists.
@@ -284,7 +323,10 @@ impl Manager {
         kind: ResourceKind,
         id: u64,
     ) -> TxResult<Option<Resource>> {
-        self.table(kind).get(tx, &id)
+        match self.table(kind).get(tx, &id)? {
+            Some(row) => tx.read(&row).map(Some),
+            None => Ok(None),
+        }
     }
 
     /// Marks one unit of item `id` used and returns the price charged,
@@ -296,18 +338,21 @@ impl Manager {
         kind: ResourceKind,
         id: u64,
     ) -> TxResult<Option<u64>> {
-        self.table(kind).edit(tx, &id, |row| match row {
-            Some(r) if r.free() > 0 => {
-                let used = r.used + 1;
-                (Edit::Put(Resource { used, ..*r }), Some(r.price))
-            }
-            _ => (Edit::Keep, None),
-        })
+        let Some(row) = self.table(kind).get(tx, &id)? else {
+            return Ok(None);
+        };
+        let r = tx.read(&row)?;
+        if r.free() == 0 {
+            return Ok(None);
+        }
+        let used = r.used + 1;
+        tx.write(&row, Resource { used, ..r })?;
+        Ok(Some(r.price))
     }
 
     /// Adds `bookings` to `customer`'s record, creating it on demand:
-    /// one read and one write of the customers table however many there
-    /// are, none when there are none.
+    /// one row write however many there are (a leaf write for a new
+    /// customer), none when there are none.
     fn book(
         &self,
         tx: &mut Transaction,
@@ -318,13 +363,21 @@ impl Manager {
         if bookings.peek().is_none() {
             return Ok(());
         }
-        self.customers.edit(tx, &customer, |held| {
-            let mut record = held.cloned().unwrap_or_default();
-            bookings.for_each(|b| record.push(b));
-            (Edit::Put(record), ())
-        })
+        match self.customers.get(tx, &customer)? {
+            Some(row) => {
+                let mut record = tx.read(&row)?;
+                bookings.for_each(|b| record.push(b));
+                tx.write(&row, record)
+            }
+            None => {
+                let mut record = Customer::default();
+                bookings.for_each(|b| record.push(b));
+                self.customers
+                    .insert(tx, customer, TVar::new(record))
+                    .map(drop)
+            }
+        }
     }
-
     /// Reserves one unit of item `id` for `customer`, creating the
     /// customer record on demand. Returns `false` (without changing
     /// anything) when the item is missing or fully booked.
@@ -351,21 +404,20 @@ impl Manager {
     /// # Errors
     /// Propagates transactional conflicts.
     pub fn delete_customer(&self, tx: &mut Transaction, customer: u64) -> TxResult<Option<u64>> {
-        let taken = |held: Option<&Customer>| (Edit::Remove, held.cloned());
-        let Some(record) = self.customers.edit(tx, &customer, taken)? else {
+        let unlink = |row: Option<&TVar<Customer>>| (Edit::Remove, row.cloned());
+        let Some(row) = self.customers.edit(tx, &customer, unlink)? else {
             return Ok(None);
         };
+        let record = tx.read(&row)?;
         let mut bill = 0u64;
         for booking in record.iter() {
             bill += booking.price;
-            self.table(booking.kind)
-                .edit(tx, &booking.id, |row| match row {
-                    Some(r) => {
-                        let used = r.used.saturating_sub(1);
-                        (Edit::Put(Resource { used, ..*r }), ())
-                    }
-                    None => (Edit::Keep, ()),
+            if let Some(item) = self.table(booking.kind).get(tx, &booking.id)? {
+                tx.modify(&item, |r| Resource {
+                    used: r.used.saturating_sub(1),
+                    ..r
                 })?;
+            }
         }
         Ok(Some(bill))
     }
@@ -377,8 +429,8 @@ impl Manager {
         stm.read_only(|tx| {
             let mut sum = 0u64;
             for kind in ResourceKind::ALL {
-                for (_, r) in self.table(kind).entries(tx)? {
-                    sum += u64::from(r.used);
+                for (_, row) in self.table(kind).entries(tx)? {
+                    sum += u64::from(tx.read_with(&row, |r| r.used)?);
                 }
             }
             Ok(sum)
@@ -391,8 +443,25 @@ impl Manager {
         self.customers
             .snapshot_entries()
             .iter()
-            .map(|(_, c)| c.len() as u64)
+            .map(|(_, row)| row.snapshot().len() as u64)
             .sum()
+    }
+
+    /// Checks the B-tree invariants of all four tables on a quiescent
+    /// manager.
+    ///
+    /// # Errors
+    /// The first violated invariant, named with its table.
+    pub fn check_invariants(&self) -> Result<(), String> {
+        for (name, shape) in [
+            ("cars", self.cars.check_shape()),
+            ("flights", self.flights.check_shape()),
+            ("rooms", self.rooms.check_shape()),
+            ("customers", self.customers.check_shape()),
+        ] {
+            shape.map_err(|e| format!("{name}: {e}"))?;
+        }
+        Ok(())
     }
 }
 
@@ -412,19 +481,28 @@ pub struct VacationWorkload {
 
 impl VacationWorkload {
     /// Populates the four tables: every relation row gets 100–500 units
-    /// at a random price (STAMP's initialisation), customers start
-    /// empty.
+    /// at a random price (STAMP's initialisation), drawn in `(id, kind)`
+    /// order, customers start empty. The tables are built from their
+    /// sorted rows, not by one transaction per row.
     #[must_use]
     pub fn new(cfg: VacationConfig, stm: Stm) -> Self {
-        let manager = Manager::new();
         let mut rng = SmallRng::seed_from_u64(cfg.seed);
+        let mut rows: [Vec<(u64, Resource)>; 3] = Default::default();
         for id in 0..cfg.relations {
-            for kind in ResourceKind::ALL {
-                let units = rng.gen_range(1..=5) * 100;
+            for table in &mut rows {
+                let total = rng.gen_range(1..=5) * 100;
                 let price = rng.gen_range(1..=5) * 10 + 50;
-                stm.atomically(|tx| manager.add_resource(tx, kind, id, units, price));
+                table.push((
+                    id,
+                    Resource {
+                        total,
+                        used: 0,
+                        price,
+                    },
+                ));
             }
         }
+        let manager = Manager::with_resources(rows);
         VacationWorkload { manager, cfg, stm }
     }
 
@@ -553,6 +631,8 @@ impl Workload for VacationWorkload {
 
 #[cfg(test)]
 mod tests {
+    use std::cell::Cell;
+
     use super::*;
 
     fn small() -> VacationConfig {
@@ -590,6 +670,17 @@ mod tests {
         assert_eq!(r.used, 0, "deleting the customer releases the unit");
     }
 
+    /// `(lock address, version)` of every node of `var`'s subtree.
+    fn node_versions<V: rubic_stm::TxValue>(
+        var: &crate::btree::node::NodeVar<u64, V>,
+        out: &mut Vec<(usize, u64)>,
+    ) {
+        out.push((var.lock_addr(), var.version()));
+        if let crate::btree::node::Node::Branch { kids, .. } = var.snapshot() {
+            kids.iter().for_each(|kid| node_versions(kid, out));
+        }
+    }
+
     #[test]
     fn reserve_copies_no_other_customers_record() {
         let stm = Stm::default();
@@ -599,9 +690,31 @@ mod tests {
         for customer in 0..100 {
             assert!(stm.atomically(|tx| m.reserve(tx, ResourceKind::Car, customer, 1)));
         }
-        let before = m.customers.snapshot_entries();
+        let records = || -> Vec<(u64, Customer)> {
+            let rows = m.customers.snapshot_entries();
+            rows.into_iter()
+                .map(|(id, row)| (id, row.snapshot()))
+                .collect()
+        };
+        let nodes = || {
+            let mut out = Vec::new();
+            node_versions(m.customers.root(), &mut out);
+            out
+        };
+        let (before, nodes_before) = (records(), nodes());
+        let writes = stm.stats().writes();
         assert!(stm.atomically(|tx| m.reserve(tx, ResourceKind::Car, 42, 1)));
-        let after = m.customers.snapshot_entries();
+        assert_eq!(
+            stm.stats().writes() - writes,
+            2,
+            "one resource row and one customer row"
+        );
+        assert_eq!(
+            nodes(),
+            nodes_before,
+            "a customers-table node was rewritten"
+        );
+        let after = records();
         assert_eq!(before.len(), after.len());
         let same = |a: &Option<Arc<Held>>, b: &Option<Arc<Held>>| match (a, b) {
             (Some(a), Some(b)) => Arc::ptr_eq(a, b),
@@ -616,6 +729,61 @@ mod tests {
                 assert!(same(&old.newest, &new.newest), "customer {id} was copied");
             }
         }
+    }
+
+    #[test]
+    fn a_row_unlinked_under_a_writer_aborts_the_writer() {
+        let stm = Stm::default();
+        let m = Manager::new();
+        stm.atomically(|tx| {
+            m.add_resource(tx, ResourceKind::Car, 1, 10, 99)?;
+            m.add_resource(tx, ResourceKind::Car, 2, 10, 70)
+        });
+        assert!(stm.atomically(|tx| m.reserve(tx, ResourceKind::Car, 7, 1)));
+        let (attempts, aborts) = (Cell::new(0), stm.stats().aborts());
+        // A reservation of car 2 for customer 7 that, on its first
+        // attempt only, takes 7's row and then has 7 deleted under it.
+        stm.atomically(|tx| {
+            attempts.set(attempts.get() + 1);
+            let row = m.customers.get(tx, &7)?;
+            if attempts.get() == 1 {
+                let bill = stm.atomically(|t| m.delete_customer(t, 7));
+                assert_eq!(bill, Some(99));
+            }
+            let price = m
+                .take_unit(tx, ResourceKind::Car, 2)?
+                .expect("car 2 is free");
+            let booking = Booking {
+                kind: ResourceKind::Car,
+                id: 2,
+                price,
+            };
+            match row {
+                Some(row) => {
+                    let mut record = tx.read(&row)?;
+                    record.push(booking);
+                    tx.write(&row, record)
+                }
+                None => m.book(tx, 7, [booking]),
+            }
+        });
+        assert_eq!(attempts.get(), 2, "the write to the unlinked row committed");
+        assert_eq!(stm.stats().aborts() - aborts, 1);
+        assert_eq!(
+            stm.stats()
+                .aborts_for(rubic_stm::AbortReason::ReadValidation),
+            1
+        );
+        assert_eq!(
+            m.total_customer_bookings(),
+            1,
+            "the retry booked car 2 anew"
+        );
+        assert_eq!(
+            m.total_reserved_units(&stm),
+            1,
+            "reservation ledger out of balance"
+        );
     }
 
     #[test]
@@ -731,12 +899,7 @@ mod tests {
         let used = w.manager().total_reserved_units(w.stm());
         let held = w.manager().total_customer_bookings();
         assert_eq!(used, held, "reservation ledger out of balance");
-        for kind in ResourceKind::ALL {
-            w.manager()
-                .table(kind)
-                .check_invariants()
-                .expect("table invariants");
-        }
+        w.manager().check_invariants().expect("table invariants");
     }
 
     #[test]

@@ -1,8 +1,10 @@
 //! What a Vacation session allocates, counted with a global allocator:
-//! booking onto a customer record costs the same whatever the record
-//! already holds, and a long-lived instance does not drift — the bytes a
-//! task allocates late in its life stay within 1.5 × those at the start.
-//! Counts only, no wall clock.
+//! a reservation writes two rows and copies no leaf, booking onto a
+//! customer record costs the same whatever the record already holds,
+//! and a long-lived instance does not drift — the bytes a task allocates
+//! late in its life stay within 1.5 × those at the start. Beside them,
+//! the map's own contract: an `edit` that writes nothing allocates
+//! nothing. Counts only, no wall clock.
 //!
 //! One `#[test]` on purpose, as in `rubic-stm`'s `alloc_contract`: the
 //! counters are per thread, but the epoch is process-wide, and a second
@@ -14,8 +16,9 @@ use std::cell::Cell;
 
 use rubic_runtime::Workload;
 use rubic_stm::Stm;
+use rubic_workloads::btree::node::MAX_LEAF;
 use rubic_workloads::vacation::{Manager, ResourceKind};
-use rubic_workloads::{VacationConfig, VacationWorkload};
+use rubic_workloads::{Edit, TBTreeMap, TOrdMap, VacationConfig, VacationWorkload};
 
 struct Counting;
 
@@ -67,23 +70,52 @@ fn allocated(f: impl FnOnce()) -> (u64, u64) {
 
 #[test]
 fn sessions_allocate_the_same_whatever_the_history() {
-    // A push is history-independent: the same customer, the same map
-    // shapes, 1 booking held against 1 000.
-    const ROUNDS: u64 = 100;
+    // An edit that writes nothing copies no leaf: on a 64-key map, an
+    // absent-key removal and a `Keep` allocate nothing.
     let stm = Stm::default();
+    let map: TBTreeMap<u64, u64> = TBTreeMap::new();
+    for k in 0..64 {
+        stm.atomically(|tx| map.insert(tx, k, k));
+    }
+    let idle = || {
+        assert_eq!(stm.atomically(|tx| map.remove(tx, &1_000)), None);
+        let held = stm.atomically(|tx| map.edit(tx, &5, |v| (Edit::Keep, v.copied())));
+        assert_eq!(held, Some(5));
+    };
+    idle();
+    assert_eq!(allocated(idle), (0, 0), "a non-writing edit allocated");
+
+    // A reservation writes two rows, whatever shares the customer's
+    // leaf: with customer 7 in a full leaf of `MAX_LEAF` customers, it
+    // allocates the two rows' new values (16 B each) and one booking
+    // cell (48 B), and no copy of a leaf.
     let manager = Manager::new();
     stm.atomically(|tx| manager.add_resource(tx, ResourceKind::Car, 1, 1_000_000, 60));
+    let neighbours = MAX_LEAF as u64;
+    for customer in 0..neighbours {
+        assert!(stm.atomically(|tx| manager.reserve(tx, ResourceKind::Car, customer, 1)));
+    }
     let book = |times: u64| {
         for _ in 0..times {
             assert!(stm.atomically(|tx| manager.reserve(tx, ResourceKind::Car, 7, 1)));
         }
     };
-    book(1);
+    // Two warm-up bookings: the first row write of each type takes its
+    // write slot.
+    book(2);
+    assert_eq!(
+        allocated(|| book(1)),
+        (3, 80),
+        "(allocations, bytes) of one reservation"
+    );
+
+    // A push is history-independent: the same customer, the same map
+    // shapes, 4 bookings held against 1 000.
+    const ROUNDS: u64 = 100;
     let short = allocated(|| book(ROUNDS));
-    book(1_000 - ROUNDS - 1);
-    assert_eq!(manager.total_customer_bookings(), 1_000);
+    book(1_000 - ROUNDS - 4);
+    assert_eq!(manager.total_customer_bookings(), 1_000 + neighbours - 1);
     let long = allocated(|| book(ROUNDS));
-    assert!(short.0 > 0, "a reservation publishes new versions");
     assert_eq!(short, long, "(allocations, bytes) of {ROUNDS} reservations");
 
     // Stationary cost: vacation-high at the size the benchmark runs it,

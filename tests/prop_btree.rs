@@ -2,14 +2,16 @@
 //! B-tree (`rubic::workloads::TBTreeMap`): sequential equivalence
 //! against `std::collections::BTreeMap`, fills and drains deep enough
 //! to split and merge at every level, linearizability of concurrent
-//! histories, and structural invariants (occupancy, key ordering,
-//! uniform leaf depth) surviving chaos-injected aborts.
+//! histories, structural invariants (occupancy, key ordering, uniform
+//! leaf depth) surviving chaos-injected aborts, and trees built bottom-up
+//! by `from_sorted`.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 use proptest::prelude::*;
 use rubic::stm::Stm;
+use rubic::workloads::btree::node::{MAX_LEAF, MAX_SEPS};
 use rubic::workloads::{Edit, TBTreeMap, TOrdMap};
 
 #[derive(Debug, Clone)]
@@ -73,11 +75,14 @@ fn apply_oracle(model: &mut BTreeMap<u64, u64>, op: &MapOp) -> Option<u64> {
     }
 }
 
-/// Every op observes what the `BTreeMap` model observes, and the
-/// map's invariants hold after each one.
-fn matches_btreemap(map: &TBTreeMap<u64, u64>, ops: &[MapOp]) -> Result<(), TestCaseError> {
+/// Every op observes what the `BTreeMap` model, holding what `map`
+/// holds, observes, and the map's invariants hold after each one.
+fn matches_btreemap(
+    map: &TBTreeMap<u64, u64>,
+    mut model: BTreeMap<u64, u64>,
+    ops: &[MapOp],
+) -> Result<(), TestCaseError> {
     let stm = Stm::default();
-    let mut model: BTreeMap<u64, u64> = BTreeMap::new();
     for op in ops {
         let got = apply(&stm, map, op);
         let expected = apply_oracle(&mut model, op);
@@ -103,8 +108,73 @@ proptest! {
     /// a 300-key churn forces at fanout 16.
     #[test]
     fn tbtree_matches_btreemap(ops in proptest::collection::vec(map_op(), 1..400)) {
-        matches_btreemap(&TBTreeMap::new(), &ops)?;
+        matches_btreemap(&TBTreeMap::new(), BTreeMap::new(), &ops)?;
     }
+}
+
+/// The least leaf depth that holds `n` entries: a root leaf up to
+/// `MAX_LEAF`, then `MAX_SEPS + 1` times as many per level.
+fn least_depth(n: usize) -> usize {
+    let (mut depth, mut fits) = (0, MAX_LEAF);
+    while n > fits {
+        fits *= MAX_SEPS + 1;
+        depth += 1;
+    }
+    depth
+}
+
+/// `(k, 10 k)` for `k` in `0..n` step `stride`.
+fn sorted_rows(n: u64, stride: u64) -> Vec<(u64, u64)> {
+    (0..n).map(|i| (i * stride, i * stride * 10)).collect()
+}
+
+#[test]
+fn from_sorted_builds_the_shallowest_legal_tree() {
+    let sizes = [0, 1, MAX_LEAF, MAX_LEAF + 1, 529, 16_384];
+    for (n, label) in sizes
+        .into_iter()
+        .zip([None, Some("test.sorted")].into_iter().cycle())
+    {
+        let rows = sorted_rows(n as u64, 3);
+        let map = TBTreeMap::from_sorted(label, rows.clone());
+        assert_eq!(map.check_shape(), Ok((n, least_depth(n))), "{n} rows");
+        assert_eq!(map.snapshot_entries(), rows, "{n} rows");
+    }
+    // 529 rows overflow one branch of full leaves (16 × 32 = 512), and
+    // Vacation's 16 K-row resource tables are 512 full leaves under
+    // two branch levels.
+    assert_eq!(least_depth(16_384), 3);
+    assert_eq!(least_depth(529), 2);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// A tree built bottom-up, every node full, then 2 000 random ops:
+    /// the first inserts split full nodes, removals borrow and merge,
+    /// and the map stays the `BTreeMap` model throughout.
+    #[test]
+    fn from_sorted_then_random_ops_match_btreemap(
+        n in 0u64..300,
+        stride in 1u64..3,
+        ops in proptest::collection::vec(map_op(), 2_000),
+    ) {
+        let rows = sorted_rows(n, stride);
+        let map = TBTreeMap::from_sorted(None, rows.clone());
+        matches_btreemap(&map, rows.into_iter().collect(), &ops)?;
+    }
+}
+
+#[test]
+#[should_panic(expected = "strictly increasing")]
+fn from_sorted_rejects_unsorted_rows() {
+    let _ = TBTreeMap::from_sorted(None, [(2u64, 0u64), (1, 0)]);
+}
+
+#[test]
+#[should_panic(expected = "strictly increasing")]
+fn from_sorted_rejects_repeated_keys() {
+    let _ = TBTreeMap::from_sorted(None, [(1u64, 0u64), (1, 0)]);
 }
 
 /// Xorshift step, for seeded orders.

@@ -137,6 +137,63 @@ fn vacation_ledger_balanced_after_tuned_run() {
     assert_eq!(used, held, "reservation ledger out of balance");
 }
 
+/// Vacation rows unlinked while other sessions hold them: one thread
+/// reserves for two customers while another deletes them, and one adds
+/// units to two rooms while another retires them to zero (removing the
+/// row). No write lands on an unlinked row: every unit taken is held by
+/// a customer or was billed, every unit added is in a row or was
+/// retired, and the tables stay valid B-trees.
+#[test]
+fn vacation_rows_unlinked_under_writers_lose_no_update() {
+    const ROUNDS: u64 = 20_000;
+    const PRICE: u64 = 50;
+    let stm = Stm::default();
+    let m = Arc::new(Manager::new());
+    stm.atomically(|tx| {
+        m.add_resource(tx, ResourceKind::Car, 0, 1_000_000, PRICE)?;
+        m.add_resource(tx, ResourceKind::Car, 1, 1_000_000, PRICE)
+    });
+    // All four start at once, so the sessions overlap from the first.
+    let start = Arc::new(std::sync::Barrier::new(4));
+    let spawn = |session: fn(&Stm, &Manager, u64) -> u64| {
+        let (stm, m, start) = (stm.clone(), Arc::clone(&m), Arc::clone(&start));
+        std::thread::spawn(move || {
+            start.wait();
+            (0..ROUNDS).map(|i| session(&stm, &m, i % 2)).sum::<u64>()
+        })
+    };
+    let reserved =
+        spawn(|stm, m, c| u64::from(stm.atomically(|tx| m.reserve(tx, ResourceKind::Car, c, c))));
+    let billed = spawn(|stm, m, c| stm.atomically(|tx| m.delete_customer(tx, c)).unwrap_or(0));
+    let added = spawn(|stm, m, id| {
+        stm.atomically(|tx| m.add_resource(tx, ResourceKind::Room, id, 100, PRICE));
+        100
+    });
+    let retired = spawn(|stm, m, id| {
+        let done = stm.atomically(|tx| m.retire_resource(tx, ResourceKind::Room, id, 100));
+        100 * u64::from(done)
+    });
+    let [reserved, billed, added, retired] =
+        [reserved, billed, added, retired].map(|h| h.join().expect("session thread"));
+    let held = m.total_customer_bookings();
+    assert_eq!(
+        m.total_reserved_units(&stm),
+        held,
+        "reservation ledger out of balance"
+    );
+    assert_eq!(
+        reserved * PRICE,
+        billed + held * PRICE,
+        "a booking was lost"
+    );
+    let rooms: u64 = (0..2)
+        .filter_map(|id| stm.atomically(|tx| m.query(tx, ResourceKind::Room, id)))
+        .map(|r| u64::from(r.total))
+        .sum();
+    assert_eq!(added - retired, rooms, "units added to an unlinked row");
+    m.check_invariants().expect("table invariants");
+}
+
 /// Intruder under the pool: flows complete, attacks are detected, and
 /// sessions do not leak.
 #[test]

@@ -35,7 +35,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 use crate::strategy::Strat;
 use crate::vclock::VClock;
-use crate::FailureKind;
+use crate::{Config, FailureKind};
 
 /// Source location of a primitive operation (for reports).
 pub(crate) type Loc = &'static std::panic::Location<'static>;
@@ -168,6 +168,7 @@ pub(crate) struct Engine {
     handles: Mutex<Vec<std::thread::JoinHandle<()>>>,
     max_steps: u64,
     detect_weak: bool,
+    force_timeouts: bool,
 }
 
 enum Finish {
@@ -182,8 +183,7 @@ impl Engine {
     pub(crate) fn run(
         model: Arc<dyn Fn() + Send + Sync>,
         mut strat: Strat,
-        max_steps: u64,
-        detect_weak: bool,
+        config: &Config,
     ) -> Outcome {
         strat.on_spawn(0);
         // The root's own component starts ticked so its events are
@@ -217,8 +217,9 @@ impl Engine {
             }),
             cv: Condvar::new(),
             handles: Mutex::new(Vec::new()),
-            max_steps,
-            detect_weak,
+            max_steps: config.max_steps,
+            detect_weak: config.detect_weak_pairs,
+            force_timeouts: config.force_timeouts,
         });
 
         let root = spawn_wrapper(&engine, 0, Box::new(move || model()));
@@ -313,8 +314,8 @@ impl Engine {
                 return Ok(());
             }
             // Nothing runnable. A timed waiter can be forced to time
-            // out (FIFO order keeps this deterministic); with none left
-            // the execution is deadlocked.
+            // out (FIFO order keeps this deterministic); with none left,
+            // or with forced time-outs off, the execution is deadlocked.
             let timed = st
                 .threads
                 .iter()
@@ -322,12 +323,17 @@ impl Engine {
                 .filter(|(_, t)| matches!(t.status, Status::BlockedCv { timed: true, .. }))
                 .min_by_key(|(_, t)| t.wait_seq)
                 .map(|(i, _)| i);
-            if let Some(tid) = timed {
+            if let Some(tid) = timed.filter(|_| self.force_timeouts) {
                 st.threads[tid].timed_out = true;
                 st.threads[tid].status = Status::Runnable;
                 continue;
             }
-            let mut lines = vec!["deadlock: no runnable threads".to_string()];
+            let why = if timed.is_some() {
+                ", and forced time-outs are off (a timed waiter missed its wake)"
+            } else {
+                ""
+            };
+            let mut lines = vec![format!("deadlock: no runnable threads{why}")];
             for (i, t) in st.threads.iter().enumerate() {
                 if t.status == Status::Finished {
                     continue;
@@ -376,6 +382,12 @@ impl Engine {
     /// strategy, otherwise decisions would interleave in OS-arrival
     /// order and traces would not replay.
     fn enter(&self, tid: usize, loc: Loc) -> MutexGuard<'_, ExecState> {
+        self.enter_yielding(tid, loc, false)
+    }
+
+    /// [`enter`](Engine::enter); `yielding` marks a yield or sleep,
+    /// which the strategy sees before it picks the next thread.
+    fn enter_yielding(&self, tid: usize, loc: Loc, yielding: bool) -> MutexGuard<'_, ExecState> {
         let mut st = self.lock();
         st.threads[tid].last_loc = Some(loc);
         if st.abandoning {
@@ -383,6 +395,9 @@ impl Engine {
             abandon();
         }
         if st.active == tid && !st.threads[tid].pending_grant {
+            if yielding {
+                st.strat.on_yield(tid);
+            }
             if self.reschedule(&mut st).is_err() {
                 drop(st);
                 abandon();
@@ -397,10 +412,16 @@ impl Engine {
         st
     }
 
-    /// A pure scheduling point (yield/sleep, or paired with a value
-    /// operation the caller performs while holding the baton).
+    /// A pure scheduling point, paired with a value operation the
+    /// caller performs while holding the baton.
     pub(crate) fn op_yield(&self, tid: usize, loc: Loc) {
         drop(self.enter(tid, loc));
+    }
+
+    /// `thread::yield_now` / `thread::sleep`: a scheduling point at
+    /// which the caller gives way (PCT demotes it).
+    pub(crate) fn op_thread_yield(&self, tid: usize, loc: Loc) {
+        drop(self.enter_yielding(tid, loc, true));
     }
 
     // ------------------------------------------------------------------

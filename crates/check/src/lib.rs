@@ -20,9 +20,10 @@
 //! detector** (FastTrack-style) over [`sync::RaceCell`] accesses, flags
 //! **too-weak orderings** (an `Acquire` load pairing with a `Relaxed`
 //! store it has no happens-before edge to), reports **deadlocks** (all
-//! threads blocked, no timed waiter left to force-time-out) with each
-//! thread's last source location, and bounds **livelocks** with a step
-//! budget.
+//! threads blocked, and no timed waiter left to force-time-out or
+//! forced time-outs turned off) with each thread's last source
+//! location, and bounds **livelocks** with a step budget. A yield or
+//! sleep demotes the caller under PCT, so spin-waits give way.
 //!
 //! What is *not* modeled: weak-memory value reordering (the value layer
 //! is sequentially consistent; ordering claims feed the happens-before
@@ -209,6 +210,10 @@ pub struct Config {
     /// progresses, so replaying iteration `i > 0` in isolation must
     /// restore the estimate that was in effect ([`Config::pct_at_len`]).
     pub first_est_len: u64,
+    /// Force a timed waiter to time out when nothing else can run (the
+    /// default). Off, such a state is a deadlock: the check that a
+    /// protocol's wakes all land, with its timeout only a backstop.
+    pub force_timeouts: bool,
 }
 
 /// Schedule-length estimate used for a fresh run's first iteration.
@@ -226,6 +231,7 @@ impl Config {
             detect_weak_pairs: true,
             first_iteration: 0,
             first_est_len: DEFAULT_EST_LEN,
+            force_timeouts: true,
         }
     }
 
@@ -261,6 +267,7 @@ impl Config {
             detect_weak_pairs: true,
             first_iteration: 0,
             first_est_len: DEFAULT_EST_LEN,
+            force_timeouts: true,
         }
     }
 
@@ -284,6 +291,7 @@ impl Config {
             detect_weak_pairs: true,
             first_iteration: 0,
             first_est_len: DEFAULT_EST_LEN,
+            force_timeouts: true,
         }
     }
 
@@ -291,6 +299,14 @@ impl Config {
     #[must_use]
     pub fn with_max_steps(mut self, max_steps: u64) -> Self {
         self.max_steps = max_steps;
+        self
+    }
+
+    /// Never forces a timed wait to time out: a run that would need one
+    /// to make progress fails as a deadlock (a lost wakeup).
+    #[must_use]
+    pub fn without_forced_timeouts(mut self) -> Self {
+        self.force_timeouts = false;
         self
     }
 
@@ -344,12 +360,7 @@ pub fn check(config: Config, model: impl Fn() + Send + Sync + 'static) -> Report
                 let iteration = config.first_iteration + i;
                 let used_len = est_len;
                 let strat = Strat::pct(config.seed, iteration, config.depth, est_len);
-                let out = engine::Engine::run(
-                    Arc::clone(&model),
-                    strat,
-                    config.max_steps,
-                    config.detect_weak_pairs,
-                );
+                let out = engine::Engine::run(Arc::clone(&model), strat, &config);
                 executions += 1;
                 est_len = out.steps.max(1);
                 if let Some((kind, message)) = out.failure {
@@ -381,12 +392,7 @@ pub fn check(config: Config, model: impl Fn() + Send + Sync + 'static) -> Report
                     pos: 0,
                     diverged: false,
                 };
-                let out = engine::Engine::run(
-                    Arc::clone(&model),
-                    strat,
-                    config.max_steps,
-                    config.detect_weak_pairs,
-                );
+                let out = engine::Engine::run(Arc::clone(&model), strat, &config);
                 executions += 1;
                 let Strat::Dfs {
                     stack: st,
@@ -437,12 +443,7 @@ pub fn check(config: Config, model: impl Fn() + Send + Sync + 'static) -> Report
                 trace: trace.clone(),
                 pos: 0,
             };
-            let out = engine::Engine::run(
-                Arc::clone(&model),
-                strat,
-                config.max_steps,
-                config.detect_weak_pairs,
-            );
+            let out = engine::Engine::run(Arc::clone(&model), strat, &config);
             Report {
                 executions: 1,
                 failure: out.failure.map(|(kind, message)| Failure {

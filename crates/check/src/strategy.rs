@@ -95,6 +95,31 @@ impl Strat {
         }
     }
 
+    /// Called when thread `tid`, holding the baton, yields or sleeps.
+    /// PCT demotes it below every thread demoted so far: a thread that
+    /// yields is waiting for another to make progress, and keeping its
+    /// priority would spin it until the step budget. DFS and replay
+    /// ignore it — their decisions already cover every choice.
+    ///
+    /// PCT's bound (Burckhardt et al., ASPLOS 2010: a bug of depth `d`
+    /// in `n` threads and `k` steps is found with probability at least
+    /// `1 / (n k^(d-1))` per run) assumes every schedule terminates,
+    /// which a spin-wait under fixed priorities does not. Demoting at
+    /// yields is what lets such a model terminate; the demotions are
+    /// priority changes beyond the `d - 1` the bound counts, so for an
+    /// execution that yields the bound is a guide, not a guarantee. An
+    /// execution that never yields is scheduled exactly as before.
+    pub(crate) fn on_yield(&mut self, tid: usize) {
+        if let Strat::Pct {
+            priorities,
+            next_low,
+            ..
+        } = self
+        {
+            demote(priorities, next_low, tid);
+        }
+    }
+
     /// Picks the next thread: returns an index into `enabled`.
     pub(crate) fn choose(&mut self, enabled: &[usize], step: u64) -> usize {
         debug_assert!(!enabled.is_empty());
@@ -115,13 +140,8 @@ impl Strat {
                 };
                 if change_points.contains(&step) {
                     // Demote the thread that would have run.
-                    let i = best(priorities);
-                    let tid = enabled[i];
-                    if priorities.len() <= tid {
-                        priorities.resize(tid + 1, 0);
-                    }
-                    *next_low = next_low.wrapping_sub(1);
-                    priorities[tid] = *next_low & !(1 << 63);
+                    let tid = enabled[best(priorities)];
+                    demote(priorities, next_low, tid);
                 }
                 best(priorities)
             }
@@ -154,6 +174,15 @@ impl Strat {
             }
         }
     }
+}
+
+/// Gives `tid` the next (strictly lower) demotion priority.
+fn demote(priorities: &mut Vec<u64>, next_low: &mut u64, tid: usize) {
+    if priorities.len() <= tid {
+        priorities.resize(tid + 1, 0);
+    }
+    *next_low = next_low.wrapping_sub(1);
+    priorities[tid] = *next_low & !(1 << 63);
 }
 
 /// Advances a DFS decision stack to the next unexplored trace.

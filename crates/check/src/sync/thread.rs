@@ -127,22 +127,24 @@ where
     Builder::new().spawn(f).expect("failed to spawn thread")
 }
 
-/// Sleeps (a pure scheduling point inside a run — no wall-clock delay).
+/// Sleeps (inside a run, a scheduling point at which the caller gives
+/// way — no wall-clock delay).
 #[track_caller]
 pub fn sleep(dur: Duration) {
     let loc = std::panic::Location::caller();
     match with_ctx(Clone::clone) {
-        Some(ctx) => ctx.engine.op_yield(ctx.tid, loc),
+        Some(ctx) => ctx.engine.op_thread_yield(ctx.tid, loc),
         None => std::thread::sleep(dur),
     }
 }
 
-/// Yields (a scheduling point inside a run).
+/// Yields (inside a run, a scheduling point at which the caller gives
+/// way: PCT demotes it below the other threads).
 #[track_caller]
 pub fn yield_now() {
     let loc = std::panic::Location::caller();
     match with_ctx(Clone::clone) {
-        Some(ctx) => ctx.engine.op_yield(ctx.tid, loc),
+        Some(ctx) => ctx.engine.op_thread_yield(ctx.tid, loc),
         None => std::thread::yield_now(),
     }
 }

@@ -281,3 +281,41 @@ fn spin_loop_hits_step_budget() {
     let failure = report.expect_failure();
     assert_eq!(failure.kind, FailureKind::StepBudget);
 }
+
+/// PCT demotes a thread that yields: a spin-until-flag wait gives way
+/// to the thread that sets the flag. Without the demotion the spinner
+/// keeps the top priority whenever it draws it, and only a change
+/// point could move it off the baton; with `depth` 1 there is none, so
+/// such a run spins to the step budget.
+#[test]
+fn pct_demotes_a_yielding_spinner() {
+    let mut config = Config::pct(0x51E1D, 16);
+    config.depth = 1;
+    let report = check(config, || {
+        let flag = Arc::new(AtomicU64::new(0));
+        let f2 = Arc::clone(&flag);
+        let t = thread::spawn(move || f2.store(1, Ordering::Release));
+        while flag.load(Ordering::Acquire) == 0 {
+            thread::yield_now();
+        }
+        t.join().unwrap();
+    });
+    report.assert_ok();
+}
+
+/// A timed wait nobody notifies is forced to time out by default; with
+/// forced time-outs off it is a deadlock.
+#[test]
+fn unnotified_timed_wait_is_deadlock_without_forced_timeouts() {
+    fn model() {
+        let m = Mutex::new(());
+        let cv = Condvar::new();
+        let mut g = m.lock();
+        let _ = cv.wait_for(&mut g, std::time::Duration::from_millis(1));
+    }
+    check(Config::dfs(100), model).assert_ok();
+    let report = check(Config::dfs(100).without_forced_timeouts(), model);
+    let failure = report.expect_failure();
+    assert_eq!(failure.kind, FailureKind::Deadlock);
+    assert!(failure.message.contains("forced time-outs are off"));
+}

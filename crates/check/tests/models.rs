@@ -262,9 +262,9 @@ fn real_sharded_queue_accounts_exactly_once() {
 /// pushes, takes and the final producer decrement interleave, so a
 /// check that trusted a stale `pushed`, or fired between a push and its
 /// count, would drop an item. One item of room per shard makes the
-/// producer park on `not_full`, so the blocked-producer count that
-/// gates the takers' notify is explored too — a missed wake shows up as
-/// a deadlock.
+/// producer park on `not_full`, so the armed watermark that gates the
+/// takers' notify is explored too — a missed wake shows up as a
+/// deadlock.
 #[test]
 fn real_sharded_queue_drains_exactly_once_under_a_live_producer() {
     const ITEMS: u64 = 4;
@@ -300,6 +300,92 @@ fn real_sharded_queue_drains_exactly_once_under_a_live_producer() {
             "every item must be handled exactly once"
         );
         assert_eq!(handle.processed(), ITEMS, "processed counter must agree");
+        assert_eq!(handle.queued(), 0, "drain fired with items still queued");
+    });
+    report.assert_ok();
+}
+
+/// Runs one worker of `workload` until the queue drains, after raising
+/// `started`.
+fn drain_worker(
+    workload: &Arc<ShardedWorkload<u64, impl Fn(u64) + Send + Sync + 'static>>,
+    started: &Arc<AtomicBool>,
+) -> thread::JoinHandle<()> {
+    let (w, s) = (Arc::clone(workload), Arc::clone(started));
+    let h = w.handle();
+    thread::spawn(move || {
+        let mut state = w.init_worker(0);
+        s.store(true, Ordering::Release);
+        while !h.is_drained() {
+            w.run_task(&mut state);
+        }
+    })
+}
+
+/// An idle wake lands: the one worker finds the queue empty and parks
+/// in the idle wait, then the producer publishes item by item and hangs
+/// up. Forced time-outs are off, so if a publish while the worker is
+/// parked does not wake it, every thread ends up blocked and the run
+/// fails as a deadlock instead of riding out the 1 ms bound. Waiting
+/// for `started` with `yield_now` lets the worker run first (PCT
+/// demotes a thread that yields).
+#[test]
+fn real_sharded_queue_idle_wake_lands_without_a_timeout() {
+    const ITEMS: u64 = 3;
+    let config = Config::pct(0x5AF, env_iters(96)).without_forced_timeouts();
+    let report = check(config, || {
+        let handled = Arc::new(AtomicU64::new(0));
+        let h2 = Arc::clone(&handled);
+        let (workload, sender) = ShardedWorkload::with_batch(1, 8, 1, move |_n: u64| {
+            h2.fetch_add(1, Ordering::Relaxed);
+        });
+        let handle = workload.handle();
+        let workload = Arc::new(workload);
+        let started = Arc::new(AtomicBool::new(false));
+        let worker = drain_worker(&workload, &started);
+        while !started.load(Ordering::Acquire) {
+            thread::yield_now();
+        }
+        for n in 0..ITEMS {
+            sender.send(n).expect("queue open");
+        }
+        drop(sender);
+        worker.join().expect("worker");
+        assert_eq!(handled.load(Ordering::Relaxed), ITEMS);
+        assert_eq!(handle.queued(), 0, "drain fired with items still queued");
+    });
+    report.assert_ok();
+}
+
+/// A producer parked on a full shard is woken by the take that reaches
+/// the low watermark. One shard of two items, chunks of two — larger
+/// than half a shard, so the producer needs an empty shard and its
+/// watermark is 0. The queue is full before the worker and a second
+/// producer start, so the second producer parks unless the worker gets
+/// there first. Forced time-outs are off: a missed producer wake
+/// leaves the producer parked for good and fails as a deadlock.
+#[test]
+fn real_sharded_queue_watermark_wake_lands_without_a_timeout() {
+    const ITEMS: u64 = 6;
+    let config = Config::pct(0x5B0, env_iters(96)).without_forced_timeouts();
+    let report = check(config, || {
+        let handled = Arc::new(AtomicU64::new(0));
+        let h2 = Arc::clone(&handled);
+        let (workload, sender) = ShardedWorkload::with_batch(1, 2, 2, move |_n: u64| {
+            h2.fetch_add(1, Ordering::Relaxed);
+        });
+        let handle = workload.handle();
+        sender.send_batch(0..2).expect("queue open");
+        let producer = {
+            let sender = sender.clone();
+            thread::spawn(move || sender.send_batch(2..ITEMS).expect("queue open"))
+        };
+        drop(sender);
+        let workload = Arc::new(workload);
+        let worker = drain_worker(&workload, &Arc::new(AtomicBool::new(false)));
+        producer.join().expect("producer");
+        worker.join().expect("worker");
+        assert_eq!(handled.load(Ordering::Relaxed), ITEMS);
         assert_eq!(handle.queued(), 0, "drain fired with items still queued");
     });
     report.assert_ok();

@@ -31,6 +31,18 @@
 //! * Drain detection is event-driven: the worker (or producer) that
 //!   observes the drain fires a condvar that
 //!   [`ShardedHandle::wait_drained`] parks on.
+//! * **A producer is woken once per parking, at a low watermark.** A
+//!   producer that finds its shard full parks on the shard's `not_full`
+//!   and arms a wake length under the shard lock: half a shard, or less
+//!   for a chunk larger than half a shard (it needs `len + n <=
+//!   cap.max(n)`). The first take that leaves the shard at or below it
+//!   disarms it and notifies; takes before and after do not.
+//! * **An idle wake goes only to a parked worker, one at a time.** A dry
+//!   worker counts itself as a sleeper under the idle lock, re-checks
+//!   for work and parks in the same critical section, so a producer that
+//!   sees a sleeper under that lock knows it is in `wait_for`. The
+//!   producer notifies only when no wake is already pending; the next
+//!   sleeper to return clears it and re-checks the shards.
 //!
 //! Items accepted by the queue are processed exactly once: every item
 //! moves producer → shard → one worker's local buffer → handler, with
@@ -63,10 +75,11 @@ struct Shard<T> {
 /// The lock-protected half of a [`Shard`].
 struct ShardQueue<T> {
     items: VecDeque<T>,
-    /// Producers parked on `not_full`. Takers notify only when it is
-    /// non-zero: `notify_all` makes a `futex` call even with no waiter,
-    /// which would cost every refill and steal a syscall.
-    blocked: usize,
+    /// Armed while a producer is parked on `not_full`: the length at or
+    /// below which the next take wakes every parked producer (the lowest
+    /// any of them asked for). That take disarms it, so a parking is
+    /// woken once, and takes with nobody parked make no `futex` call.
+    wake_at: Option<usize>,
 }
 
 impl<T> Default for Shard<T> {
@@ -74,7 +87,7 @@ impl<T> Default for Shard<T> {
         Shard {
             q: Mutex::new(ShardQueue {
                 items: VecDeque::new(),
-                blocked: 0,
+                wake_at: None,
             }),
             len: AtomicUsize::new(0),
             not_full: Condvar::new(),
@@ -119,9 +132,14 @@ struct Gauges {
     /// Set when the workload is dropped (the pool stopped); unblocks
     /// producers waiting on full shards.
     closed: AtomicBool,
-    /// Workers currently sleeping in the idle wait.
+    /// Workers in the idle wait. Written only under `idle_m`, by a
+    /// worker that holds it from its increment through its re-check to
+    /// `wait_for`, so a producer holding `idle_m` that reads it non-zero
+    /// has a sleeper parked (or woken and waiting for the lock).
     sleepers: AtomicUsize,
-    idle_m: Mutex<()>,
+    /// Guards the idle wait; the flag is "a wake is pending": set by the
+    /// producer that notifies, cleared by the next sleeper to return.
+    idle_m: Mutex<bool>,
     idle_cv: Condvar,
     drain: DrainSignal,
 }
@@ -168,24 +186,34 @@ impl Gauges {
     }
 
     /// Wakes one idle-sleeping worker (called after making work
-    /// visible). What a call publishes — a producer chunk or a parked
-    /// worker's buffer — is at most a batch, which one worker takes
-    /// whole; other sleepers re-check on their 1 ms timeout. Waking all
-    /// of them per chunk turned a producer-bound drain into wake storms
-    /// once workers outnumber cores (tiny items, 16 workers on 2 vCPUs;
-    /// DESIGN.md §12 has the numbers).
+    /// visible) unless a wake is already on its way. What a call
+    /// publishes — a producer chunk or a parked worker's buffer — is at
+    /// most a batch, which one worker takes whole; the woken worker
+    /// re-checks every shard, so work published while its wake is
+    /// pending is not lost. Waking all sleepers per chunk turned a
+    /// producer-bound drain into wake storms, and waking one per chunk
+    /// still spent most notifies on workers already woken (DESIGN.md
+    /// §12 has the numbers).
     fn wake_idle(&self) {
         // ordering: SeqCst pairs with the SeqCst `sleepers` increment in
         // `idle_wait` — producer and sleeper each write their flag then
         // read the other's (Dekker pattern), so both sides need the
         // single total order; Acquire/Release alone would allow a missed
         // wake. Verified by the sharded model under `--cfg rubic_check`.
-        if self.sleepers.load(Ordering::SeqCst) > 0 {
-            // Acquire/release the idle mutex so a worker between its
-            // emptiness re-check and its park cannot miss the notify.
-            drop(self.idle_m.lock());
-            self.idle_cv.notify_one();
+        if self.sleepers.load(Ordering::SeqCst) == 0 {
+            return;
         }
+        let mut pending = self.idle_m.lock();
+        // ordering: Relaxed — `sleepers` is written only under `idle_m`.
+        if *pending || self.sleepers.load(Ordering::Relaxed) == 0 {
+            return;
+        }
+        *pending = true;
+        drop(pending);
+        // Outside the lock: a sleeper that returns before this notify
+        // clears the flag under the lock, after this call's work was
+        // published, and re-checks the shards itself.
+        self.idle_cv.notify_one();
     }
 
     /// Fires the drain signal if every producer hung up and every
@@ -220,6 +248,9 @@ impl Gauges {
         let pushed = self.pushed.load(Ordering::Relaxed);
         if self.sum(|s| &s.taken) == pushed {
             self.drain.fire();
+            // Through the idle lock, so a sleeper between its drain
+            // check and its park cannot miss the notify.
+            drop(self.idle_m.lock());
             self.idle_cv.notify_all();
             return true;
         }
@@ -278,17 +309,21 @@ impl<T> Core<T> {
     /// `None` once the queue is closed.
     fn lock_room(&self, s: usize, n: usize) -> Option<MutexGuard<'_, ShardQueue<T>>> {
         let shard = &self.shards[s];
+        // The longest the shard may be for the chunk to fit.
+        let fits = self.shard_cap.max(n) - n;
+        // Low watermark: wake at half a shard, so one wake buys room
+        // for many chunks, or lower when the chunk needs more room.
+        let wake_at = fits.min(self.shard_cap / 2);
         let mut q = shard.q.lock();
         loop {
             if self.g.closed.load(Ordering::Acquire) {
                 return None;
             }
-            if q.items.len() + n <= self.shard_cap.max(n) {
+            if q.items.len() <= fits {
                 return Some(q);
             }
-            q.blocked += 1;
+            q.wake_at = Some(q.wake_at.map_or(wake_at, |at| at.min(wake_at)));
             shard.not_full.wait(&mut q);
-            q.blocked -= 1;
         }
     }
 
@@ -313,13 +348,20 @@ impl<T> Core<T> {
         let shard = &self.shards[s];
         let mut q = shard.q.lock();
         let take = q.items.len().min(max);
-        if take > 0 {
-            local.extend(q.items.drain(..take));
-            shard.len.store(q.items.len(), Ordering::Relaxed); // ordering: advisory mirror
-            if q.blocked > 0 {
-                // Freed capacity: unblock producers waiting on it.
-                shard.not_full.notify_all();
-            }
+        if take == 0 {
+            return 0;
+        }
+        local.extend(q.items.drain(..take));
+        shard.len.store(q.items.len(), Ordering::Relaxed); // ordering: advisory mirror
+        let wake = q.wake_at.is_some_and(|at| q.items.len() <= at);
+        if wake {
+            q.wake_at = None;
+        }
+        drop(q);
+        if wake {
+            // Every producer parked before the disarm is still waiting
+            // (or woken spuriously, and re-arms if it parks again).
+            shard.not_full.notify_all();
         }
         take
     }
@@ -659,27 +701,30 @@ where
     }
 
     /// Parks briefly waiting for new work (bounded so the pool's gate
-    /// and shutdown checks stay responsive).
+    /// and shutdown checks stay responsive; a wake is never left to the
+    /// bound).
     fn idle_wait(&self) {
         let g = &self.core.g;
+        let mut pending = g.idle_m.lock();
         // ordering: SeqCst pairs with `wake_idle`'s SeqCst load — the
         // sleeper publishes itself, then re-reads shard state; the
         // producer publishes work, then reads `sleepers`. One total
         // order rules out both sides missing each other.
         g.sleepers.fetch_add(1, Ordering::SeqCst);
-        let mut guard = g.idle_m.lock();
-        // Re-check under the idle lock: a producer that pushed before we
-        // registered as a sleeper notifies nobody, so we must not park
-        // if work (or the drain) became visible meanwhile.
+        // Re-check after counting: a producer that pushed before we
+        // counted ourselves notifies nobody, so we must not park if
+        // work (or the drain) became visible meanwhile.
         let work_visible = self
             .core
             .shards
             .iter()
             .any(|s| s.len.load(Ordering::Relaxed) > 0); // ordering: advisory mirror
         if !work_visible && !g.drain.is_fired() {
-            let _ = g.idle_cv.wait_for(&mut guard, Duration::from_millis(1));
+            let _ = g.idle_cv.wait_for(&mut pending, Duration::from_millis(1));
+            // Woken, timed out or spurious: this sleeper is awake and
+            // re-checks the shards next, so the pending wake is spent.
+            *pending = false;
         }
-        drop(guard);
         g.sleepers.fetch_sub(1, Ordering::SeqCst); // ordering: pairs with the increment above
     }
 }
@@ -691,8 +736,8 @@ impl<T, F> Drop for ShardedWorkload<T, F> {
         self.core.g.closed.store(true, Ordering::Release);
         for shard in &self.core.shards {
             // Under the lock: a producer between its closed-check and
-            // its wait has already counted itself in `blocked`.
-            if shard.q.lock().blocked > 0 {
+            // its wait has already armed `wake_at`.
+            if shard.q.lock().wake_at.is_some() {
                 shard.not_full.notify_all();
             }
         }

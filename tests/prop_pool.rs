@@ -2,8 +2,8 @@
 //! every produced item is processed exactly once under randomized
 //! level-change schedules (including decrease-to-1 and
 //! increase-to-max mid-drain) and whether or not the pool size matches
-//! the shard count, and a worker the schedule never admits never
-//! executes a task.
+//! the shard count, producers parked on full shards are all woken, and
+//! a worker the schedule never admits never executes a task.
 
 use std::collections::HashSet;
 use std::sync::{Arc, Mutex};
@@ -139,6 +139,92 @@ proptest! {
         let producer = std::thread::spawn(move || tx.send_batch(0..n_items));
         producer.join().unwrap().unwrap();
         handle.wait_drained();
+        let _ = pool.stop();
+
+        let got = seen.lock().unwrap();
+        prop_assert_eq!(got.len() as u64, n_items, "lost or duplicated items");
+        let unique: HashSet<u64> = got.iter().copied().collect();
+        prop_assert_eq!(unique.len() as u64, n_items, "duplicate execution");
+        prop_assert_eq!(handle.processed(), n_items);
+        prop_assert_eq!(handle.queued(), 0);
+    }
+
+    /// Producers park on full shards and are woken at the low
+    /// watermark. Shards hold 1–8 items and chunks are 1–3× a shard, so
+    /// many chunks exceed half a shard (those wait for a shorter shard
+    /// than the watermark) and some exceed a whole one (those wait for
+    /// an empty shard). One to three producers, each with `send` or
+    /// `send_batch`, feed the queue under the scripted level schedules.
+    /// Every item is handled exactly once, and the drain completes
+    /// within a deadline far above its few milliseconds of work: a
+    /// producer wake that never lands would hang it.
+    #[test]
+    fn sharded_watermark_wakes_every_parked_producer(
+        size in 2u32..=4,
+        shard_cap in 1usize..=8,
+        chunk_x in 1usize..=24,
+        batched in proptest::collection::vec(any::<bool>(), 1..=3),
+        head in proptest::collection::vec(1u32..=4, 1..6),
+        tail in proptest::collection::vec(1u32..=4, 0..6),
+        per_producer in 50u64..150,
+    ) {
+        // 1 to 3x the shard capacity.
+        let chunk = 1 + (chunk_x - 1) % (3 * shard_cap);
+        let n_items = batched.len() as u64 * per_producer;
+        let schedule = extreme_schedule(head, tail, size);
+        let seen: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
+        let seen2 = Arc::clone(&seen);
+        let (workload, tx) = ShardedWorkload::with_batch(
+            size as usize,
+            shard_cap * size as usize,
+            chunk,
+            move |n: u64| {
+                seen2.lock().unwrap().push(n);
+                std::thread::sleep(Duration::from_micros(10));
+            },
+        );
+        let handle = workload.handle();
+        let pool = MalleablePool::start(
+            PoolConfig::new(size)
+                .initial_level(schedule[0])
+                .monitor_period(Duration::from_millis(1)),
+            workload,
+            Box::new(Scripted::new(schedule, size)),
+        );
+        let producers: Vec<_> = batched
+            .iter()
+            .enumerate()
+            .map(|(p, &batched)| {
+                let tx = tx.clone();
+                let items = p as u64 * per_producer..(p as u64 + 1) * per_producer;
+                std::thread::spawn(move || {
+                    if batched {
+                        tx.send_batch(items).unwrap();
+                    } else {
+                        for n in items {
+                            tx.send(n).unwrap();
+                        }
+                    }
+                })
+            })
+            .collect();
+        drop(tx);
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let waiter = handle.clone();
+        let waiter = std::thread::spawn(move || {
+            waiter.wait_drained();
+            let _ = done_tx.send(());
+        });
+        prop_assert!(
+            done_rx.recv_timeout(Duration::from_secs(30)).is_ok(),
+            "no drain within 30 s: {} of {} items handled",
+            handle.processed(),
+            n_items
+        );
+        waiter.join().unwrap();
+        for p in producers {
+            p.join().unwrap();
+        }
         let _ = pool.stop();
 
         let got = seen.lock().unwrap();

@@ -286,7 +286,7 @@ impl Engine {
         st.steps += 1;
         if st.steps > self.max_steps {
             let msg = format!(
-                "step budget exceeded ({} scheduling points): livelock, or raise Config::max_steps",
+                "after {} scheduling points: livelock, or raise Config::max_steps",
                 self.max_steps
             );
             self.fail_now(st, FailureKind::StepBudget, msg);
@@ -333,7 +333,7 @@ impl Engine {
             } else {
                 ""
             };
-            let mut lines = vec![format!("deadlock: no runnable threads{why}")];
+            let mut lines = vec![format!("no runnable threads{why}")];
             for (i, t) in st.threads.iter().enumerate() {
                 if t.status == Status::Finished {
                     continue;
@@ -456,7 +456,7 @@ impl Engine {
                         && !s.clock.le(&thr.clock) =>
                 {
                     Some(format!(
-                        "too-weak ordering: {} load at {loc} observes a Relaxed store by thread {} at {} \
+                        "{} load at {loc} observes a Relaxed store by thread {} at {} \
                          with no happens-before edge — the store needs Release (or the pairing is bogus)",
                         ord_name(ord),
                         s.tid,
@@ -567,7 +567,7 @@ impl Engine {
             let thr = &stx.threads[tid];
             let race = match meta.write {
                 Some((wt, wc, wloc)) if wt != tid && thr.clock.get(wt) < wc => Some(format!(
-                    "data race: read at {loc} (thread {tid}) of a value written at {wloc} \
+                    "read at {loc} (thread {tid}) of a value written at {wloc} \
                      (thread {wt}) with no happens-before edge"
                 )),
                 _ => None,
@@ -596,7 +596,7 @@ impl Engine {
             let thr = &stx.threads[tid];
             let mut race = match meta.write {
                 Some((wt, wc, wloc)) if wt != tid && thr.clock.get(wt) < wc => Some(format!(
-                    "data race: write at {loc} (thread {tid}) over a write at {wloc} \
+                    "write at {loc} (thread {tid}) over a write at {wloc} \
                      (thread {wt}) with no happens-before edge"
                 )),
                 _ => None,
@@ -605,7 +605,7 @@ impl Engine {
                 for &(rt, rc, rloc) in &meta.reads {
                     if rt != tid && thr.clock.get(rt) < rc {
                         race = Some(format!(
-                            "data race: write at {loc} (thread {tid}) while a read at {rloc} \
+                            "write at {loc} (thread {tid}) while a read at {rloc} \
                              (thread {rt}) has no happens-before edge to it"
                         ));
                         break;

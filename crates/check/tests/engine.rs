@@ -319,3 +319,54 @@ fn unnotified_timed_wait_is_deadlock_without_forced_timeouts() {
     assert_eq!(failure.kind, FailureKind::Deadlock);
     assert!(failure.message.contains("forced time-outs are off"));
 }
+
+/// A rendered failure names its kind once: `Failure`'s `Display` leads
+/// with the kind, and the message that follows does not repeat it.
+#[test]
+fn rendered_failure_names_its_kind_once() {
+    fn race() {
+        let data = Arc::new(RaceCell::new(0u64));
+        let d2 = Arc::clone(&data);
+        let t = thread::spawn(move || d2.set(7));
+        data.set(8);
+        t.join().unwrap();
+    }
+    fn weak() {
+        let flag = Arc::new(AtomicU64::new(0));
+        let f2 = Arc::clone(&flag);
+        let t = thread::spawn(move || f2.store(1, Ordering::Relaxed));
+        let _ = flag.load(Ordering::Acquire);
+        t.join().unwrap();
+    }
+    fn deadlock() {
+        let m = Mutex::new(());
+        let cv = Condvar::new();
+        let mut g = m.lock();
+        cv.wait(&mut g);
+    }
+    fn spin() {
+        let flag = AtomicU64::new(0);
+        while flag.load(Ordering::Acquire) == 0 {
+            thread::yield_now();
+        }
+    }
+    fn panic() {
+        panic!("planted");
+    }
+    let cases: [(FailureKind, fn()); 5] = [
+        (FailureKind::Race, race),
+        (FailureKind::WeakOrdering, weak),
+        (FailureKind::Deadlock, deadlock),
+        (FailureKind::StepBudget, spin),
+        (FailureKind::Panic, panic),
+    ];
+    for (kind, model) in cases {
+        let report = check(Config::dfs(1_000).with_max_steps(300), model);
+        let failure = report.expect_failure();
+        assert_eq!(failure.kind, kind);
+        let rendered = failure.to_string();
+        let name = kind.to_string();
+        assert!(rendered.starts_with(&format!("{name}: ")), "{rendered}");
+        assert_eq!(rendered.matches(&name).count(), 1, "{rendered}");
+    }
+}

@@ -19,13 +19,15 @@
 //! touched: a look-up is one borrowed descent that writes no shared
 //! line, an update rewrites one leaf.
 
+use std::collections::HashSet;
+
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use rubic_runtime::Workload;
 use rubic_stm::Stm;
 
 use crate::btree::TBTreeMap;
-use crate::mapapi::{Edit, TOrdMap};
+use crate::mapapi::TOrdMap;
 
 /// Operation mix for [`RbTreeWorkload`], in parts per thousand.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -141,26 +143,40 @@ pub struct RbTreeWorkload {
 }
 
 impl RbTreeWorkload {
-    /// Builds the tree and fills it with `initial_size` random keys.
+    /// Builds the tree holding `initial_size` distinct keys, bottom-up
+    /// and outside any transaction, as RSTM and Synchrobench fill
+    /// theirs before timing anything: `stm` has committed nothing when
+    /// this returns.
+    ///
+    /// The keys are the first `initial_size` distinct draws of
+    /// `SmallRng::seed_from_u64(seed)` over `[0, key_range)` — the
+    /// stream a one-key-per-transaction fill would insert, so the key
+    /// set is the same — each mapped to `2k + 1` (wrapping; the values
+    /// don't matter to the benchmark). The tree is as shallow as
+    /// [`TBTreeMap::from_sorted`] builds it: every leaf full, so the
+    /// first insert into a leaf splits it.
+    ///
+    /// # Panics
+    /// If `initial_size > key_range`: the range holds too few distinct
+    /// keys.
     #[must_use]
     pub fn new(cfg: RbTreeConfig, stm: Stm) -> Self {
-        let map = TBTreeMap::labelled("rbtree.map");
+        assert!(
+            cfg.initial_size <= cfg.key_range,
+            "RbTreeConfig: initial_size {} exceeds key_range {}, which holds too few distinct keys",
+            cfg.initial_size,
+            cfg.key_range
+        );
         let mut rng = SmallRng::seed_from_u64(cfg.seed);
-        // Fill outside the measured phase, one key per transaction (the
-        // values don't matter to the benchmark; key*2+1 is arbitrary).
-        let mut inserted = 0u64;
-        while inserted < cfg.initial_size {
-            let key = rng.gen_range(0..cfg.key_range);
-            let fresh = stm.atomically(|tx| {
-                map.edit(tx, &key, |held| match held {
-                    Some(_) => (Edit::Keep, false),
-                    None => (Edit::Put(key * 2 + 1), true),
-                })
-            });
-            if fresh {
-                inserted += 1;
-            }
+        let size = usize::try_from(cfg.initial_size).expect("initial_size fits in usize");
+        let mut seen = HashSet::with_capacity(size);
+        while seen.len() < size {
+            seen.insert(rng.gen_range(0..cfg.key_range));
         }
+        let mut keys: Vec<u64> = seen.into_iter().collect();
+        keys.sort_unstable();
+        let rows = keys.into_iter().map(|k| (k, k.wrapping_mul(2) + 1));
+        let map = TBTreeMap::from_sorted(Some("rbtree.map"), rows);
         RbTreeWorkload { map, cfg, stm }
     }
 
@@ -220,12 +236,61 @@ impl Workload for RbTreeWorkload {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
     use super::*;
 
+    /// The fill one key per transaction would make: the same stream,
+    /// inserted one draw at a time into a `BTreeMap`, first draw kept.
+    fn one_at_a_time(cfg: &RbTreeConfig) -> Vec<(u64, u64)> {
+        let mut model = BTreeMap::new();
+        let mut rng = SmallRng::seed_from_u64(cfg.seed);
+        while (model.len() as u64) < cfg.initial_size {
+            let key = rng.gen_range(0..cfg.key_range);
+            model.entry(key).or_insert(key.wrapping_mul(2) + 1);
+        }
+        model.into_iter().collect()
+    }
+
+    /// The fill holds exactly the keys a one-at-a-time fill of the same
+    /// stream holds, at the least depth, and commits nothing.
     #[test]
     fn initial_fill_reaches_target_size() {
-        let w = RbTreeWorkload::new(RbTreeConfig::small(), Stm::default());
-        assert_eq!(w.map().check_invariants(), Ok(512));
+        let dense = RbTreeConfig {
+            key_range: 512,
+            ..RbTreeConfig::small()
+        };
+        let wide = RbTreeConfig {
+            key_range: u64::MAX,
+            ..RbTreeConfig::small()
+        };
+        // The least depths: 512 keys are 16 full leaves under the root;
+        // the paper's 64 K keys are 2,048 full leaves under two branch
+        // levels below it.
+        let cases = [
+            (RbTreeConfig::small(), 1),
+            (dense, 1),
+            (wide, 1),
+            (RbTreeConfig::paper(), 3),
+        ];
+        for (cfg, depth) in cases {
+            let w = RbTreeWorkload::new(cfg.clone(), Stm::default());
+            let n = cfg.initial_size as usize;
+            assert_eq!(w.map().snapshot_entries(), one_at_a_time(&cfg), "{cfg:?}");
+            assert_eq!(w.map().check_shape(), Ok((n, depth)), "{cfg:?}");
+            assert_eq!(w.stm().stats().commits(), 0, "the fill commits nothing");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "initial_size 5 exceeds key_range 4")]
+    fn fill_rejects_more_keys_than_the_range_holds() {
+        let cfg = RbTreeConfig {
+            initial_size: 5,
+            key_range: 4,
+            ..RbTreeConfig::small()
+        };
+        let _ = RbTreeWorkload::new(cfg, Stm::default());
     }
 
     #[test]

@@ -363,6 +363,55 @@ fn concurrent_disjoint_inserts_all_land() {
     assert_eq!(map.check_invariants(), Ok(1000));
 }
 
+/// Concurrent splits of a bulk-built tree: `from_sorted` fills every
+/// leaf to `MAX_LEAF`, so the first insert into each leaf splits it.
+/// The rows are every `GAP`-th key; four threads meet at a barrier
+/// before each leaf and insert, a quarter each, the keys between its
+/// rows, so every leaf splits, and its halves split again, while the
+/// other threads insert into them. Every insert lands once, the shape
+/// holds, and the map is the model.
+#[test]
+fn concurrent_inserts_split_every_full_leaf_of_a_bulk_built_tree() {
+    const THREADS: u64 = 4;
+    const LEAVES: u64 = 64;
+    const GAP: u64 = 8;
+    let n = LEAVES * MAX_LEAF as u64;
+    let rows = sorted_rows(n, GAP);
+    let map = Arc::new(TBTreeMap::from_sorted(None, rows.clone()));
+    // `n` is a multiple of `MAX_LEAF`: `n / MAX_LEAF` leaves, all full.
+    assert_eq!(map.check_shape(), Ok((n as usize, least_depth(n as usize))));
+    let fresh = |leaf: u64| {
+        let keys = leaf * MAX_LEAF as u64 * GAP..(leaf + 1) * MAX_LEAF as u64 * GAP;
+        keys.filter(|k| k % GAP != 0)
+    };
+    let stm = Stm::default();
+    let start = Arc::new(std::sync::Barrier::new(THREADS as usize));
+    let handles: Vec<_> = (0..THREADS)
+        .map(|t| {
+            let (stm, map, start) = (stm.clone(), Arc::clone(&map), Arc::clone(&start));
+            std::thread::spawn(move || {
+                for leaf in 0..LEAVES {
+                    start.wait();
+                    for key in fresh(leaf).skip(t as usize).step_by(THREADS as usize) {
+                        let old = stm.atomically(|tx| map.insert(tx, key, key));
+                        assert_eq!(old, None, "key {key} inserted twice");
+                    }
+                }
+            })
+        })
+        .collect();
+    for h in handles {
+        h.join().expect("worker");
+    }
+    let mut model: BTreeMap<u64, u64> = rows.into_iter().collect();
+    model.extend((0..LEAVES).flat_map(fresh).map(|k| (k, k)));
+    agree(&map, &model);
+    assert_eq!(
+        map.snapshot_entries(),
+        model.into_iter().collect::<Vec<_>>()
+    );
+}
+
 /// Chaos-injected aborts (the STM's deterministic fault hook) must
 /// never leave a half-applied split or merge visible: after a
 /// multi-threaded churn under injected aborts and commit-point kills,
